@@ -16,46 +16,58 @@
 
 #include "bench/harness.h"
 
-int
-main(int argc, char **argv)
+namespace hiss::bench {
+namespace {
+
+const std::vector<std::uint32_t> kLimits = {2, 4, 8, 16, 32, 64};
+
+/**
+ * ubench's SSR rate over a 25 ms window at limit @p i, with the QoS
+ * governor off or at th_1.
+ */
+ExperimentCell
+rate(const FigureArgs &args, std::size_t i, bool qos)
 {
-    using namespace hiss;
-    const int reps = bench::repsFromArgs(argc, argv, 2);
-    const int jobs = bench::jobsFromArgs(argc, argv);
-    bench::banner(
+    // One base system per limit. Static storage: cells hold
+    // base_system by pointer until the batch has run.
+    static const std::vector<SystemConfig> kBases = [] {
+        std::vector<SystemConfig> bases(kLimits.size());
+        for (std::size_t k = 0; k < kLimits.size(); ++k)
+            bases[k].gpu.max_outstanding = kLimits[k];
+        return bases;
+    }();
+    ExperimentConfig config;
+    config.base_system = &kBases[i];
+    config.rate_window = msToTicks(25);
+    if (qos)
+        config.qos_threshold = 0.01;
+    return args.gpuAlone("ubench", config);
+}
+
+std::vector<ExperimentCell>
+cells(const FigureArgs &args)
+{
+    std::vector<ExperimentCell> out;
+    for (std::size_t i = 0; i < kLimits.size(); ++i)
+        for (const bool qos : {false, true})
+            out.push_back(rate(args, i, qos));
+    return out;
+}
+
+void
+print(const FigureArgs &args, const Results &results)
+{
+    banner(
         "Ablation: outstanding-SSR hardware limit sweep",
         "Section VI: the limit exists on every accelerator and is "
         "the backpressure point the QoS governor exploits");
 
-    const std::vector<std::uint32_t> limits = {2, 4, 8, 16, 32, 64};
-
-    // One base system per limit (stable storage: base_system is held
-    // by pointer until the batch runs), measured with and without the
-    // QoS governor over a 25 ms ubench rate window.
-    std::vector<SystemConfig> bases(limits.size());
-    bench::CellBatch batch(jobs);
-    std::vector<std::pair<std::size_t, std::size_t>> rate_ix;
-    for (std::size_t i = 0; i < limits.size(); ++i) {
-        bases[i].gpu.max_outstanding = limits[i];
-        ExperimentConfig free_config = bench::defaultConfig();
-        free_config.base_system = &bases[i];
-        free_config.rate_window = msToTicks(25);
-        ExperimentConfig qos_config = free_config;
-        qos_config.qos_threshold = 0.01;
-        rate_ix.push_back(
-            {batch.add("", "ubench", free_config,
-                       MeasureMode::GpuOnly, reps),
-             batch.add("", "ubench", qos_config,
-                       MeasureMode::GpuOnly, reps)});
-    }
-    batch.run();
-
     std::printf("%-12s %16s %16s %12s\n", "limit", "rate (no QoS)",
                 "rate (th_1)", "th_1/noQoS");
-    for (std::size_t i = 0; i < limits.size(); ++i) {
-        const double free_rate = batch[rate_ix[i].first].gpu_ssr_rate;
-        const double throttled = batch[rate_ix[i].second].gpu_ssr_rate;
-        std::printf("%-12u %16.0f %16.0f %12.3f\n", limits[i],
+    for (std::size_t i = 0; i < kLimits.size(); ++i) {
+        const double free_rate = results[rate(args, i, false)].gpu_ssr_rate;
+        const double throttled = results[rate(args, i, true)].gpu_ssr_rate;
+        std::printf("%-12u %16.0f %16.0f %12.3f\n", kLimits[i],
                     free_rate, throttled,
                     free_rate > 0 ? throttled / free_rate : 0.0);
     }
@@ -63,5 +75,12 @@ main(int argc, char **argv)
                 "hiding), but th_1 pins the serviced rate to the CPU "
                 "budget regardless: backpressure needs only a finite "
                 "limit, not a particular value.\n");
-    return 0;
 }
+
+} // namespace
+
+const Figure kExtBackpressure = {"ext_backpressure",
+                                 "outstanding-SSR hardware limit sweep", 2,
+                                 cells, print};
+
+} // namespace hiss::bench

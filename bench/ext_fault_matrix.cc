@@ -17,47 +17,53 @@
 
 #include "bench/harness.h"
 
-int
-main(int argc, char **argv)
+namespace hiss::bench {
+namespace {
+
+const std::vector<double> kDropRates = {0.0, 0.01, 0.05, 0.10, 0.20};
+
+/** x264 alone (@p pair false) or beside sssp, at drop rate @p rate. */
+ExperimentCell
+x264(const FigureArgs &args, double rate, bool pair)
 {
-    using namespace hiss;
-    const int reps = bench::repsFromArgs(argc, argv, 2);
-    const int jobs = bench::jobsFromArgs(argc, argv);
-    bench::banner(
+    ExperimentConfig config;
+    if (rate > 0.0) {
+        config.fault.irq_drop_prob = rate;
+        config.fault.signal_loss_prob = rate;
+        config.fault.kworker_stall_prob = rate;
+        config.fault.ppr_queue_capacity = 8;
+        config.fault.request_timeout = usToTicks(300.0);
+    }
+    return pair ? args.cell("x264", "sssp", MeasureMode::CpuPrimary, config)
+                : args.cell("x264", "", MeasureMode::CpuOnly, config);
+}
+
+std::vector<ExperimentCell>
+cells(const FigureArgs &args)
+{
+    std::vector<ExperimentCell> out;
+    for (const double rate : kDropRates)
+        for (const bool pair : {false, true})
+            out.push_back(x264(args, rate, pair));
+    return out;
+}
+
+void
+print(const FigureArgs &args, const Results &results)
+{
+    banner(
         "Extension: fault rate vs. CPU slowdown and GPU aborts",
         "robustness of the SSR chain under injected device/IRQ "
         "faults (docs/MODEL.md failure model)");
 
-    const std::vector<double> drop_rates = {0.0, 0.01, 0.05, 0.10,
-                                            0.20};
-
-    bench::CellBatch batch(jobs);
-    std::vector<std::size_t> solo_ix;
-    std::vector<std::size_t> pair_ix;
-    for (const double rate : drop_rates) {
-        ExperimentConfig config = bench::defaultConfig();
-        if (rate > 0.0) {
-            config.fault.irq_drop_prob = rate;
-            config.fault.signal_loss_prob = rate;
-            config.fault.kworker_stall_prob = rate;
-            config.fault.ppr_queue_capacity = 8;
-            config.fault.request_timeout = usToTicks(300.0);
-        }
-        solo_ix.push_back(batch.add("x264", "", config,
-                                    MeasureMode::CpuOnly, reps));
-        pair_ix.push_back(batch.add("x264", "sssp", config,
-                                    MeasureMode::CpuPrimary, reps));
-    }
-    batch.run();
-
-    const double solo_base = batch[solo_ix[0]].cpu_runtime_ms;
+    const double solo_base = results[x264(args, 0.0, false)].cpu_runtime_ms;
     std::printf("%-10s %14s %12s %14s %14s\n", "drop_p",
                 "cpu pair (ms)", "slowdown", "aborted_wf",
                 "ssr_cpu%");
-    for (std::size_t i = 0; i < drop_rates.size(); ++i) {
-        const RunResult &pair = batch[pair_ix[i]];
-        std::printf("%-10.2f %14.3f %12.3f %14llu %14.2f\n",
-                    drop_rates[i], pair.cpu_runtime_ms,
+    for (const double rate : kDropRates) {
+        const RunResult &pair = results[x264(args, rate, true)];
+        std::printf("%-10.2f %14.3f %12.3f %14llu %14.2f\n", rate,
+                    pair.cpu_runtime_ms,
                     solo_base > 0.0 ? pair.cpu_runtime_ms / solo_base
                                     : 0.0,
                     static_cast<unsigned long long>(
@@ -71,5 +77,12 @@ main(int argc, char **argv)
                 "GPU instead — stalled kworkers lose races with the "
                 "request watchdog and the aborted-wavefront count "
                 "climbs with the fault rate.\n");
-    return 0;
 }
+
+} // namespace
+
+const Figure kExtFaultMatrix = {"ext_fault_matrix",
+                                "fault rate vs CPU slowdown and GPU aborts",
+                                2, cells, print};
+
+} // namespace hiss::bench

@@ -17,9 +17,8 @@
 
 #include "bench/harness.h"
 
+namespace hiss::bench {
 namespace {
-
-using namespace hiss;
 
 struct Outcome
 {
@@ -75,15 +74,11 @@ run(int accelerators, double qos_threshold, std::uint64_t seed)
     return out;
 }
 
-} // namespace
-
-int
-main(int argc, char **argv)
+/** Measures HeteroSystem runs directly; declares no cells. */
+void
+print(const FigureArgs &, const Results &)
 {
-    using namespace hiss;
-    (void)argc;
-    (void)argv;
-    bench::banner(
+    banner(
         "Extension: accelerator-rich SoC projection (1-4 GPUs)",
         "Intro/Section IV: interference 'may be exacerbated in "
         "future systems with more accelerators'; Section VI: QoS "
@@ -105,7 +100,7 @@ main(int argc, char **argv)
     std::printf("%-8s %-8s %10s %10s %12s %12s\n", "accels", "qos",
                 "cpu_perf", "CC6(%)", "ssr_cpu(%)", "faults/s");
     for (int n = 1; n <= 4; ++n) {
-        bench::progress(std::to_string(n) + " accelerator(s)");
+        progress(std::to_string(n) + " accelerator(s)");
         const Outcome plain = run(n, 0.0, 1);
         std::printf("%-8d %-8s %10.3f %10.1f %12.1f %12.0f\n", n,
                     "off",
@@ -123,5 +118,12 @@ main(int argc, char **argv)
                 "added accelerator; the QoS governor caps the "
                 "aggregate at the same budget regardless of how many "
                 "devices produce it.\n");
-    return 0;
 }
+
+} // namespace
+
+const Figure kExtMultiAccel = {
+    "ext_multi_accel", "accelerator-rich SoC projection (1-4 GPUs)", 1,
+    nullptr, print};
+
+} // namespace hiss::bench

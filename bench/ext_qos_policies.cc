@@ -15,9 +15,8 @@
 
 #include "bench/harness.h"
 
+namespace hiss::bench {
 namespace {
-
-using namespace hiss;
 
 struct Outcome
 {
@@ -62,15 +61,11 @@ run(ThrottlePolicy policy, double threshold, std::uint64_t seed)
     return out;
 }
 
-} // namespace
-
-int
-main(int argc, char **argv)
+/** Measures HeteroSystem runs directly; declares no cells. */
+void
+print(const FigureArgs &, const Results &)
 {
-    using namespace hiss;
-    (void)argc;
-    (void)argv;
-    bench::banner(
+    banner(
         "Extension: exponential backoff vs token-bucket throttling",
         "Section VI future work: 'more advanced QoS techniques are "
         "warranted'");
@@ -84,8 +79,8 @@ main(int argc, char **argv)
                   "backoff", ThrottlePolicy::ExponentialBackoff},
               std::pair<const char *, ThrottlePolicy>{
                   "bucket", ThrottlePolicy::TokenBucket}}) {
-            bench::progress(std::string(name) + " @ "
-                            + std::to_string(threshold));
+            progress(std::string(name) + " @ "
+                     + std::to_string(threshold));
             const Outcome out = run(policy, threshold, 1);
             std::printf("%-12s %-10.2f %12.1f %12.0f %14.1f %14.1f\n",
                         name, threshold, out.ssr_fraction * 100.0,
@@ -97,5 +92,12 @@ main(int argc, char **argv)
                 "bucket trades the backoff policy's burst-and-stall "
                 "pattern for a steadier service rate (lower latency "
                 "standard deviation at tight budgets).\n");
-    return 0;
 }
+
+} // namespace
+
+const Figure kExtQosPolicies = {
+    "ext_qos_policies", "exponential backoff vs token-bucket throttling", 1,
+    nullptr, print};
+
+} // namespace hiss::bench

@@ -13,68 +13,80 @@
  */
 
 #include <iostream>
+#include <utility>
 #include <vector>
 
 #include "bench/harness.h"
 
-int
-main(int argc, char **argv)
+namespace hiss::bench {
+namespace {
+
+const std::vector<std::pair<std::string, double>> kSettings = {
+    {"default", 0.0},
+    {"th_25", 0.25},
+    {"th_5", 0.05},
+    {"th_1", 0.01},
+};
+
+ExperimentCell
+throttled(const FigureArgs &args, const std::string &cpu,
+          double threshold, MeasureMode mode)
 {
-    using namespace hiss;
-    const int reps = bench::repsFromArgs(argc, argv, 2);
-    bench::banner(
+    ExperimentConfig config;
+    config.qos_threshold = threshold;
+    return args.cell(cpu, "ubench", mode, config);
+}
+
+std::vector<ExperimentCell>
+cells(const FigureArgs &args)
+{
+    std::vector<ExperimentCell> out = {args.gpuAlone("ubench")};
+    for (const auto &cpu : parsec::benchmarkNames()) {
+        out.push_back(args.cpuBaseline(cpu));
+        for (const auto &[label, threshold] : kSettings)
+            for (const MeasureMode mode :
+                 {MeasureMode::CpuPrimary, MeasureMode::GpuPrimary})
+                out.push_back(throttled(args, cpu, threshold, mode));
+    }
+    return out;
+}
+
+void
+print(const FigureArgs &args, const Results &results)
+{
+    banner(
         "Fig. 12: CPU QoS via SSR backpressure (default/th_25/th_5/"
         "th_1)",
         "th_1: mean CPU loss < 4 % (from 28 %); ubench throughput "
         "drops to ~5 % of unhindered");
 
-    const std::vector<std::pair<std::string, double>> settings = {
-        {"default", 0.0},
-        {"th_25", 0.25},
-        {"th_5", 0.05},
-        {"th_1", 0.01},
-    };
-
-    bench::progress("idle-CPU unthrottled ubench rate");
-    const double idle_rate =
-        ExperimentRunner::runAveraged("", "ubench",
-                                      bench::defaultConfig(),
-                                      MeasureMode::GpuOnly, reps)
-            .gpu_ssr_rate;
+    const double idle_rate = results[args.gpuAlone("ubench")].gpu_ssr_rate;
 
     std::vector<std::string> headers = {"cpu_app"};
-    for (const auto &[label, threshold] : settings)
+    for (const auto &[label, threshold] : kSettings)
         headers.push_back(label);
     TablePrinter cpu_table(headers);
     TablePrinter gpu_table(headers);
 
-    std::vector<std::vector<double>> cpu_cols(settings.size());
-    std::vector<std::vector<double>> gpu_cols(settings.size());
+    std::vector<std::vector<double>> cpu_cols(kSettings.size());
+    std::vector<std::vector<double>> gpu_cols(kSettings.size());
 
     for (const auto &cpu : parsec::benchmarkNames()) {
-        bench::progress(cpu);
-        ExperimentConfig base = bench::defaultConfig();
-        base.gpu_demand_paging = false;
         const double baseline_ms =
-            ExperimentRunner::runAveraged(cpu, "ubench", base,
-                                          MeasureMode::CpuPrimary,
-                                          reps)
-                .cpu_runtime_ms;
+            results[args.cpuBaseline(cpu)].cpu_runtime_ms;
 
         std::vector<double> cpu_row;
         std::vector<double> gpu_row;
-        for (std::size_t s = 0; s < settings.size(); ++s) {
-            ExperimentConfig config = bench::defaultConfig();
-            config.qos_threshold = settings[s].second;
-            const RunResult c = ExperimentRunner::runAveraged(
-                cpu, "ubench", config, MeasureMode::CpuPrimary, reps);
+        for (std::size_t s = 0; s < kSettings.size(); ++s) {
+            const RunResult &c = results[throttled(
+                args, cpu, kSettings[s].second, MeasureMode::CpuPrimary)];
             const double cpu_perf =
                 normalizedPerf(baseline_ms, c.cpu_runtime_ms);
             cpu_row.push_back(cpu_perf);
             cpu_cols[s].push_back(cpu_perf);
 
-            const RunResult g = ExperimentRunner::runAveraged(
-                cpu, "ubench", config, MeasureMode::GpuPrimary, reps);
+            const RunResult &g = results[throttled(
+                args, cpu, kSettings[s].second, MeasureMode::GpuPrimary)];
             const double gpu_perf = g.gpu_ssr_rate / idle_rate;
             gpu_row.push_back(gpu_perf);
             gpu_cols[s].push_back(gpu_perf);
@@ -85,7 +97,7 @@ main(int argc, char **argv)
 
     std::vector<double> cpu_gmeans;
     std::vector<double> gpu_gmeans;
-    for (std::size_t s = 0; s < settings.size(); ++s) {
+    for (std::size_t s = 0; s < kSettings.size(); ++s) {
         cpu_gmeans.push_back(geomean(cpu_cols[s]));
         gpu_gmeans.push_back(geomean(gpu_cols[s]));
     }
@@ -105,5 +117,11 @@ main(int argc, char **argv)
                 (1.0 - cpu_gmeans[3]) * 100.0);
     std::printf("ubench throughput at th_1: %.1f %% of unhindered "
                 "(paper: ~5 %%).\n", gpu_gmeans[3] * 100.0);
-    return 0;
 }
+
+} // namespace
+
+const Figure kFig12 = {"fig12", "CPU QoS via SSR backpressure", 2, cells,
+                       print};
+
+} // namespace hiss::bench

@@ -16,9 +16,8 @@
 
 #include "bench/harness.h"
 
+namespace hiss::bench {
 namespace {
-
-using namespace hiss;
 
 void
 runCase(const std::string &gpu, const std::string &cpu)
@@ -53,13 +52,11 @@ runCase(const std::string &gpu, const std::string &cpu)
                     stages.total->count()));
 }
 
-} // namespace
-
-int
-main()
+/** Measures HeteroSystem runs directly; declares no cells. */
+void
+print(const FigureArgs &, const Results &)
 {
-    using namespace hiss;
-    bench::banner(
+    banner(
         "Fig. 2 (quantified): per-stage SSR pipeline latency (us)",
         "Top half runs in hardirq on the interrupted core; the "
         "bottom half is woken (IPI if remote); a kworker performs "
@@ -106,5 +103,11 @@ main()
                 static_cast<unsigned long long>(irqs),
                 static_cast<unsigned long long>(ipis),
                 static_cast<unsigned long long>(mode_switches));
-    return 0;
 }
+
+} // namespace
+
+const Figure kFig2 = {"fig2", "per-stage SSR pipeline latency (quantified)",
+                      1, nullptr, print};
+
+} // namespace hiss::bench

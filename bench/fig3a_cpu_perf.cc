@@ -10,17 +10,31 @@
  * the microbenchmark (x264+ubench); means -12 % / -28 %.
  */
 
+#include <algorithm>
 #include <iostream>
 #include <vector>
 
 #include "bench/harness.h"
 
-int
-main(int argc, char **argv)
+namespace hiss::bench {
+namespace {
+
+std::vector<ExperimentCell>
+cells(const FigureArgs &args)
 {
-    using namespace hiss;
-    const int reps = bench::repsFromArgs(argc, argv, 2);
-    bench::banner(
+    std::vector<ExperimentCell> out;
+    for (const auto &cpu : parsec::benchmarkNames()) {
+        out.push_back(args.cpuBaseline(cpu));
+        for (const auto &gpu : gpu_suite::workloadNames())
+            out.push_back(args.cell(cpu, gpu, MeasureMode::CpuPrimary));
+    }
+    return out;
+}
+
+void
+print(const FigureArgs &args, const Results &results)
+{
+    banner(
         "Fig. 3a: CPU application performance under GPU SSRs",
         "Normalized perf (1/runtime) vs the same pair without SSRs; "
         "worst 0.56 (x264+ubench), sssp col min 0.69, means 0.88/0.72");
@@ -34,20 +48,12 @@ main(int argc, char **argv)
         gpu_suite::workloadNames().size());
 
     for (const auto &cpu : parsec::benchmarkNames()) {
-        bench::progress(cpu);
-        // Baseline: the GPU runs with pinned memory -> no SSRs. The
-        // GPU app identity is irrelevant without SSRs; use ubench.
-        ExperimentConfig base_config = bench::defaultConfig();
-        base_config.gpu_demand_paging = false;
-        const RunResult baseline = ExperimentRunner::runAveraged(
-            cpu, "ubench", base_config, MeasureMode::CpuPrimary, reps);
-
+        const RunResult &baseline = results[args.cpuBaseline(cpu)];
         std::vector<double> row;
         std::size_t column = 0;
         for (const auto &gpu : gpu_suite::workloadNames()) {
-            const RunResult r = ExperimentRunner::runAveraged(
-                cpu, gpu, bench::defaultConfig(),
-                MeasureMode::CpuPrimary, reps);
+            const RunResult &r =
+                results[args.cell(cpu, gpu, MeasureMode::CpuPrimary)];
             const double perf = normalizedPerf(baseline.cpu_runtime_ms,
                                                r.cpu_runtime_ms);
             row.push_back(perf);
@@ -70,5 +76,11 @@ main(int argc, char **argv)
     std::printf("\nWorst cell: %.3f (paper: 0.56). "
                 "ubench column gmean: %.3f (paper ~0.72).\n",
                 worst, gmeans.back());
-    return 0;
 }
+
+} // namespace
+
+const Figure kFig3a = {"fig3a", "CPU application performance under GPU SSRs",
+                       2, cells, print};
+
+} // namespace hiss::bench

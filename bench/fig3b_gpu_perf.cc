@@ -11,17 +11,31 @@
  * rate (paper Fig. 6 note).
  */
 
+#include <algorithm>
 #include <iostream>
 #include <vector>
 
 #include "bench/harness.h"
 
-int
-main(int argc, char **argv)
+namespace hiss::bench {
+namespace {
+
+std::vector<ExperimentCell>
+cells(const FigureArgs &args)
 {
-    using namespace hiss;
-    const int reps = bench::repsFromArgs(argc, argv, 2);
-    bench::banner(
+    std::vector<ExperimentCell> out;
+    for (const auto &gpu : gpu_suite::workloadNames())
+        out.push_back(args.gpuAlone(gpu));
+    for (const auto &cpu : parsec::benchmarkNames())
+        for (const auto &gpu : gpu_suite::workloadNames())
+            out.push_back(args.cell(cpu, gpu, MeasureMode::GpuPrimary));
+    return out;
+}
+
+void
+print(const FigureArgs &args, const Results &results)
+{
+    banner(
         "Fig. 3b: GPU application performance vs idle-CPU baseline",
         "Worst 0.82 (sssp+streamcluster); mean -4 %; some cells > 1");
 
@@ -33,10 +47,7 @@ main(int argc, char **argv)
     // Idle-CPU baselines per GPU app.
     std::vector<double> idle_metric;
     for (const auto &gpu : gpu_suite::workloadNames()) {
-        bench::progress("idle baseline: " + gpu);
-        const RunResult r = ExperimentRunner::runAveraged(
-            "", gpu, bench::defaultConfig(), MeasureMode::GpuOnly,
-            reps);
+        const RunResult &r = results[args.gpuAlone(gpu)];
         idle_metric.push_back(gpu == "ubench" ? r.gpu_ssr_rate
                                               : r.gpu_runtime_ms);
     }
@@ -44,13 +55,11 @@ main(int argc, char **argv)
     std::vector<std::vector<double>> columns(
         gpu_suite::workloadNames().size());
     for (const auto &cpu : parsec::benchmarkNames()) {
-        bench::progress(cpu);
         std::vector<double> row;
         std::size_t column = 0;
         for (const auto &gpu : gpu_suite::workloadNames()) {
-            const RunResult r = ExperimentRunner::runAveraged(
-                cpu, gpu, bench::defaultConfig(),
-                MeasureMode::GpuPrimary, reps);
+            const RunResult &r =
+                results[args.cell(cpu, gpu, MeasureMode::GpuPrimary)];
             const double perf = gpu == "ubench"
                 ? r.gpu_ssr_rate / idle_metric[column]
                 : normalizedPerf(idle_metric[column],
@@ -77,5 +86,12 @@ main(int argc, char **argv)
     std::printf("\nWorst real-app cell: %.3f (paper: 0.82, "
                 "sssp+streamcluster). Worst ubench cell: %.3f.\n",
                 worst_real, worst_ubench);
-    return 0;
 }
+
+} // namespace
+
+const Figure kFig3b = {"fig3b",
+                       "GPU application performance vs idle-CPU baseline",
+                       2, cells, print};
+
+} // namespace hiss::bench

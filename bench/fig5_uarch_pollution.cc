@@ -12,15 +12,28 @@
  */
 
 #include <cstdio>
+#include <vector>
 
 #include "bench/harness.h"
 
-int
-main(int argc, char **argv)
+namespace hiss::bench {
+namespace {
+
+std::vector<ExperimentCell>
+cells(const FigureArgs &args)
 {
-    using namespace hiss;
-    const int reps = bench::repsFromArgs(argc, argv, 2);
-    bench::banner(
+    std::vector<ExperimentCell> out;
+    for (const auto &cpu : parsec::benchmarkNames()) {
+        out.push_back(args.cpuBaseline(cpu));
+        out.push_back(args.cell(cpu, "ubench", MeasureMode::CpuPrimary));
+    }
+    return out;
+}
+
+void
+print(const FigureArgs &args, const Results &results)
+{
+    banner(
         "Fig. 5: user-level L1D miss and branch mispredict increases "
         "from ubench SSRs",
         "(a) L1D miss-rate increase up to ~50 %; (b) branch "
@@ -30,14 +43,9 @@ main(int argc, char **argv)
                 "L1D_base", "L1D_ssr", "L1D_incr(%)", "bp_base",
                 "bp_ssr", "bp_incr(%)");
     for (const auto &cpu : parsec::benchmarkNames()) {
-        bench::progress(cpu);
-        ExperimentConfig base = bench::defaultConfig();
-        base.gpu_demand_paging = false;
-        const RunResult clean = ExperimentRunner::runAveraged(
-            cpu, "ubench", base, MeasureMode::CpuPrimary, reps);
-        const RunResult ssr = ExperimentRunner::runAveraged(
-            cpu, "ubench", bench::defaultConfig(),
-            MeasureMode::CpuPrimary, reps);
+        const RunResult &clean = results[args.cpuBaseline(cpu)];
+        const RunResult &ssr =
+            results[args.cell(cpu, "ubench", MeasureMode::CpuPrimary)];
         const double l1d_incr = clean.user_l1d_miss_rate > 0
             ? (ssr.user_l1d_miss_rate / clean.user_l1d_miss_rate - 1.0)
                 * 100.0
@@ -52,5 +60,12 @@ main(int argc, char **argv)
                     clean.user_branch_miss_rate,
                     ssr.user_branch_miss_rate, bp_incr);
     }
-    return 0;
 }
+
+} // namespace
+
+const Figure kFig5 = {"fig5",
+                      "user-level L1D miss and branch mispredict increases",
+                      2, cells, print};
+
+} // namespace hiss::bench

@@ -16,16 +16,13 @@
  */
 
 #include <iostream>
-#include <map>
-#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "bench/harness.h"
 
+namespace hiss::bench {
 namespace {
-
-using namespace hiss;
 
 double
 gpuMetric(const RunResult &r, const std::string &gpu)
@@ -33,91 +30,78 @@ gpuMetric(const RunResult &r, const std::string &gpu)
     return gpu == "ubench" ? r.gpu_ssr_rate : 1.0 / r.gpu_runtime_ms;
 }
 
-} // namespace
-
-int
-main(int argc, char **argv)
+std::vector<std::string>
+cpuApps(const FigureArgs &args)
 {
-    using namespace hiss;
-    const int reps = bench::repsFromArgs(argc, argv, 1);
-    const bool full = bench::fullSweep(argc, argv);
-    const int jobs = bench::jobsFromArgs(argc, argv);
-    bench::banner(
+    return args.full ? parsec::benchmarkNames()
+                     : std::vector<std::string>{"blackscholes", "facesim",
+                                                "fluidanimate", "raytrace",
+                                                "streamcluster",
+                                                "swaptions", "x264"};
+}
+
+/** One panel per mitigation, each in isolation. */
+std::vector<std::pair<std::string, ExperimentConfig>>
+panels()
+{
+    std::vector<std::pair<std::string, ExperimentConfig>> out(3);
+    out[0].first = "steer";
+    out[0].second.mitigation.steer_to_single_core = true;
+    out[1].first = "coalesce";
+    out[1].second.mitigation.interrupt_coalescing = true;
+    out[2].first = "monolithic";
+    out[2].second.mitigation.monolithic_bottom_half = true;
+    return out;
+}
+
+// Default-configuration references, then every mitigation panel.
+std::vector<ExperimentCell>
+cells(const FigureArgs &args)
+{
+    std::vector<ExperimentConfig> configs = {ExperimentConfig{}};
+    for (const auto &[label, config] : panels())
+        configs.push_back(config);
+    std::vector<ExperimentCell> out;
+    for (const ExperimentConfig &config : configs)
+        for (const auto &cpu : cpuApps(args))
+            for (const auto &gpu : gpu_suite::workloadNames())
+                for (const MeasureMode mode :
+                     {MeasureMode::CpuPrimary, MeasureMode::GpuPrimary})
+                    out.push_back(args.cell(cpu, gpu, mode, config));
+    return out;
+}
+
+void
+print(const FigureArgs &args, const Results &results)
+{
+    banner(
         "Fig. 6: mitigation techniques in isolation "
         "(normalized to default)",
         "a/b steering, c/d coalescing (13 us), e/f monolithic bottom "
         "half; see file header for the paper's shapes");
 
-    const std::vector<std::string> cpu_apps = full
-        ? parsec::benchmarkNames()
-        : std::vector<std::string>{"blackscholes", "facesim",
-                                   "fluidanimate", "raytrace",
-                                   "streamcluster", "swaptions",
-                                   "x264"};
     const auto &gpu_apps = gpu_suite::workloadNames();
-
-    MitigationConfig steer;
-    steer.steer_to_single_core = true;
-    MitigationConfig coalesce;
-    coalesce.interrupt_coalescing = true;
-    MitigationConfig monolithic;
-    monolithic.monolithic_bottom_half = true;
-    const std::vector<std::pair<std::string, MitigationConfig>> cases =
-        {{"steer", steer},
-         {"coalesce", coalesce},
-         {"monolithic", monolithic}};
-
-    // Submit the whole grid — default-configuration references plus
-    // every mitigation panel — as one parallel batch.
-    bench::CellBatch batch(jobs);
-    std::map<std::pair<std::string, std::string>, std::size_t> cpu_ref;
-    std::map<std::pair<std::string, std::string>, std::size_t> gpu_ref;
-    for (const auto &cpu : cpu_apps) {
-        for (const auto &gpu : gpu_apps) {
-            cpu_ref[{cpu, gpu}] = batch.add(
-                cpu, gpu, bench::defaultConfig(),
-                MeasureMode::CpuPrimary, reps);
-            gpu_ref[{cpu, gpu}] = batch.add(
-                cpu, gpu, bench::defaultConfig(),
-                MeasureMode::GpuPrimary, reps);
-        }
-    }
-    std::map<std::tuple<std::string, std::string, std::string>,
-             std::pair<std::size_t, std::size_t>> case_cells;
-    for (const auto &[label, mitigation] : cases) {
-        for (const auto &cpu : cpu_apps) {
-            for (const auto &gpu : gpu_apps) {
-                ExperimentConfig config = bench::defaultConfig();
-                config.mitigation = mitigation;
-                const std::size_t c = batch.add(
-                    cpu, gpu, config, MeasureMode::CpuPrimary, reps);
-                const std::size_t g = batch.add(
-                    cpu, gpu, config, MeasureMode::GpuPrimary, reps);
-                case_cells[{label, cpu, gpu}] = {c, g};
-            }
-        }
-    }
-    batch.run();
-
-    for (const auto &[label, mitigation] : cases) {
-        (void)mitigation;
+    for (const auto &[label, config] : panels()) {
         std::vector<std::string> headers = {"cpu_app"};
         for (const auto &gpu : gpu_apps)
             headers.push_back(gpu);
         TablePrinter cpu_table(headers);
         TablePrinter gpu_table(headers);
 
-        for (const auto &cpu : cpu_apps) {
+        for (const auto &cpu : cpuApps(args)) {
             std::vector<double> cpu_row;
             std::vector<double> gpu_row;
             for (const auto &gpu : gpu_apps) {
-                const auto &[ci, gi] = case_cells[{label, cpu, gpu}];
+                const auto at = [&](const ExperimentConfig &c,
+                                    MeasureMode mode) -> const RunResult & {
+                    return results[args.cell(cpu, gpu, mode, c)];
+                };
                 cpu_row.push_back(normalizedPerf(
-                    batch[cpu_ref[{cpu, gpu}]].cpu_runtime_ms,
-                    batch[ci].cpu_runtime_ms));
+                    at({}, MeasureMode::CpuPrimary).cpu_runtime_ms,
+                    at(config, MeasureMode::CpuPrimary).cpu_runtime_ms));
                 gpu_row.push_back(
-                    gpuMetric(batch[gi], gpu)
-                    / gpuMetric(batch[gpu_ref[{cpu, gpu}]], gpu));
+                    gpuMetric(at(config, MeasureMode::GpuPrimary), gpu)
+                    / gpuMetric(at({}, MeasureMode::GpuPrimary), gpu));
             }
             cpu_table.addRow(cpu, cpu_row);
             gpu_table.addRow(cpu, gpu_row);
@@ -131,8 +115,14 @@ main(int argc, char **argv)
         gpu_table.print(std::cout);
     }
 
-    if (!full)
+    if (!args.full)
         std::printf("\n(7 of 13 CPU apps shown; pass --full for the "
                     "complete sweep)\n");
-    return 0;
 }
+
+} // namespace
+
+const Figure kFig6 = {"fig6", "mitigation techniques in isolation", 1,
+                      cells, print};
+
+} // namespace hiss::bench

@@ -13,75 +13,77 @@
  */
 
 #include <cstdio>
-#include <utility>
 #include <vector>
 
 #include "bench/harness.h"
 
-int
-main(int argc, char **argv)
+namespace hiss::bench {
+namespace {
+
+std::vector<std::string>
+cpuApps(const FigureArgs &args)
 {
-    using namespace hiss;
-    const int reps = bench::repsFromArgs(argc, argv, 1);
-    const bool full = bench::fullSweep(argc, argv);
-    const int jobs = bench::jobsFromArgs(argc, argv);
-    bench::banner(
+    return args.full ? parsec::benchmarkNames()
+                     : std::vector<std::string>{"blackscholes", "facesim",
+                                                "raytrace", "streamcluster",
+                                                "swaptions", "x264"};
+}
+
+std::vector<ExperimentCell>
+cells(const FigureArgs &args)
+{
+    std::vector<ExperimentCell> out = {args.gpuAlone("ubench")};
+    for (const auto &cpu : cpuApps(args))
+        out.push_back(args.cpuBaseline(cpu));
+    for (const MitigationConfig &mitigation :
+         MitigationConfig::allCombinations())
+        for (const auto &cpu : cpuApps(args))
+            for (const MeasureMode mode :
+                 {MeasureMode::CpuPrimary, MeasureMode::GpuPrimary})
+                out.push_back(args.cell(cpu, "ubench", mode,
+                                        withMitigation(mitigation)));
+    return out;
+}
+
+void
+print(const FigureArgs &args, const Results &results)
+{
+    banner(
         "Fig. 7: Pareto chart of mitigation combinations (ubench)",
         "Default is not Pareto optimal; steer+coalesce maximizes CPU "
         "perf; monolithic combinations maximize GPU throughput");
 
-    const std::vector<std::string> cpu_apps = full
-        ? parsec::benchmarkNames()
-        : std::vector<std::string>{"blackscholes", "facesim",
-                                   "raytrace", "streamcluster",
-                                   "swaptions", "x264"};
-
-    // Submit baselines and every combination as one parallel batch.
-    bench::CellBatch batch(jobs);
-    std::vector<std::size_t> baseline_ix;
-    for (const auto &cpu : cpu_apps) {
-        ExperimentConfig base = bench::defaultConfig();
-        base.gpu_demand_paging = false;
-        baseline_ix.push_back(batch.add(cpu, "ubench", base,
-                                        MeasureMode::CpuPrimary, reps));
-    }
-    const std::size_t idle_ix = batch.add(
-        "", "ubench", bench::defaultConfig(), MeasureMode::GpuOnly,
-        reps);
-    const auto combos = MitigationConfig::allCombinations();
-    std::vector<std::vector<std::pair<std::size_t, std::size_t>>>
-        combo_ix(combos.size());
-    for (std::size_t k = 0; k < combos.size(); ++k) {
-        ExperimentConfig config = bench::defaultConfig();
-        config.mitigation = combos[k];
-        for (std::size_t i = 0; i < cpu_apps.size(); ++i)
-            combo_ix[k].push_back(
-                {batch.add(cpu_apps[i], "ubench", config,
-                           MeasureMode::CpuPrimary, reps),
-                 batch.add(cpu_apps[i], "ubench", config,
-                           MeasureMode::GpuPrimary, reps)});
-    }
-    batch.run();
-
-    const double idle_rate = batch[idle_ix].gpu_ssr_rate;
+    const double idle_rate = results[args.gpuAlone("ubench")].gpu_ssr_rate;
     std::printf("%-28s %14s %14s\n", "configuration",
                 "CPU perf (X)", "ubench perf (Y)");
-    for (std::size_t k = 0; k < combos.size(); ++k) {
+    for (const MitigationConfig &mitigation :
+         MitigationConfig::allCombinations()) {
+        const ExperimentConfig config = withMitigation(mitigation);
         std::vector<double> cpu_perf;
         std::vector<double> gpu_perf;
-        for (std::size_t i = 0; i < cpu_apps.size(); ++i) {
-            const auto &[ci, gi] = combo_ix[k][i];
-            cpu_perf.push_back(normalizedPerf(
-                batch[baseline_ix[i]].cpu_runtime_ms,
-                batch[ci].cpu_runtime_ms));
-            gpu_perf.push_back(batch[gi].gpu_ssr_rate / idle_rate);
+        for (const auto &cpu : cpuApps(args)) {
+            const auto at = [&](MeasureMode mode) -> const RunResult & {
+                return results[args.cell(cpu, "ubench", mode, config)];
+            };
+            cpu_perf.push_back(
+                normalizedPerf(results[args.cpuBaseline(cpu)].cpu_runtime_ms,
+                               at(MeasureMode::CpuPrimary).cpu_runtime_ms));
+            gpu_perf.push_back(at(MeasureMode::GpuPrimary).gpu_ssr_rate
+                               / idle_rate);
         }
         std::printf("%-28s %14.3f %14.3f\n",
-                    combos[k].label().c_str(), geomean(cpu_perf),
+                    mitigation.label().c_str(), geomean(cpu_perf),
                     geomean(gpu_perf));
     }
-    if (!full)
+    if (!args.full)
         std::printf("\n(6 of 13 CPU apps used; pass --full for the "
                     "complete sweep)\n");
-    return 0;
 }
+
+} // namespace
+
+const Figure kFig7 = {"fig7",
+                      "Pareto chart of mitigation combinations (ubench)",
+                      1, cells, print};
+
+} // namespace hiss::bench

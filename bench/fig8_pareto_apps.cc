@@ -13,87 +13,88 @@
  */
 
 #include <cstdio>
-#include <utility>
 #include <vector>
 
 #include "bench/harness.h"
 
-int
-main(int argc, char **argv)
+namespace hiss::bench {
+namespace {
+
+const std::vector<std::string> kGpuApps = {"bfs", "bpt", "spmv", "sssp",
+                                           "xsbench"};
+
+std::vector<std::string>
+cpuApps(const FigureArgs &args)
 {
-    using namespace hiss;
-    const int reps = bench::repsFromArgs(argc, argv, 1);
-    const bool full = bench::fullSweep(argc, argv);
-    const int jobs = bench::jobsFromArgs(argc, argv);
-    bench::banner(
+    return args.full ? parsec::benchmarkNames()
+                     : std::vector<std::string>{"facesim", "raytrace",
+                                                "streamcluster",
+                                                "swaptions", "x264"};
+}
+
+// Baselines (no-SSR CPU runtimes, default idle-CPU GPU times) and
+// every mitigation combination.
+std::vector<ExperimentCell>
+cells(const FigureArgs &args)
+{
+    std::vector<ExperimentCell> out;
+    for (const auto &cpu : cpuApps(args))
+        out.push_back(args.cpuBaseline(cpu));
+    for (const auto &gpu : kGpuApps)
+        out.push_back(args.gpuAlone(gpu));
+    for (const MitigationConfig &mitigation :
+         MitigationConfig::allCombinations())
+        for (const auto &cpu : cpuApps(args))
+            for (const auto &gpu : kGpuApps)
+                for (const MeasureMode mode :
+                     {MeasureMode::CpuPrimary, MeasureMode::GpuPrimary})
+                    out.push_back(args.cell(cpu, gpu, mode,
+                                            withMitigation(mitigation)));
+    return out;
+}
+
+void
+print(const FigureArgs &args, const Results &results)
+{
+    banner(
         "Fig. 8: Pareto chart of mitigation combinations "
         "(non-ubench GPU apps)",
         "Default not Pareto optimal; steer+coalesce trades ~35 % GPU "
         "for ~10 % CPU; monolithic favors GPU");
 
-    const std::vector<std::string> cpu_apps = full
-        ? parsec::benchmarkNames()
-        : std::vector<std::string>{"facesim", "raytrace",
-                                   "streamcluster", "swaptions",
-                                   "x264"};
-    const std::vector<std::string> gpu_apps = {"bfs", "bpt", "spmv",
-                                               "sssp", "xsbench"};
-
-    // Baselines (no-SSR CPU runtimes, default idle-CPU GPU times) and
-    // every mitigation combination, submitted as one parallel batch.
-    bench::CellBatch batch(jobs);
-    std::vector<std::size_t> cpu_baseline_ix;
-    for (const auto &cpu : cpu_apps) {
-        ExperimentConfig base = bench::defaultConfig();
-        base.gpu_demand_paging = false;
-        cpu_baseline_ix.push_back(
-            batch.add(cpu, "ubench", base, MeasureMode::CpuPrimary,
-                      reps));
-    }
-    std::vector<std::size_t> gpu_idle_ix;
-    for (const auto &gpu : gpu_apps)
-        gpu_idle_ix.push_back(batch.add("", gpu,
-                                        bench::defaultConfig(),
-                                        MeasureMode::GpuOnly, reps));
-    const auto combos = MitigationConfig::allCombinations();
-    std::vector<std::vector<std::pair<std::size_t, std::size_t>>>
-        combo_ix(combos.size());
-    for (std::size_t k = 0; k < combos.size(); ++k) {
-        ExperimentConfig config = bench::defaultConfig();
-        config.mitigation = combos[k];
-        for (std::size_t i = 0; i < cpu_apps.size(); ++i)
-            for (std::size_t j = 0; j < gpu_apps.size(); ++j)
-                combo_ix[k].push_back(
-                    {batch.add(cpu_apps[i], gpu_apps[j], config,
-                               MeasureMode::CpuPrimary, reps),
-                     batch.add(cpu_apps[i], gpu_apps[j], config,
-                               MeasureMode::GpuPrimary, reps)});
-    }
-    batch.run();
-
     std::printf("%-28s %14s %14s\n", "configuration",
                 "CPU perf (X)", "GPU perf (Y)");
-    for (std::size_t k = 0; k < combos.size(); ++k) {
+    for (const MitigationConfig &mitigation :
+         MitigationConfig::allCombinations()) {
+        const ExperimentConfig config = withMitigation(mitigation);
         std::vector<double> cpu_perf;
         std::vector<double> gpu_perf;
-        std::size_t cell = 0;
-        for (std::size_t i = 0; i < cpu_apps.size(); ++i) {
-            for (std::size_t j = 0; j < gpu_apps.size(); ++j) {
-                const auto &[ci, gi] = combo_ix[k][cell++];
+        for (const auto &cpu : cpuApps(args)) {
+            for (const auto &gpu : kGpuApps) {
+                const auto at = [&](MeasureMode mode) -> const RunResult & {
+                    return results[args.cell(cpu, gpu, mode, config)];
+                };
                 cpu_perf.push_back(normalizedPerf(
-                    batch[cpu_baseline_ix[i]].cpu_runtime_ms,
-                    batch[ci].cpu_runtime_ms));
+                    results[args.cpuBaseline(cpu)].cpu_runtime_ms,
+                    at(MeasureMode::CpuPrimary).cpu_runtime_ms));
                 gpu_perf.push_back(normalizedPerf(
-                    batch[gpu_idle_ix[j]].gpu_runtime_ms,
-                    batch[gi].gpu_runtime_ms));
+                    results[args.gpuAlone(gpu)].gpu_runtime_ms,
+                    at(MeasureMode::GpuPrimary).gpu_runtime_ms));
             }
         }
         std::printf("%-28s %14.3f %14.3f\n",
-                    combos[k].label().c_str(), geomean(cpu_perf),
+                    mitigation.label().c_str(), geomean(cpu_perf),
                     geomean(gpu_perf));
     }
-    if (!full)
+    if (!args.full)
         std::printf("\n(5 of 13 CPU apps used; pass --full for the "
                     "complete sweep)\n");
-    return 0;
 }
+
+} // namespace
+
+const Figure kFig8 = {
+    "fig8", "Pareto chart of mitigation combinations (other GPU apps)", 1,
+    cells, print};
+
+} // namespace hiss::bench

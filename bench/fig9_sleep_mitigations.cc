@@ -11,37 +11,50 @@
  */
 
 #include <cstdio>
+#include <vector>
 
 #include "bench/harness.h"
 
-int
-main(int argc, char **argv)
+namespace hiss::bench {
+namespace {
+
+std::vector<ExperimentCell>
+cells(const FigureArgs &args)
 {
-    using namespace hiss;
-    const int reps = bench::repsFromArgs(argc, argv, 2);
-    bench::banner(
+    std::vector<ExperimentCell> out = {
+        args.gpuAlone("ubench", pinnedConfig())};
+    for (const MitigationConfig &combo :
+         MitigationConfig::allCombinations())
+        out.push_back(args.gpuAlone("ubench", withMitigation(combo)));
+    return out;
+}
+
+void
+print(const FigureArgs &args, const Results &results)
+{
+    banner(
         "Fig. 9: CC6 residency under ubench SSRs per mitigation combo",
         "no_SSR 86 %, default 12 %, steer ~50 %, coalescing alone "
         "~no help, all three 57 %");
 
-    bench::progress("ubench without SSRs");
-    ExperimentConfig base = bench::defaultConfig();
-    base.gpu_demand_paging = false;
-    const RunResult no_ssr = ExperimentRunner::runAveraged(
-        "", "ubench", base, MeasureMode::GpuOnly, reps);
+    const RunResult &no_ssr =
+        results[args.gpuAlone("ubench", pinnedConfig())];
     std::printf("%-28s %12s\n", "configuration", "CC6(%)");
     std::printf("%-28s %12.1f\n", "ubench_no_SSR",
                 no_ssr.cc6_fraction * 100.0);
 
     for (const MitigationConfig &combo :
-         MitigationConfig::allCombinations()) {
-        bench::progress(combo.label());
-        ExperimentConfig config = bench::defaultConfig();
-        config.mitigation = combo;
-        const RunResult r = ExperimentRunner::runAveraged(
-            "", "ubench", config, MeasureMode::GpuOnly, reps);
+         MitigationConfig::allCombinations())
         std::printf("%-28s %12.1f\n", combo.label().c_str(),
-                    r.cc6_fraction * 100.0);
-    }
-    return 0;
+                    results[args.gpuAlone("ubench", withMitigation(combo))]
+                            .cc6_fraction
+                        * 100.0);
 }
+
+} // namespace
+
+const Figure kFig9 = {"fig9",
+                      "CC6 residency under ubench SSRs per mitigation combo",
+                      2, cells, print};
+
+} // namespace hiss::bench

@@ -1,51 +1,124 @@
 /**
  * @file
- * Shared helpers for the per-figure benchmark harnesses.
- *
- * Each bench binary regenerates one table or figure from the paper:
- * it runs the relevant workload pairs through ExperimentRunner and
- * prints the same rows/series the paper reports, normalized the same
- * way. Absolute numbers differ from the paper's hardware testbed;
- * the shapes are the reproduction target (see EXPERIMENTS.md).
+ * Figure declarations for hiss_repro: each paper table, figure or
+ * extension is the experiment cells it needs plus a printer that
+ * prints the paper's rows/series from their results, normalized the
+ * same way. Absolute numbers differ from the paper's hardware
+ * testbed; the shapes are the reproduction target (EXPERIMENTS.md).
  */
 
 #ifndef HISS_BENCH_HARNESS_H_
 #define HISS_BENCH_HARNESS_H_
 
 #include <cstdio>
-#include <cstdlib>
+#include <map>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/hiss.h"
 
-namespace hiss {
-namespace bench {
+namespace hiss::bench {
 
-/** Parse "--reps N" / a bare integer from argv (default @p fallback). */
-inline int
-repsFromArgs(int argc, char **argv, int fallback)
+/** The baselines' config: the GPU uses pinned memory, so no SSRs. */
+inline ExperimentConfig
+pinnedConfig()
 {
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--reps" && i + 1 < argc)
-            return std::atoi(argv[i + 1]);
-        if (!arg.empty() && arg[0] != '-')
-            return std::atoi(arg.c_str());
+    ExperimentConfig config;
+    config.gpu_demand_paging = false;
+    return config;
+}
+
+/** The default config with @p mitigation applied. */
+inline ExperimentConfig
+withMitigation(const MitigationConfig &mitigation)
+{
+    ExperimentConfig config;
+    config.mitigation = mitigation;
+    return config;
+}
+
+/** What hiss_repro passes every figure. */
+struct FigureArgs
+{
+    /** Repetitions per cell: --reps, else the figure's default. */
+    int reps = 1;
+    /** --full: complete CPU-app sweeps instead of subsets. */
+    bool full = false;
+
+    /** A cell of this figure: @p reps repetitions of the pair. */
+    ExperimentCell
+    cell(const std::string &cpu_app, const std::string &gpu_app,
+         MeasureMode mode, const ExperimentConfig &config = {}) const
+    {
+        return {cpu_app, gpu_app, config, mode, reps};
     }
-    return fallback;
-}
 
-/** True if "--full" was passed (complete sweeps instead of subsets). */
-inline bool
-fullSweep(int argc, char **argv)
+    /**
+     * The no-SSR CPU baseline: @p cpu_app beside ubench on pinned
+     * memory (without SSRs the GPU app's identity is irrelevant).
+     */
+    ExperimentCell
+    cpuBaseline(const std::string &cpu_app) const
+    {
+        return cell(cpu_app, "ubench", MeasureMode::CpuPrimary,
+                    pinnedConfig());
+    }
+
+    /** @p gpu_app alone on idle CPUs. */
+    ExperimentCell
+    gpuAlone(const std::string &gpu_app,
+             const ExperimentConfig &config = {}) const
+    {
+        return cell("", gpu_app, MeasureMode::GpuOnly, config);
+    }
+};
+
+/** A figure's results, looked up by the cell that produced them. */
+class Results
 {
-    for (int i = 1; i < argc; ++i)
-        if (std::string(argv[i]) == "--full")
-            return true;
-    return false;
-}
+  public:
+    Results(const ExperimentCell *cells, const RunResult *results,
+            std::size_t n)
+    {
+        for (std::size_t i = 0; i < n; ++i)
+            by_identity_.emplace(cellIdentity(cells[i]), results[i]);
+    }
+
+    /** @throws FatalError if the figure did not declare @p cell. */
+    const RunResult &
+    operator[](const ExperimentCell &cell) const
+    {
+        const auto found = by_identity_.find(cellIdentity(cell));
+        if (found == by_identity_.end())
+            fatal("figure reads an undeclared cell: %s",
+                  cellRepro(cell).c_str());
+        return found->second;
+    }
+
+  private:
+    std::map<std::string, RunResult> by_identity_;
+};
+
+/** One paper table, figure or extension study. */
+struct Figure
+{
+    /** hiss_repro's name for it, e.g. "fig4". */
+    const char *name;
+    /** One line for --list. */
+    const char *title;
+    /** Repetitions per cell when --reps is not given. */
+    int default_reps;
+    /** The cells to simulate; nullptr if print() measures directly. */
+    std::vector<ExperimentCell> (*cells)(const FigureArgs &args);
+    /** Print the figure to stdout from its cells' results. */
+    void (*print)(const FigureArgs &args, const Results &results);
+};
+
+/** Every figure, in the order `hiss_repro all` prints them. */
+extern const Figure kTable1, kTable2, kFig2, kFig3a, kFig3b, kFig4,
+    kFig5, kSec4c, kFig6, kFig7, kFig8, kFig9, kFig12,
+    kExtBackpressure, kExtCoalesce, kExtFaultMatrix, kExtMultiAccel,
+    kExtQosPolicies;
 
 /** Print the standard figure banner. */
 inline void
@@ -66,74 +139,6 @@ progress(const std::string &what)
     std::fprintf(stderr, "  [bench] %s\n", what.c_str());
 }
 
-/**
- * Parse "--jobs N" from argv. Defaults to all hardware threads
- * (0 = let ExperimentBatch pick); results are bit-identical at any
- * job count, so parallel execution is always safe.
- */
-inline int
-jobsFromArgs(int argc, char **argv)
-{
-    for (int i = 1; i < argc; ++i)
-        if (std::string(argv[i]) == "--jobs" && i + 1 < argc)
-            return std::atoi(argv[i + 1]);
-    return 0;
-}
-
-/** Default experiment config shared by the harnesses. */
-inline ExperimentConfig
-defaultConfig(std::uint64_t seed = 1)
-{
-    ExperimentConfig config;
-    config.seed = seed;
-    return config;
-}
-
-/**
- * Collects experiment cells, runs them as one parallel batch, and
- * serves the results by the index add() returned. The whole grid is
- * submitted before anything runs, so the work-stealing pool sees the
- * full width of the figure's grid at once.
- */
-class CellBatch
-{
-  public:
-    explicit CellBatch(int jobs = 0) : jobs_(jobs) {}
-
-    /** Queue one cell; @return its result index. */
-    std::size_t
-    add(const std::string &cpu_app, const std::string &gpu_app,
-        const ExperimentConfig &config, MeasureMode mode, int reps = 1)
-    {
-        cells_.push_back({cpu_app, gpu_app, config, mode, reps});
-        return cells_.size() - 1;
-    }
-
-    /** Run all queued cells (noting progress on stderr). */
-    void
-    run()
-    {
-        const ExperimentBatch batch(jobs_);
-        progress("running " + std::to_string(cells_.size())
-                 + " experiment cells on "
-                 + std::to_string(batch.jobs()) + " jobs");
-        results_ = batch.run(cells_);
-    }
-
-    /** Result of the cell whose add() returned @p index. */
-    const RunResult &
-    operator[](std::size_t index) const
-    {
-        return results_.at(index);
-    }
-
-  private:
-    int jobs_;
-    std::vector<ExperimentCell> cells_;
-    std::vector<RunResult> results_;
-};
-
-} // namespace bench
-} // namespace hiss
+} // namespace hiss::bench
 
 #endif // HISS_BENCH_HARNESS_H_

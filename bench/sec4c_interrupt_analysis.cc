@@ -11,30 +11,31 @@
  */
 
 #include <cstdio>
+#include <vector>
 
 #include "bench/harness.h"
 
-int
-main(int argc, char **argv)
+namespace hiss::bench {
+namespace {
+
+std::vector<ExperimentCell>
+cells(const FigureArgs &args)
 {
-    using namespace hiss;
-    const int reps = bench::repsFromArgs(argc, argv, 2);
-    bench::banner(
+    return {args.cell("streamcluster", "ubench", MeasureMode::CpuPrimary),
+            args.cpuBaseline("streamcluster")};
+}
+
+void
+print(const FigureArgs &args, const Results &results)
+{
+    banner(
         "Section IV-C: interrupt distribution and IPI amplification",
         "SSR interrupts evenly spread over all CPUs; 477x more IPIs "
         "when ubench creates SSRs");
 
-    bench::progress("ubench with SSRs (busy CPUs)");
-    const RunResult ssr = ExperimentRunner::runAveraged(
-        "streamcluster", "ubench", bench::defaultConfig(),
-        MeasureMode::CpuPrimary, reps);
-
-    bench::progress("ubench without SSRs (baseline IPIs)");
-    ExperimentConfig base = bench::defaultConfig();
-    base.gpu_demand_paging = false;
-    const RunResult no_ssr = ExperimentRunner::runAveraged(
-        "streamcluster", "ubench", base, MeasureMode::CpuPrimary,
-        reps);
+    const RunResult &ssr = results[args.cell(
+        "streamcluster", "ubench", MeasureMode::CpuPrimary)];
+    const RunResult &no_ssr = results[args.cpuBaseline("streamcluster")];
 
     std::printf("SSR interrupt distribution across cores "
                 "(busy system):\n");
@@ -64,5 +65,12 @@ main(int argc, char **argv)
     std::printf("IPI rate with SSRs   : %8.2f /ms\n", rate_per_ms);
     std::printf("Amplification        : %8.1fx  (paper: 477x)\n",
                 amplification);
-    return 0;
 }
+
+} // namespace
+
+const Figure kSec4c = {"sec4c",
+                       "interrupt distribution and IPI amplification", 2,
+                       cells, print};
+
+} // namespace hiss::bench

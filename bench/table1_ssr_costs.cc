@@ -17,9 +17,8 @@
 #include "bench/harness.h"
 #include "os/ssr_driver.h"
 
+namespace hiss::bench {
 namespace {
-
-using namespace hiss;
 
 /** A driver source we can feed arbitrary request kinds. */
 class BenchSource : public RequestSource
@@ -82,14 +81,11 @@ measureKind(ServiceKind kind, int n)
     return result;
 }
 
-} // namespace
-
-int
-main(int argc, char **argv)
+/** Measures each kind with args.reps requests; declares no cells. */
+void
+print(const FigureArgs &args, const Results &)
 {
-    using namespace hiss;
-    const int reps = bench::repsFromArgs(argc, argv, 40);
-    bench::banner(
+    banner(
         "Table I: GPU system service requests and their complexity",
         "Signals: Low. Memory allocation: Moderate. Page faults: "
         "Moderate to High. File system: High. Page migration: High.");
@@ -118,9 +114,8 @@ main(int argc, char **argv)
     double previous_cpu = 0.0;
     bool monotone = true;
     for (const Row &row : rows) {
-        bench::progress(std::string("measuring ")
-                        + serviceKindName(row.kind));
-        const KindResult r = measureKind(row.kind, reps);
+        progress(std::string("measuring ") + serviceKindName(row.kind));
+        const KindResult r = measureKind(row.kind, args.reps);
         std::printf("%-16s %-38s %-14s %12.2f %14.2f\n",
                     serviceKindName(row.kind), row.description,
                     row.paper_tier, r.mean_cpu_us, r.mean_latency_us);
@@ -132,5 +127,12 @@ main(int argc, char **argv)
                 "complexity tiers.\n",
                 monotone ? "increases monotonically, consistent"
                          : "is NOT monotone; check calibration");
-    return 0;
 }
+
+} // namespace
+
+const Figure kTable1 = {
+    "table1", "GPU SSRs and their complexity (--reps: requests per kind)",
+    40, nullptr, print};
+
+} // namespace hiss::bench

@@ -10,14 +10,16 @@
 
 #include "bench/harness.h"
 
-int
-main()
+namespace hiss::bench {
+namespace {
+
+void
+print(const FigureArgs &, const Results &)
 {
-    using namespace hiss;
-    bench::banner("Table II: Test System Configuration",
-                  "AMD A10-7850K: 4x 3.7 GHz Family 15h cores, "
-                  "720 MHz GCN 1.1 GPU, 32 GB DDR3-1866, "
-                  "Ubuntu 14.04 + Linux 4.0 + HSA driver v1.6.1");
+    banner("Table II: Test System Configuration",
+           "AMD A10-7850K: 4x 3.7 GHz Family 15h cores, "
+           "720 MHz GCN 1.1 GPU, 32 GB DDR3-1866, "
+           "Ubuntu 14.04 + Linux 4.0 + HSA driver v1.6.1");
 
     std::printf("Paper testbed          | This reproduction\n");
     std::printf("-----------------------+------------------------------"
@@ -35,5 +37,11 @@ main()
 
     SystemConfig config;
     std::printf("%s\n", config.describe().c_str());
-    return 0;
 }
+
+} // namespace
+
+const Figure kTable2 = {"table2", "test system configuration", 1, nullptr,
+                        print};
+
+} // namespace hiss::bench

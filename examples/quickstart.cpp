@@ -10,6 +10,7 @@
  */
 
 #include <cstdio>
+#include <vector>
 
 #include "core/hiss.h"
 
@@ -18,20 +19,21 @@ main()
 {
     using namespace hiss;
 
-    ExperimentConfig config;
-    config.seed = 7;
-
     std::printf("HISS quickstart: x264 (CPU) vs ubench (GPU)\n\n");
 
-    // Baseline: GPU runs with pinned memory -> no SSRs reach the CPU.
-    config.gpu_demand_paging = false;
-    const RunResult baseline = ExperimentRunner::runAveraged(
-        "x264", "ubench", config, MeasureMode::CpuPrimary);
-
     // Interference: GPU demand-pages -> every access is an SSR.
-    config.gpu_demand_paging = true;
-    const RunResult ssr = ExperimentRunner::runAveraged(
-        "x264", "ubench", config, MeasureMode::CpuPrimary);
+    ExperimentConfig ssr_config;
+    ssr_config.seed = 7;
+    // Baseline: GPU runs with pinned memory -> no SSRs reach the CPU.
+    ExperimentConfig baseline_config = ssr_config;
+    baseline_config.gpu_demand_paging = false;
+
+    // Each cell averages 3 runs (seeds 7-9); all 6 run in parallel.
+    const std::vector<RunResult> results = ExperimentBatch().run(
+        {{"x264", "ubench", baseline_config, MeasureMode::CpuPrimary, 3},
+         {"x264", "ubench", ssr_config, MeasureMode::CpuPrimary, 3}});
+    const RunResult &baseline = results[0];
+    const RunResult &ssr = results[1];
 
     const double perf =
         normalizedPerf(baseline.cpu_runtime_ms, ssr.cpu_runtime_ms);

@@ -120,6 +120,16 @@ canonicalCellText(const ExperimentCell &cell)
     return out;
 }
 
+std::string
+cellIdentity(const ExperimentCell &cell)
+{
+    char at[48] = "";
+    if (cell.config.base_system != nullptr)
+        std::snprintf(at, sizeof at, "base_system_at=%p\n",
+                      static_cast<const void *>(cell.config.base_system));
+    return canonicalCellText(cell) + at;
+}
+
 std::uint64_t
 cellKey(const ExperimentCell &cell)
 {

@@ -12,7 +12,9 @@
  * fresh run.
  *
  * The canonical text is versioned (kCellKeyFormat) and includes every
- * field that can change an observable, including warmup_ticks: a
+ * ExperimentConfig field that can change an observable (a base_system
+ * only as its describe(), which omits some parameters; campaign grids
+ * never set one), including warmup_ticks: a
  * warm-restored run is bit-identical to the cold run by the snapshot
  * round-trip contract, so warm and cold execution of the same cell
  * share one key, while cells that cut warmup at different points do
@@ -40,6 +42,14 @@ inline constexpr int kCellKeyFormat = 1;
  * patterns stay distinct.
  */
 std::string canonicalCellText(const ExperimentCell &cell);
+
+/**
+ * canonicalCellText plus the base_system address, if any, since
+ * describe() does not tell every two bases apart: equal identities
+ * give bit-identical results within one process, while the bases
+ * they name are alive. ExperimentBatch shares runs on it.
+ */
+std::string cellIdentity(const ExperimentCell &cell);
 
 /** FNV-1a 64-bit digest of canonicalCellText (snap::Hash64). */
 std::uint64_t cellKey(const ExperimentCell &cell);

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 
+#include "core/cell_key.h"
 #include "core/snapshot_cache.h"
 #include "core/system.h"
 #include "sim/logging.h"
@@ -65,29 +66,6 @@ extractResult(HeteroSystem &sys, Tick elapsed)
         r.gpu_ssr_rate = static_cast<double>(r.faults_resolved)
             / ticksToSec(elapsed);
     return r;
-}
-
-/**
- * Identify a failing cell on stderr: the seed plus a config summary
- * sufficient to reproduce it (the invariant layer and fatal() both
- * rely on this so a crashing --reps/--jobs worker names its seed).
- */
-void
-reportFailure(const std::string &cpu_app, const std::string &gpu_app,
-              const ExperimentConfig &config, const std::exception &e)
-{
-    std::fprintf(
-        stderr,
-        "hiss: run failed: %s\n"
-        "hiss:   seed=%llu cpu='%s' gpu='%s' mitigation=%s qos=%g "
-        "demand_paging=%d accels=%d%s faults=%s\n",
-        e.what(), static_cast<unsigned long long>(config.seed),
-        cpu_app.c_str(), gpu_app.c_str(),
-        config.mitigation.label().c_str(), config.qos_threshold,
-        config.gpu_demand_paging ? 1 : 0,
-        1 + config.extra_accelerators,
-        config.check_invariants ? " check=on" : "",
-        config.fault.label().c_str());
 }
 
 RunResult
@@ -228,27 +206,13 @@ ExperimentRunner::run(const std::string &cpu_app,
     try {
         return runCell(cpu_app, gpu_app, config, mode);
     } catch (const std::exception &e) {
-        reportFailure(cpu_app, gpu_app, config, e);
+        // Name the seed and config so a crashing worker of a batch
+        // can be rerun verbatim.
+        const ExperimentCell cell{cpu_app, gpu_app, config, mode, 1};
+        std::fprintf(stderr, "hiss: run failed: %s\nhiss:   %s\n",
+                     e.what(), cellRepro(cell).c_str());
         throw;
     }
-}
-
-RunResult
-ExperimentRunner::runAveraged(const std::string &cpu_app,
-                              const std::string &gpu_app,
-                              const ExperimentConfig &config,
-                              MeasureMode mode, int reps)
-{
-    if (reps <= 0)
-        fatal("ExperimentRunner: reps must be positive");
-    std::vector<RunResult> runs;
-    runs.reserve(static_cast<std::size_t>(reps));
-    for (int i = 0; i < reps; ++i) {
-        ExperimentConfig c = config;
-        c.seed = config.seed + static_cast<std::uint64_t>(i);
-        runs.push_back(run(cpu_app, gpu_app, c, mode));
-    }
-    return average(runs);
 }
 
 RunResult

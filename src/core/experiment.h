@@ -147,18 +147,9 @@ class ExperimentRunner
                          MeasureMode mode);
 
     /**
-     * Run @p reps times with seeds seed, seed+1, ... and average the
-     * numeric observables (the paper runs each combination 3 times).
-     */
-    static RunResult runAveraged(const std::string &cpu_app,
-                                 const std::string &gpu_app,
-                                 const ExperimentConfig &config,
-                                 MeasureMode mode, int reps = 3);
-
-    /**
-     * Fold repetition results into their average, in input order —
-     * the exact reduction runAveraged applies, exposed so parallel
-     * callers (ExperimentBatch) reproduce it bit-identically.
+     * Fold repetition results (seeds seed, seed+1, ...) into their
+     * average, in input order. ExperimentBatch applies it to every
+     * cell with reps > 1 (the paper runs each combination 3 times).
      */
     static RunResult average(const std::vector<RunResult> &runs);
 };

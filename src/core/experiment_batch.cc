@@ -1,8 +1,9 @@
 #include "core/experiment_batch.h"
 
+#include <algorithm>
 #include <chrono>
-#include <deque>
 #include <exception>
+#include <map>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -14,110 +15,135 @@
 namespace hiss {
 namespace {
 
-RunResult
-runCell(const ExperimentCell &cell)
+/** One distinct simulation of a batch: a cell at a single seed. */
+struct Run
 {
-    if (cell.reps <= 1)
-        return ExperimentRunner::run(cell.cpu_app, cell.gpu_app,
-                                     cell.config, cell.mode);
-    return ExperimentRunner::runAveraged(cell.cpu_app, cell.gpu_app,
-                                         cell.config, cell.mode,
-                                         cell.reps);
-}
-
-/**
- * Per-worker cell-index deque. The owner pops from the back; thieves
- * steal from the front, so a victim loses the cells it would have
- * reached last. Cells are coarse (whole simulations), so a mutex per
- * deque costs nothing measurable.
- */
-class StealQueue
-{
-  public:
-    void
-    push(std::size_t index)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        deque_.push_back(index);
-    }
-
-    bool
-    popBack(std::size_t &index)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (deque_.empty())
-            return false;
-        index = deque_.back();
-        deque_.pop_back();
-        return true;
-    }
-
-    bool
-    stealFront(std::size_t &index)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (deque_.empty())
-            return false;
-        index = deque_.front();
-        deque_.pop_front();
-        return true;
-    }
-
-  private:
-    std::mutex mutex_;
-    std::deque<std::size_t> deque_;
+    ExperimentCell cell; ///< reps = 1; config.seed is this run's seed.
+    std::size_t owner;   ///< The first submitted cell that needs it.
+    RunResult result;
+    std::exception_ptr error;
+    double wall_ms = 0.0;
 };
 
 /**
- * Point warm-start cells with no cache of their own at @p cache so
- * they share warm states across the batch. Returns the cell vector
- * to execute: @p cells untouched when nothing needs the cache,
- * otherwise a patched copy in @p storage.
- */
-const std::vector<ExperimentCell> &
-withBatchCache(const std::vector<ExperimentCell> &cells,
-               SnapshotCache &cache,
-               std::vector<ExperimentCell> &storage)
-{
-    bool needed = false;
-    for (const ExperimentCell &cell : cells)
-        needed = needed
-                 || (cell.config.warmup_ticks > 0
-                     && cell.config.snapshot_cache == nullptr);
-    if (!needed)
-        return cells;
-    storage = cells;
-    for (ExperimentCell &cell : storage)
-        if (cell.config.warmup_ticks > 0
-            && cell.config.snapshot_cache == nullptr)
-            cell.config.snapshot_cache = &cache;
-    return storage;
-}
-
-/**
- * Run one cell, recording its result or failure at @p index. Every
- * failure is captured as the live exception_ptr (runCatching later
- * converts it to a typed reason + repro line; run() rethrows it), and
- * every attempt — failed or not — records its host wall-clock cost.
+ * Execute one run, recording its result or failure. Every failure is
+ * captured as the live exception_ptr (runCatching later converts it
+ * to a typed reason + repro line; run() rethrows it), and every
+ * attempt — failed or not — records its host wall-clock cost.
  */
 void
-runOne(const std::vector<ExperimentCell> &cells, std::size_t index,
-       std::vector<RunResult> &results,
-       std::vector<std::exception_ptr> &errors,
-       std::vector<double> &wall_ms)
+runOne(Run &run)
 {
     const auto start = std::chrono::steady_clock::now();
     try {
-        results[index] = runCell(cells[index]);
+        run.result = ExperimentRunner::run(run.cell.cpu_app,
+                                           run.cell.gpu_app,
+                                           run.cell.config,
+                                           run.cell.mode);
     } catch (...) {
-        // Captured, not swallowed: the pointer carries the typed
-        // failure to run()/runCatching.
-        errors[index] = std::current_exception();
+        run.error = std::current_exception();
     }
-    wall_ms[index] =
+    run.wall_ms =
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - start)
             .count();
+}
+
+/**
+ * Execute every run on up to @p jobs workers, each taking the next
+ * unstarted run in submission order. Runs are whole simulations, so
+ * one shared counter balances the load; a straggler delays only its
+ * own worker.
+ */
+void
+execute(std::vector<Run> &runs, int jobs)
+{
+    const int workers = static_cast<int>(std::min<std::size_t>(
+        runs.size(), static_cast<std::size_t>(jobs)));
+    std::mutex mutex;
+    std::size_t next = 0; // Guarded by mutex.
+    const auto work = [&] {
+        for (;;) {
+            std::size_t i = 0;
+            {
+                const std::lock_guard<std::mutex> lock(mutex);
+                if (next == runs.size())
+                    return;
+                i = next++;
+            }
+            runOne(runs[i]);
+        }
+    };
+    // jthread joins on destruction, so every worker has finished
+    // before runs is read, even when starting one throws.
+    std::vector<std::jthread> threads;
+    for (int w = 1; w < workers; ++w)
+        threads.emplace_back(work);
+    work();
+}
+
+/**
+ * The shared engine behind run() and runCatching(): expand every
+ * cell into its per-seed runs, execute each distinct run once, then
+ * fold each cell's runs in seed order. Returns every cell's outcome
+ * except the error text; @p errors receives each failing cell's
+ * exception (its first failing run's, in seed order).
+ */
+std::vector<CellOutcome>
+settle(const std::vector<ExperimentCell> &cells, int jobs,
+       std::vector<std::exception_ptr> &errors)
+{
+    // Warm-start runs with no cache of their own share one per batch.
+    SnapshotCache cache;
+    std::vector<Run> runs;
+    std::vector<std::vector<std::size_t>> uses(cells.size());
+    // Looked up, never iterated: the keys hold addresses.
+    std::map<std::string, std::size_t> by_identity;
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        for (int r = 0; r < cells[i].reps; ++r) {
+            ExperimentCell one = cells[i];
+            one.reps = 1;
+            one.config.seed += static_cast<std::uint64_t>(r);
+            if (one.config.warmup_ticks > 0
+                && one.config.snapshot_cache == nullptr)
+                one.config.snapshot_cache = &cache;
+            const auto [at, fresh] =
+                by_identity.emplace(cellIdentity(one), runs.size());
+            if (fresh)
+                runs.push_back({std::move(one), i, {}, nullptr, 0.0});
+            uses[i].push_back(at->second);
+        }
+    }
+    execute(runs, jobs);
+
+    std::vector<CellOutcome> outcomes(cells.size());
+    errors.assign(cells.size(), nullptr);
+    for (const Run &run : runs)
+        outcomes[run.owner].wall_ms += run.wall_ms;
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        if (cells[i].reps < 1) {
+            errors[i] = std::make_exception_ptr(FatalError(
+                "ExperimentBatch: reps must be positive, got "
+                + std::to_string(cells[i].reps)));
+            outcomes[i].repro = cellRepro(cells[i]);
+            continue;
+        }
+        std::vector<RunResult> results;
+        for (const std::size_t k : uses[i]) {
+            if (runs[k].error) {
+                errors[i] = runs[k].error;
+                outcomes[i].repro = cellRepro(runs[k].cell);
+                break;
+            }
+            results.push_back(runs[k].result);
+        }
+        outcomes[i].ok = !errors[i];
+        if (outcomes[i].ok)
+            outcomes[i].result = results.size() == 1
+                ? std::move(results.front())
+                : ExperimentRunner::average(results);
+    }
+    return outcomes;
 }
 
 } // namespace
@@ -130,117 +156,41 @@ ExperimentBatch::ExperimentBatch(int jobs) : jobs_(jobs)
     }
 }
 
-void
-ExperimentBatch::execute(const std::vector<ExperimentCell> &cells,
-                         std::vector<RunResult> &results,
-                         std::vector<std::exception_ptr> &errors,
-                         std::vector<double> &wall_ms) const
-{
-    const int workers = static_cast<int>(
-        std::min<std::size_t>(cells.size(),
-                              static_cast<std::size_t>(jobs_)));
-    if (workers <= 1) {
-        for (std::size_t i = 0; i < cells.size(); ++i)
-            runOne(cells, i, results, errors, wall_ms);
-        return;
-    }
-
-    // Deal cells round-robin so every worker starts with a local run
-    // of the grid; stealing rebalances when cell runtimes diverge.
-    std::vector<StealQueue> queues(workers);
-    for (std::size_t i = 0; i < cells.size(); ++i)
-        queues[i % workers].push(i);
-
-    auto work = [&](int self) {
-        std::size_t index;
-        for (;;) {
-            bool found = queues[self].popBack(index);
-            for (int v = 1; !found && v < workers; ++v)
-                found = queues[(self + v) % workers].stealFront(index);
-            if (!found)
-                return;
-            runOne(cells, index, results, errors, wall_ms);
-        }
-    };
-
-    std::vector<std::thread> threads;
-    threads.reserve(workers - 1);
-    for (int w = 1; w < workers; ++w)
-        threads.emplace_back(work, w);
-    work(0);
-    for (std::thread &t : threads)
-        t.join();
-}
-
 std::vector<RunResult>
 ExperimentBatch::run(const std::vector<ExperimentCell> &cells) const
 {
-    std::vector<RunResult> results(cells.size());
-    if (cells.empty())
-        return results;
-    std::vector<std::exception_ptr> errors(cells.size());
-    std::vector<double> wall_ms(cells.size());
-    SnapshotCache cache;
-    std::vector<ExperimentCell> storage;
-    execute(withBatchCache(cells, cache, storage), results, errors,
-            wall_ms);
-    for (std::exception_ptr &err : errors)
-        if (err)
-            std::rethrow_exception(err);
+    std::vector<std::exception_ptr> errors;
+    std::vector<CellOutcome> outcomes = settle(cells, jobs_, errors);
+    std::vector<RunResult> results;
+    results.reserve(outcomes.size());
+    for (std::size_t i = 0; i < outcomes.size(); ++i) {
+        if (errors[i])
+            std::rethrow_exception(errors[i]);
+        results.push_back(std::move(outcomes[i].result));
+    }
     return results;
 }
 
 std::vector<CellOutcome>
 ExperimentBatch::runCatching(const std::vector<ExperimentCell> &cells) const
 {
-    std::vector<CellOutcome> outcomes(cells.size());
-    if (cells.empty())
-        return outcomes;
-    std::vector<RunResult> results(cells.size());
-    std::vector<std::exception_ptr> errors(cells.size());
-    std::vector<double> wall_ms(cells.size());
-    SnapshotCache cache;
-    std::vector<ExperimentCell> storage;
-    execute(withBatchCache(cells, cache, storage), results, errors,
-            wall_ms);
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        outcomes[i].wall_ms = wall_ms[i];
-        if (errors[i]) {
-            // Both arms record a reason and the seed+config repro
-            // line; a non-std::exception throw gets a typed
-            // placeholder instead of an empty string.
-            try {
-                std::rethrow_exception(errors[i]);
-            } catch (const std::exception &e) {
-                outcomes[i].error = e.what();
-            } catch (...) {
-                outcomes[i].error =
-                    "unknown error (non-std::exception throw)";
-            }
-            outcomes[i].repro = cellRepro(cells[i]);
-        } else {
-            outcomes[i].ok = true;
-            outcomes[i].result = std::move(results[i]);
+    std::vector<std::exception_ptr> errors;
+    std::vector<CellOutcome> outcomes = settle(cells, jobs_, errors);
+    for (std::size_t i = 0; i < outcomes.size(); ++i) {
+        if (!errors[i])
+            continue;
+        // Both arms record a reason (settle() recorded the seed+config
+        // repro line); a non-std::exception throw gets a typed
+        // placeholder instead of an empty string.
+        try {
+            std::rethrow_exception(errors[i]);
+        } catch (const std::exception &e) {
+            outcomes[i].error = e.what();
+        } catch (...) {
+            outcomes[i].error = "unknown error (non-std::exception throw)";
         }
     }
     return outcomes;
-}
-
-RunResult
-ExperimentBatch::runAveraged(const std::string &cpu_app,
-                             const std::string &gpu_app,
-                             const ExperimentConfig &config,
-                             MeasureMode mode, int reps) const
-{
-    if (reps <= 0)
-        fatal("ExperimentBatch: reps must be positive");
-    std::vector<ExperimentCell> cells(static_cast<std::size_t>(reps));
-    for (int i = 0; i < reps; ++i) {
-        cells[i] = {cpu_app, gpu_app, config, mode, 1};
-        cells[i].config.seed =
-            config.seed + static_cast<std::uint64_t>(i);
-    }
-    return ExperimentRunner::average(run(cells));
 }
 
 } // namespace hiss

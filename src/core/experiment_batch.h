@@ -3,26 +3,26 @@
  * Parallel experiment engine.
  *
  * Every figure in the paper is a CPU-app x GPU-app x mitigation x
- * seed grid of independent single-threaded simulations — an
- * embarrassingly parallel shape the serial ExperimentRunner loops
- * leave on the table. ExperimentBatch runs a vector of experiment
- * cells on a work-stealing thread pool and returns results in
- * submission order.
+ * seed grid of independent single-threaded simulations.
+ * ExperimentBatch is the one engine that turns such cells into
+ * results: it expands each cell's repetitions into per-seed runs,
+ * simulates each distinct run once (cells of one batch that share a
+ * run share its result), executes the runs on a thread pool, and
+ * returns one result per cell in submission order.
  *
  * Determinism contract: each cell's simulation state (event queue,
  * stats, RNG streams) lives inside its own HeteroSystem, and every
  * RNG stream is derived from the cell's seed, so a parallel batch is
  * bit-identical to running the same cells serially in submission
- * order — regardless of the job count or which worker picks up which
- * cell. The only process-global state the simulator touches is the
- * logging configuration, which is thread-safe and read-only during a
- * run (see sim/logging.cc).
+ * order — regardless of the job count, which worker picks up which
+ * run, or which other cells share the batch. The only process-global
+ * state the simulator touches is the logging configuration, which is
+ * thread-safe and read-only during a run (see sim/logging.cc).
  */
 
 #ifndef HISS_CORE_EXPERIMENT_BATCH_H_
 #define HISS_CORE_EXPERIMENT_BATCH_H_
 
-#include <exception>
 #include <string>
 #include <vector>
 
@@ -38,7 +38,10 @@ struct ExperimentCell
     ExperimentConfig config;
     MeasureMode mode = MeasureMode::CpuPrimary;
 
-    /** > 1 averages over seeds like ExperimentRunner::runAveraged. */
+    /**
+     * Repetitions: seeds seed, seed+1, ..., each its own run, folded
+     * by ExperimentRunner::average in seed order. < 1 fails the cell.
+     */
     int reps = 1;
 };
 
@@ -61,9 +64,11 @@ struct CellOutcome
      */
     std::string repro;
     /**
-     * Host wall-clock time this cell's run took, successful or not.
-     * Diagnostic only (per-cell containment budgets in src/campaign);
-     * never folded into simulation results.
+     * Host wall-clock time of the runs this cell executed, successful
+     * or not. A run shared with an earlier cell of the batch is
+     * charged to that cell, so a cell served entirely by earlier
+     * cells reports 0. Diagnostic only (per-cell containment budgets
+     * in src/campaign); never folded into simulation results.
      */
     double wall_ms = 0.0;
 };
@@ -82,11 +87,12 @@ class ExperimentBatch
     int jobs() const { return jobs_; }
 
     /**
-     * Run every cell and return results in submission order. Cells
-     * execute on min(jobs, cells.size()) workers with work stealing,
+     * Run every cell and return results in submission order. Each
+     * distinct per-seed run (by cellIdentity) executes once, on
+     * min(jobs, runs) workers that each take the next unstarted run,
      * so stragglers (long CPU apps) do not serialize the tail. If any
-     * cell throws, the first failure in submission order is rethrown
-     * after all workers finish.
+     * cell fails, the first failure in submission order (within a
+     * cell, in seed order) is rethrown after all workers finish.
      */
     std::vector<RunResult> run(const std::vector<ExperimentCell> &cells) const;
 
@@ -99,35 +105,7 @@ class ExperimentBatch
     std::vector<CellOutcome>
     runCatching(const std::vector<ExperimentCell> &cells) const;
 
-    /** One-shot convenience: run @p cells on @p jobs workers. */
-    static std::vector<RunResult>
-    runAll(const std::vector<ExperimentCell> &cells, int jobs = 0)
-    {
-        return ExperimentBatch(jobs).run(cells);
-    }
-
-    /**
-     * Parallel ExperimentRunner::runAveraged: the @p reps repetitions
-     * (seeds seed, seed+1, ...) run as independent cells across the
-     * pool, then fold through ExperimentRunner::average in seed
-     * order — bit-identical to the serial call.
-     */
-    RunResult runAveraged(const std::string &cpu_app,
-                          const std::string &gpu_app,
-                          const ExperimentConfig &config,
-                          MeasureMode mode, int reps = 3) const;
-
   private:
-    /**
-     * The shared engine: run every cell, capturing each failure in
-     * @p errors at the failing cell's index and each cell's host
-     * wall-clock duration (ms) in @p wall_ms.
-     */
-    void execute(const std::vector<ExperimentCell> &cells,
-                 std::vector<RunResult> &results,
-                 std::vector<std::exception_ptr> &errors,
-                 std::vector<double> &wall_ms) const;
-
     int jobs_;
 };
 

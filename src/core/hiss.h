@@ -10,11 +10,11 @@
  * the paper's mitigations (interrupt steering, coalescing,
  * monolithic bottom half) and backpressure-based CPU QoS governor.
  *
- * Typical usage:
+ * Typical usage (three repetitions, seeds 1..3, averaged):
  * @code
- *   hiss::ExperimentConfig config;
- *   auto result = hiss::ExperimentRunner::runAveraged(
- *       "x264", "ubench", config, hiss::MeasureMode::CpuPrimary);
+ *   hiss::ExperimentCell cell{"x264", "ubench", {},
+ *                             hiss::MeasureMode::CpuPrimary, 3};
+ *   auto result = hiss::ExperimentBatch().run({cell}).front();
  * @endcode
  */
 

@@ -47,7 +47,6 @@ struct CacheParams
  */
 enum class CacheKernel {
     Portable, ///< Branchless scalar compare (any host, any build).
-    Sse41,    ///< pcmpeqq, two ways per compare (4/8-way sets).
     Avx2,     ///< vpcmpeqq, four ways per compare (4/8-way sets).
 };
 

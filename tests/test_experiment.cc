@@ -86,14 +86,13 @@ TEST(ExperimentRunner, PerCoreIrqVectorPopulated)
 TEST(ExperimentRunner, RunAveragedAveragesAcrossSeeds)
 {
     ExperimentConfig config = fastConfig();
-    const RunResult avg = ExperimentRunner::runAveraged(
-        "", "spmv", config, MeasureMode::GpuOnly, 2);
     const RunResult s0 = ExperimentRunner::run(
         "", "spmv", config, MeasureMode::GpuOnly);
     ExperimentConfig config1 = config;
     config1.seed = config.seed + 1;
     const RunResult s1 = ExperimentRunner::run(
         "", "spmv", config1, MeasureMode::GpuOnly);
+    const RunResult avg = ExperimentRunner::average({s0, s1});
     EXPECT_NEAR(avg.gpu_runtime_ms,
                 (s0.gpu_runtime_ms + s1.gpu_runtime_ms) / 2.0, 1e-9);
 }
@@ -112,9 +111,7 @@ TEST(ExperimentRunner, ModeValidation)
     EXPECT_THROW(ExperimentRunner::run("x264", "ubench", fastConfig(),
                                        MeasureMode::CpuOnly),
                  FatalError);
-    EXPECT_THROW(ExperimentRunner::runAveraged(
-                     "", "spmv", fastConfig(), MeasureMode::GpuOnly, 0),
-                 FatalError);
+    EXPECT_THROW(ExperimentRunner::average({}), FatalError);
 }
 
 TEST(ExperimentRunner, UnknownWorkloadsThrow)

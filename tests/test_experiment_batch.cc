@@ -4,13 +4,16 @@
  *
  * The load-bearing property is the determinism contract: a parallel
  * batch must be bit-identical to running the same cells serially
- * through ExperimentRunner, at any job count.
+ * through ExperimentRunner, at any job count, and however many of
+ * its per-seed runs the batch shares between cells.
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
+#include "core/cell_key.h"
 #include "core/experiment_batch.h"
 #include "sim/logging.h"
 
@@ -46,6 +49,24 @@ expectIdentical(const RunResult &a, const RunResult &b)
     EXPECT_EQ(a.faults_resolved, b.faults_resolved);
     EXPECT_EQ(a.msis_raised, b.msis_raised);
     EXPECT_EQ(a.ssr_irqs_per_core, b.ssr_irqs_per_core);
+}
+
+/**
+ * The serial reference for a cell: one ExperimentRunner::run per seed
+ * (seed, seed+1, ...), folded by ExperimentRunner::average in seed
+ * order.
+ */
+RunResult
+serialReference(const ExperimentCell &cell)
+{
+    std::vector<RunResult> runs;
+    for (int r = 0; r < cell.reps; ++r) {
+        ExperimentConfig config = cell.config;
+        config.seed += static_cast<std::uint64_t>(r);
+        runs.push_back(ExperimentRunner::run(cell.cpu_app, cell.gpu_app,
+                                             config, cell.mode));
+    }
+    return ExperimentRunner::average(runs);
 }
 
 /** The 2 CPU apps x 2 GPU apps x 2 seeds determinism grid. */
@@ -93,12 +114,10 @@ TEST(ExperimentBatch, JobCountDoesNotChangeResults)
 
 TEST(ExperimentBatch, RunAveragedMatchesSerialRunAveraged)
 {
-    const ExperimentConfig config = fastConfig(81);
-    const RunResult serial = ExperimentRunner::runAveraged(
-        "", "spmv", config, MeasureMode::GpuOnly, 3);
-    const RunResult parallel = ExperimentBatch(3).runAveraged(
-        "", "spmv", config, MeasureMode::GpuOnly, 3);
-    expectIdentical(serial, parallel);
+    const ExperimentCell cell{"", "spmv", fastConfig(81),
+                              MeasureMode::GpuOnly, 3};
+    expectIdentical(ExperimentBatch(3).run({cell}).front(),
+                    serialReference(cell));
 }
 
 TEST(ExperimentBatch, CellRepsAverageLikeRunAveraged)
@@ -108,9 +127,132 @@ TEST(ExperimentBatch, CellRepsAverageLikeRunAveraged)
     const std::vector<RunResult> results =
         ExperimentBatch(2).run({cell});
     ASSERT_EQ(results.size(), 1u);
-    const RunResult serial = ExperimentRunner::runAveraged(
-        "", "spmv", cell.config, cell.mode, cell.reps);
-    expectIdentical(results[0], serial);
+    expectIdentical(results[0], serialReference(cell));
+}
+
+/**
+ * A reps = 2 cell (seeds 81, 82), a reps = 1 cell at its second seed,
+ * an exact duplicate of the first cell, and a reps = 2 cell at seeds
+ * 82, 83 — half shared, half new.
+ */
+std::vector<ExperimentCell>
+overlappingCells()
+{
+    const ExperimentCell pair{"", "spmv", fastConfig(81),
+                              MeasureMode::GpuOnly, 2};
+    ExperimentCell second = pair;
+    second.reps = 1;
+    second.config.seed = 82;
+    ExperimentCell shifted = pair;
+    shifted.config.seed = 82;
+    return {pair, second, pair, shifted};
+}
+
+TEST(ExperimentBatch, DuplicateCellsMatchSeparateBatches)
+{
+    const std::vector<ExperimentCell> cells = overlappingCells();
+    const std::vector<RunResult> together =
+        ExperimentBatch(3).run(cells);
+    ASSERT_EQ(together.size(), cells.size());
+    for (std::size_t i = 0; i < cells.size(); ++i)
+        expectIdentical(together[i],
+                        ExperimentBatch(1).run({cells[i]}).front());
+}
+
+TEST(ExperimentBatch, EachDistinctRunExecutesOnce)
+{
+    // wall_ms counts only the runs a cell executed itself.
+    const std::vector<CellOutcome> outcomes =
+        ExperimentBatch(2).runCatching(overlappingCells());
+    ASSERT_EQ(outcomes.size(), 4u);
+    for (const CellOutcome &outcome : outcomes)
+        EXPECT_TRUE(outcome.ok) << outcome.error;
+    EXPECT_GT(outcomes[0].wall_ms, 0.0);
+    EXPECT_EQ(outcomes[1].wall_ms, 0.0); // Seed 82 ran for cell 0.
+    EXPECT_EQ(outcomes[2].wall_ms, 0.0); // Cell 0 again.
+    EXPECT_GT(outcomes[3].wall_ms, 0.0); // Seed 83 is new.
+
+    // A failing run names itself on stderr once per execution, so
+    // three identical failing cells must print exactly one report.
+    ExperimentCell bad{"not-a-benchmark", "ubench", fastConfig(81),
+                       MeasureMode::CpuPrimary, 1};
+    testing::internal::CaptureStderr();
+    const std::vector<CellOutcome> failed =
+        ExperimentBatch(3).runCatching({bad, bad, bad});
+    const std::string err = testing::internal::GetCapturedStderr();
+    std::size_t reports = 0;
+    for (std::size_t at = err.find("run failed"); at != std::string::npos;
+         at = err.find("run failed", at + 1))
+        ++reports;
+    EXPECT_EQ(reports, 1u) << err;
+    for (const CellOutcome &outcome : failed) {
+        EXPECT_FALSE(outcome.ok);
+        EXPECT_EQ(outcome.error, failed[0].error);
+    }
+    EXPECT_EQ(failed[1].wall_ms, 0.0);
+    EXPECT_EQ(failed[2].wall_ms, 0.0);
+}
+
+TEST(ExperimentBatch, RepsBelowOneFailsTheCell)
+{
+    const ExperimentCell good{"", "spmv", fastConfig(81),
+                              MeasureMode::GpuOnly, 1};
+    ExperimentCell zero = good;
+    zero.reps = 0;
+    ExperimentCell negative = good;
+    negative.reps = -5;
+    const std::vector<CellOutcome> outcomes =
+        ExperimentBatch(2).runCatching({zero, good, negative});
+    ASSERT_EQ(outcomes.size(), 3u);
+    EXPECT_TRUE(outcomes[1].ok);
+    for (const std::size_t i : {0u, 2u}) {
+        EXPECT_FALSE(outcomes[i].ok);
+        EXPECT_NE(outcomes[i].error.find("reps must be positive"),
+                  std::string::npos)
+            << outcomes[i].error;
+        EXPECT_EQ(outcomes[i].wall_ms, 0.0);
+    }
+    EXPECT_NE(outcomes[0].repro.find("reps=0"), std::string::npos)
+        << outcomes[0].repro;
+    EXPECT_NE(outcomes[2].repro.find("reps=-5"), std::string::npos)
+        << outcomes[2].repro;
+    EXPECT_THROW(ExperimentBatch(1).run({good, zero}), FatalError);
+}
+
+TEST(ExperimentBatch, BasesThatDescribeAlikeDoNotShareRuns)
+{
+    // SystemConfig::describe() names neither adaptive coalescing nor
+    // the QoS throttle policy, so these three bases have equal
+    // canonicalCellText. Each cell must still get its own base's run.
+    SystemConfig fixed;
+    SystemConfig adaptive;
+    adaptive.iommu.adaptive_coalescing = true;
+    SystemConfig bucket;
+    bucket.kernel.qos.policy = ThrottlePolicy::TokenBucket;
+    std::vector<ExperimentCell> cells;
+    for (const SystemConfig *base : {&fixed, &adaptive, &bucket}) {
+        ExperimentConfig config = fastConfig(81);
+        config.mitigation.interrupt_coalescing = true;
+        config.qos_threshold = 0.05;
+        config.base_system = base;
+        cells.push_back({"swaptions", "ubench", config,
+                         MeasureMode::CpuPrimary, 1});
+    }
+    ASSERT_EQ(canonicalCellText(cells[0]), canonicalCellText(cells[1]));
+    ASSERT_EQ(canonicalCellText(cells[0]), canonicalCellText(cells[2]));
+
+    const std::vector<RunResult> together =
+        ExperimentBatch(2).run(cells);
+    ASSERT_EQ(together.size(), cells.size());
+    std::vector<RunResult> serial;
+    for (const ExperimentCell &cell : cells) {
+        serial.push_back(ExperimentRunner::run(
+            cell.cpu_app, cell.gpu_app, cell.config, cell.mode));
+        expectIdentical(together[serial.size() - 1], serial.back());
+    }
+    // The bases really differ, so a shared run would have shown.
+    EXPECT_NE(serial[0].total_irqs, serial[1].total_irqs);
+    EXPECT_NE(serial[0].cpu_runtime_ms, serial[2].cpu_runtime_ms);
 }
 
 TEST(ExperimentBatch, DefaultJobsUsesHardwareConcurrency)

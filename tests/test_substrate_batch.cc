@@ -246,48 +246,45 @@ TEST(SubstrateBatch, SimdKernelMatchesPortable)
         {16 * 1024, 8, 32}, {32 * 1024, 4, 128}, {32 * 1024, 8, 64},
         {8 * 1024, 16, 64}, // generic-loop fallback inside SIMD TUs
     };
+    const CacheKernel kernel = CacheKernel::Avx2;
+    if (!Cache::kernelSupported(kernel)) {
+        GTEST_LOG_(INFO) << "host lacks " << Cache::kernelName(kernel)
+                         << "; skipping";
+        return;
+    }
     Rng meta(0x51D);
-    for (const CacheKernel kernel :
-         {CacheKernel::Sse41, CacheKernel::Avx2}) {
-        if (!Cache::kernelSupported(kernel)) {
-            GTEST_LOG_(INFO) << "host lacks "
-                             << Cache::kernelName(kernel)
-                             << "; skipping";
-            continue;
+    for (const CacheParams &geom : kGeoms) {
+        const MemoryProfile profile = randomMemoryProfile(meta);
+        const std::uint64_t seed = meta.next();
+        const std::size_t n = meta.uniformInt(64, 768);
+        AddressStream stream(profile, 0x10000000, seed);
+        std::vector<Addr> buf(n);
+        stream.fill(buf.data(), n);
+
+        Cache portable(geom);
+        std::vector<std::uint8_t> portable_hits(n);
+        std::uint64_t portable_misses = 0;
+        {
+            ScopedKernel pin(CacheKernel::Portable);
+            portable_misses = portable.accessBatch(
+                buf.data(), n, portable_hits.data());
         }
-        for (const CacheParams &geom : kGeoms) {
-            const MemoryProfile profile = randomMemoryProfile(meta);
-            const std::uint64_t seed = meta.next();
-            const std::size_t n = meta.uniformInt(64, 768);
-            AddressStream stream(profile, 0x10000000, seed);
-            std::vector<Addr> buf(n);
-            stream.fill(buf.data(), n);
 
-            Cache portable(geom);
-            std::vector<std::uint8_t> portable_hits(n);
-            std::uint64_t portable_misses = 0;
-            {
-                ScopedKernel pin(CacheKernel::Portable);
-                portable_misses = portable.accessBatch(
-                    buf.data(), n, portable_hits.data());
-            }
-
-            Cache vectored(geom);
-            std::vector<std::uint8_t> vector_hits(n);
-            std::uint64_t vector_misses = 0;
-            {
-                ScopedKernel pin(kernel);
-                vector_misses = vectored.accessBatch(
-                    buf.data(), n, vector_hits.data());
-            }
-
-            EXPECT_EQ(vector_hits, portable_hits)
-                << Cache::kernelName(kernel) << " assoc " << geom.assoc;
-            EXPECT_EQ(vector_misses, portable_misses)
-                << Cache::kernelName(kernel) << " assoc " << geom.assoc;
-            EXPECT_EQ(vectored.stateHash(), portable.stateHash())
-                << Cache::kernelName(kernel) << " assoc " << geom.assoc;
+        Cache vectored(geom);
+        std::vector<std::uint8_t> vector_hits(n);
+        std::uint64_t vector_misses = 0;
+        {
+            ScopedKernel pin(kernel);
+            vector_misses = vectored.accessBatch(
+                buf.data(), n, vector_hits.data());
         }
+
+        EXPECT_EQ(vector_hits, portable_hits)
+            << Cache::kernelName(kernel) << " assoc " << geom.assoc;
+        EXPECT_EQ(vector_misses, portable_misses)
+            << Cache::kernelName(kernel) << " assoc " << geom.assoc;
+        EXPECT_EQ(vectored.stateHash(), portable.stateHash())
+            << Cache::kernelName(kernel) << " assoc " << geom.assoc;
     }
 }
 
@@ -302,14 +299,11 @@ TEST(SubstrateBatch, KernelSelectionApi)
         EXPECT_EQ(Cache::activeKernel(), CacheKernel::Portable);
     }
     EXPECT_EQ(Cache::activeKernel(), best);
-    // Unsupported kernels are rejected without changing the active
-    // one (on non-SIMD builds both vector tiers are unsupported).
-    for (const CacheKernel kernel :
-         {CacheKernel::Sse41, CacheKernel::Avx2}) {
-        if (!Cache::kernelSupported(kernel)) {
-            EXPECT_FALSE(Cache::setKernel(kernel));
-            EXPECT_EQ(Cache::activeKernel(), best);
-        }
+    // An unsupported kernel is rejected without changing the active
+    // one (on non-SIMD builds the AVX2 tier is unsupported).
+    if (!Cache::kernelSupported(CacheKernel::Avx2)) {
+        EXPECT_FALSE(Cache::setKernel(CacheKernel::Avx2));
+        EXPECT_EQ(Cache::activeKernel(), best);
     }
 }
 

@@ -28,6 +28,8 @@
 #                                      fails on >20% items_per_second
 #                                      loss of any *Batch median)
 #        tools/ci.sh bench --update   (rewrite the committed baselines)
+#        tools/ci.sh perf             (end-to-end benchmark smoke:
+#                                      python3 perfbench/run.py --short)
 #        tools/ci.sh snapshot         (snapshot fidelity leg: a run
 #                                      restored from a mid-warmup
 #                                      snapshot must produce byte-
@@ -120,6 +122,13 @@ if [ "${1-}" = "tidy" ]; then
     # shellcheck disable=SC2086
     clang-tidy -p build-default --quiet $files
     echo "ci: tidy pass finished"
+    exit 0
+fi
+
+# `perf` mode: every BENCHMARK.json workload at minimum length,
+# checking correctness (pinned digests, spans), not speed.
+if [ "${1-}" = "perf" ]; then
+    python3 perfbench/run.py --short
     exit 0
 fi
 

@@ -19,21 +19,21 @@
  * 3 run finished but some owned cells settled as failures.
  */
 
-#include <cerrno>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "core/hiss.h"
+#include "sim/cli_args.h"
 #include "sim/logging.h"
 
 namespace {
 
 using namespace hiss;
 using namespace hiss::campaign;
+using namespace hiss::cli;
 
 void
 usage()
@@ -77,47 +77,6 @@ usage()
         "  --out FILE           merged CSV path (required)\n");
 }
 
-long long
-parseInt(const char *flag, const char *text, long long lo, long long hi)
-{
-    errno = 0;
-    char *end = nullptr;
-    const long long value = std::strtoll(text, &end, 10);
-    if (end == text || *end != '\0' || errno == ERANGE)
-        fatal("%s: '%s' is not an integer", flag, text);
-    if (value < lo || value > hi)
-        fatal("%s: %lld is out of range [%lld, %lld]", flag, value, lo,
-              hi);
-    return value;
-}
-
-double
-parseReal(const char *flag, const char *text, double lo, double hi)
-{
-    errno = 0;
-    char *end = nullptr;
-    const double value = std::strtod(text, &end);
-    if (end == text || *end != '\0' || errno == ERANGE)
-        fatal("%s: '%s' is not a number", flag, text);
-    if (!(value >= lo && value <= hi))
-        fatal("%s: %g is out of range [%g, %g]", flag, value, lo, hi);
-    return value;
-}
-
-std::vector<std::string>
-splitList(const std::string &list)
-{
-    std::vector<std::string> out;
-    std::size_t pos = 0;
-    while (pos != std::string::npos) {
-        const std::size_t comma = list.find(',', pos);
-        out.push_back(list.substr(
-            pos, comma == std::string::npos ? comma : comma - pos));
-        pos = comma == std::string::npos ? comma : comma + 1;
-    }
-    return out;
-}
-
 /** Parse "k/K" into shard index and count. */
 void
 parseShard(const char *text, CampaignOptions &options)
@@ -133,14 +92,6 @@ parseShard(const char *text, CampaignOptions &options)
     if (options.shard_index >= options.shard_count)
         fatal("--shard: index %d must be < count %d",
               options.shard_index, options.shard_count);
-}
-
-const char *
-needValue(int argc, char **argv, int &i)
-{
-    if (i + 1 >= argc)
-        fatal("%s needs a value", argv[i]);
-    return argv[++i];
 }
 
 int

@@ -24,22 +24,22 @@
  *   hiss_fuzz --seeds 256 --jobs 8 --no-shrink
  */
 
-#include <cerrno>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "core/hiss.h"
+#include "sim/cli_args.h"
 #include "sim/logging.h"
 #include "sim/random.h"
 
 namespace {
 
 using namespace hiss;
+using namespace hiss::cli;
 
 struct Options
 {
@@ -87,40 +87,9 @@ usage()
         "configuration to the simplest variant that still fails.\n");
 }
 
-long long
-parseInt(const char *flag, const char *text, long long lo, long long hi)
-{
-    errno = 0;
-    char *end = nullptr;
-    const long long value = std::strtoll(text, &end, 10);
-    if (end == text || *end != '\0' || errno == ERANGE)
-        fatal("%s: '%s' is not an integer", flag, text);
-    if (value < lo || value > hi)
-        fatal("%s: %lld is out of range [%lld, %lld]", flag, value, lo,
-              hi);
-    return value;
-}
-
-std::uint64_t
-parseSeed(const char *flag, const char *text)
-{
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long value = std::strtoull(text, &end, 10);
-    if (end == text || *end != '\0' || errno == ERANGE
-        || text[0] == '-')
-        fatal("%s: '%s' is not a valid seed", flag, text);
-    return value;
-}
-
 bool
 parseArgs(int argc, char **argv, Options &opt)
 {
-    auto need_value = [&](int &i) -> const char * {
-        if (i + 1 >= argc)
-            fatal("%s needs a value", argv[i]);
-        return argv[++i];
-    };
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--help" || arg == "-h") {
@@ -128,12 +97,12 @@ parseArgs(int argc, char **argv, Options &opt)
             return false;
         } else if (arg == "--seeds") {
             opt.seeds = static_cast<int>(
-                parseInt("--seeds", need_value(i), 1, 1'000'000));
+                parseInt("--seeds", needValue(argc, argv, i), 1, 1'000'000));
         } else if (arg == "--seed-base") {
-            opt.seed_base = parseSeed("--seed-base", need_value(i));
+            opt.seed_base = parseSeed("--seed-base", needValue(argc, argv, i));
         } else if (arg == "--jobs") {
             opt.jobs = static_cast<int>(
-                parseInt("--jobs", need_value(i), 0, 4096));
+                parseInt("--jobs", needValue(argc, argv, i), 0, 4096));
         } else if (arg == "--check") {
             opt.check = true;
         } else if (arg == "--no-check") {

@@ -15,11 +15,9 @@
  *   hiss_sim --cpu x264 --gpu sssp --reps 8 --jobs 4
  */
 
-#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -28,12 +26,14 @@
 #include <vector>
 
 #include "core/hiss.h"
+#include "sim/cli_args.h"
 #include "sim/logging.h"
 #include "sim/tracing.h"
 
 namespace {
 
 using namespace hiss;
+using namespace hiss::cli;
 
 struct Options
 {
@@ -122,58 +122,9 @@ usage()
         "  --list               list available workloads\n");
 }
 
-/**
- * Strict numeric parsing: the whole token must convert and land in
- * range, otherwise the flag dies with a FatalError instead of
- * silently running atoi()'s best guess (e.g. "--reps 1e3" -> 1).
- */
-long long
-parseInt(const char *flag, const char *text, long long lo, long long hi)
-{
-    errno = 0;
-    char *end = nullptr;
-    const long long value = std::strtoll(text, &end, 10);
-    if (end == text || *end != '\0' || errno == ERANGE)
-        fatal("%s: '%s' is not an integer", flag, text);
-    if (value < lo || value > hi)
-        fatal("%s: %lld is out of range [%lld, %lld]", flag, value, lo,
-              hi);
-    return value;
-}
-
-std::uint64_t
-parseSeed(const char *flag, const char *text)
-{
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long value = std::strtoull(text, &end, 10);
-    if (end == text || *end != '\0' || errno == ERANGE
-        || text[0] == '-')
-        fatal("%s: '%s' is not a valid seed", flag, text);
-    return value;
-}
-
-double
-parseReal(const char *flag, const char *text, double lo, double hi)
-{
-    errno = 0;
-    char *end = nullptr;
-    const double value = std::strtod(text, &end);
-    if (end == text || *end != '\0' || errno == ERANGE)
-        fatal("%s: '%s' is not a number", flag, text);
-    if (!(value >= lo && value <= hi))
-        fatal("%s: %g is out of range [%g, %g]", flag, value, lo, hi);
-    return value;
-}
-
 bool
 parseArgs(int argc, char **argv, Options &opt)
 {
-    auto need_value = [&](int &i) -> const char * {
-        if (i + 1 >= argc)
-            return nullptr;
-        return argv[++i];
-    };
     auto optional_value = [&](int &i) -> const char * {
         if (i + 1 >= argc || argv[i + 1][0] == '-')
             return nullptr;
@@ -182,37 +133,22 @@ parseArgs(int argc, char **argv, Options &opt)
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
+        const auto value = [&] { return needValue(argc, argv, i); };
         if (arg == "--help" || arg == "-h") {
             usage();
             return false;
         } else if (arg == "--cpu") {
-            const char *v = need_value(i);
-            if (v == nullptr)
-                fatal("--cpu needs a value");
-            std::string list = v;
-            std::size_t pos = 0;
-            while (pos != std::string::npos) {
-                const std::size_t comma = list.find(',', pos);
-                opt.cpu_apps.push_back(
-                    list.substr(pos, comma == std::string::npos
-                                         ? comma : comma - pos));
-                pos = comma == std::string::npos ? comma : comma + 1;
-            }
+            for (const std::string &app : splitList(value()))
+                opt.cpu_apps.push_back(app);
         } else if (arg == "--gpu") {
-            const char *v = need_value(i);
-            if (v == nullptr)
-                fatal("--gpu needs a value");
-            opt.gpu_app = v;
+            opt.gpu_app = value();
         } else if (arg == "--no-demand-paging") {
             opt.demand_paging = false;
         } else if (arg == "--loop-gpu") {
             opt.loop_gpu = true;
         } else if (arg == "--accelerators") {
-            const char *v = need_value(i);
-            if (v == nullptr)
-                fatal("--accelerators needs a value");
             opt.extra_accelerators = static_cast<int>(
-                parseInt("--accelerators", v, 1, 64)) - 1;
+                parseInt("--accelerators", value(), 1, 64)) - 1;
         } else if (arg == "--steer") {
             opt.steer = true;
             if (const char *v = optional_value(i))
@@ -228,16 +164,11 @@ parseArgs(int argc, char **argv, Options &opt)
         } else if (arg == "--monolithic") {
             opt.monolithic = true;
         } else if (arg == "--qos") {
-            const char *v = need_value(i);
-            if (v == nullptr)
-                fatal("--qos needs a threshold");
-            opt.qos_threshold = parseReal("--qos", v, 0.0, 1.0);
+            opt.qos_threshold = parseReal("--qos", value(), 0.0, 1.0);
             if (opt.qos_threshold <= 0.0)
                 fatal("--qos: threshold must be in (0, 1]");
         } else if (arg == "--qos-policy") {
-            const char *v = need_value(i);
-            if (v == nullptr)
-                fatal("--qos-policy needs a value");
+            const char *v = value();
             if (std::strcmp(v, "backoff") == 0)
                 opt.qos_policy = ThrottlePolicy::ExponentialBackoff;
             else if (std::strcmp(v, "bucket") == 0)
@@ -245,120 +176,58 @@ parseArgs(int argc, char **argv, Options &opt)
             else
                 fatal("unknown qos policy: %s", v);
         } else if (arg == "--cores") {
-            const char *v = need_value(i);
-            if (v == nullptr)
-                fatal("--cores needs a value");
-            opt.cores = static_cast<int>(
-                parseInt("--cores", v, 1, 256));
+            opt.cores = static_cast<int>(parseInt("--cores", value(), 1, 256));
         } else if (arg == "--check") {
             opt.check = true;
         } else if (arg == "--duration") {
-            const char *v = need_value(i);
-            if (v == nullptr)
-                fatal("--duration needs a value");
-            opt.duration_ms = parseReal("--duration", v, 1e-6, 1e6);
+            opt.duration_ms = parseReal("--duration", value(), 1e-6, 1e6);
         } else if (arg == "--seed") {
-            const char *v = need_value(i);
-            if (v == nullptr)
-                fatal("--seed needs a value");
-            opt.seed = parseSeed("--seed", v);
+            opt.seed = parseSeed("--seed", value());
         } else if (arg == "--reps") {
-            const char *v = need_value(i);
-            if (v == nullptr)
-                fatal("--reps needs a value");
-            opt.reps = static_cast<int>(
-                parseInt("--reps", v, 1, 1'000'000));
+            opt.reps =
+                static_cast<int>(parseInt("--reps", value(), 1, 1'000'000));
         } else if (arg == "--jobs") {
-            const char *v = need_value(i);
-            if (v == nullptr)
-                fatal("--jobs needs a value");
-            opt.jobs = static_cast<int>(
-                parseInt("--jobs", v, 0, 4096));
+            opt.jobs = static_cast<int>(parseInt("--jobs", value(), 0, 4096));
         } else if (arg == "--fault-ppr-capacity") {
-            const char *v = need_value(i);
-            if (v == nullptr)
-                fatal("--fault-ppr-capacity needs a value");
             opt.fault.ppr_queue_capacity = static_cast<std::size_t>(
-                parseInt("--fault-ppr-capacity", v, 1, 1'000'000));
+                parseInt("--fault-ppr-capacity", value(), 1, 1'000'000));
         } else if (arg == "--fault-drop-irq") {
-            const char *v = need_value(i);
-            if (v == nullptr)
-                fatal("--fault-drop-irq needs a probability");
             opt.fault.irq_drop_prob =
-                parseReal("--fault-drop-irq", v, 0.0, 1.0);
+                parseReal("--fault-drop-irq", value(), 0.0, 1.0);
         } else if (arg == "--fault-dup-irq") {
-            const char *v = need_value(i);
-            if (v == nullptr)
-                fatal("--fault-dup-irq needs a probability");
             opt.fault.irq_dup_prob =
-                parseReal("--fault-dup-irq", v, 0.0, 1.0);
+                parseReal("--fault-dup-irq", value(), 0.0, 1.0);
         } else if (arg == "--fault-delay-irq") {
-            const char *v = need_value(i);
-            if (v == nullptr)
-                fatal("--fault-delay-irq needs a probability");
             opt.fault.irq_delay_prob =
-                parseReal("--fault-delay-irq", v, 0.0, 1.0);
+                parseReal("--fault-delay-irq", value(), 0.0, 1.0);
         } else if (arg == "--fault-delay-ipi") {
-            const char *v = need_value(i);
-            if (v == nullptr)
-                fatal("--fault-delay-ipi needs a probability");
             opt.fault.ipi_delay_prob =
-                parseReal("--fault-delay-ipi", v, 0.0, 1.0);
+                parseReal("--fault-delay-ipi", value(), 0.0, 1.0);
         } else if (arg == "--fault-stall-kworker") {
-            const char *v = need_value(i);
-            if (v == nullptr)
-                fatal("--fault-stall-kworker needs a probability");
             opt.fault.kworker_stall_prob =
-                parseReal("--fault-stall-kworker", v, 0.0, 1.0);
+                parseReal("--fault-stall-kworker", value(), 0.0, 1.0);
         } else if (arg == "--fault-lose-signal") {
-            const char *v = need_value(i);
-            if (v == nullptr)
-                fatal("--fault-lose-signal needs a probability");
             opt.fault.signal_loss_prob =
-                parseReal("--fault-lose-signal", v, 0.0, 1.0);
+                parseReal("--fault-lose-signal", value(), 0.0, 1.0);
         } else if (arg == "--fault-timeout") {
-            const char *v = need_value(i);
-            if (v == nullptr)
-                fatal("--fault-timeout needs microseconds");
             opt.fault.request_timeout =
-                usToTicks(parseReal("--fault-timeout", v, 0.0, 1e6));
+                usToTicks(parseReal("--fault-timeout", value(), 0.0, 1e6));
         } else if (arg == "--fault-retries") {
-            const char *v = need_value(i);
-            if (v == nullptr)
-                fatal("--fault-retries needs a value");
             opt.fault.max_retries = static_cast<int>(
-                parseInt("--fault-retries", v, 0, 1'000));
+                parseInt("--fault-retries", value(), 0, 1'000));
         } else if (arg == "--stats") {
-            const char *v = need_value(i);
-            if (v == nullptr)
-                fatal("--stats needs a path");
-            opt.stats_path = v;
+            opt.stats_path = value();
         } else if (arg == "--csv") {
-            const char *v = need_value(i);
-            if (v == nullptr)
-                fatal("--csv needs a path");
-            opt.csv_path = v;
+            opt.csv_path = value();
         } else if (arg == "--trace") {
-            const char *v = need_value(i);
-            if (v == nullptr)
-                fatal("--trace needs a path");
-            opt.trace_path = v;
+            opt.trace_path = value();
         } else if (arg == "--snapshot-save") {
-            const char *v = need_value(i);
-            if (v == nullptr)
-                fatal("--snapshot-save needs a path");
-            opt.snapshot_save = v;
+            opt.snapshot_save = value();
         } else if (arg == "--snapshot-at") {
-            const char *v = need_value(i);
-            if (v == nullptr)
-                fatal("--snapshot-at needs milliseconds");
             opt.snapshot_at_ms =
-                parseReal("--snapshot-at", v, 1e-6, 1e6);
+                parseReal("--snapshot-at", value(), 1e-6, 1e6);
         } else if (arg == "--snapshot-load") {
-            const char *v = need_value(i);
-            if (v == nullptr)
-                fatal("--snapshot-load needs a path");
-            opt.snapshot_load = v;
+            opt.snapshot_load = value();
         } else if (arg == "--proc-interrupts") {
             opt.proc_interrupts = true;
         } else if (arg == "--describe") {
@@ -418,7 +287,8 @@ printHostThroughput(std::chrono::steady_clock::time_point wall_start,
 
 /** --reps path: average repetitions, run in parallel on --jobs. */
 int
-runAveraged(const Options &opt)
+runRepetitions(const Options &opt, const SystemConfig &system,
+               const MitigationConfig &mitigation)
 {
     if (opt.cpu_apps.size() > 1 || opt.extra_accelerators > 0
         || !opt.trace_path.empty() || !opt.stats_path.empty()
@@ -429,12 +299,7 @@ runAveraged(const Options &opt)
 
     ExperimentConfig config;
     config.seed = opt.seed;
-    config.mitigation.steer_to_single_core = opt.steer;
-    config.mitigation.steer_core = opt.steer_core;
-    config.mitigation.interrupt_coalescing = opt.coalesce_us >= 0.0;
-    if (opt.coalesce_us > 0.0)
-        config.mitigation.coalesce_window = usToTicks(opt.coalesce_us);
-    config.mitigation.monolithic_bottom_half = opt.monolithic;
+    config.mitigation = mitigation;
     config.qos_threshold = opt.qos_threshold;
     config.gpu_demand_paging = opt.demand_paging;
     config.check_invariants = opt.check;
@@ -442,17 +307,9 @@ runAveraged(const Options &opt)
     if (opt.duration_ms > 0.0)
         config.rate_window = msToTicks(opt.duration_ms);
 
-    // The base testbed must outlive the batch: cells only keep the
-    // pointer. runAveraged blocks until every repetition finishes, so
-    // a stack-local SystemConfig is safe here. It carries the options
-    // ExperimentConfig cannot express: core count, the adaptive
-    // coalescing mode, and the QoS throttle policy.
-    SystemConfig base;
-    if (opt.cores > 0)
-        base.num_cores = opt.cores;
-    base.iommu.adaptive_coalescing = opt.adaptive_coalesce;
-    base.kernel.qos.policy = opt.qos_policy;
-    config.base_system = &base;
+    // The single-run testbed carries what ExperimentConfig cannot
+    // express: core count, adaptive coalescing, QoS throttle policy.
+    config.base_system = &system;
 
     const std::string cpu_app =
         opt.cpu_apps.empty() ? "" : opt.cpu_apps.front();
@@ -463,8 +320,9 @@ runAveraged(const Options &opt)
 
     const auto wall_start = std::chrono::steady_clock::now();
     const ExperimentBatch batch(opt.jobs);
-    const RunResult avg = batch.runAveraged(cpu_app, opt.gpu_app,
-                                            config, mode, opt.reps);
+    const RunResult avg =
+        batch.run({{cpu_app, opt.gpu_app, config, mode, opt.reps}})
+            .front();
 
     std::printf("averaged %d runs (seeds %llu..%llu, %d jobs)\n",
                 opt.reps, static_cast<unsigned long long>(opt.seed),
@@ -536,7 +394,7 @@ run(const Options &opt)
     if (opt.cpu_apps.empty() && opt.gpu_app.empty())
         fatal("nothing to run: give --cpu and/or --gpu (see --help)");
     if (opt.reps > 1)
-        return runAveraged(opt);
+        return runRepetitions(opt, config, mitigation);
 
     const auto wall_start = std::chrono::steady_clock::now();
     HeteroSystem sys(config);

@@ -1,0 +1,20 @@
+#!/usr/bin/env bash
+# Cross-figure sharing never changes output: fig4 and fig9 share their
+# ubench GpuOnly cells, so one batch simulates those once. Their joint
+# stdout must be byte-identical at --jobs 1 and --jobs 4, and equal to
+# each figure run on its own. Registered in ctest as
+# hiss_repro_sharing (label repro).
+set -euo pipefail
+
+repro="$1"
+out=$(mktemp -d)
+trap 'rm -rf "$out"' EXIT
+
+"$repro" fig4 fig9 --reps 1 --jobs 1 > "$out/joint1.txt"
+"$repro" fig4 fig9 --reps 1 --jobs 4 > "$out/joint4.txt"
+"$repro" fig4 --reps 1 > "$out/apart.txt"
+"$repro" fig9 --reps 1 >> "$out/apart.txt"
+
+cmp "$out/joint1.txt" "$out/joint4.txt"
+cmp "$out/joint1.txt" "$out/apart.txt"
+echo "hiss_repro: fig4+fig9 identical across --jobs and apart"

@@ -18,12 +18,13 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <fstream>
 #include <string>
 #include <vector>
+
+#include "sim/cli_args.h"
 
 namespace {
 
@@ -47,30 +48,21 @@ usage()
         "(default 3)\n");
 }
 
+/** Parse the command line; false (after a diagnostic) on bad usage. */
 bool
 parseArgs(int argc, char **argv, Options &opt)
-{
+try {
+    using namespace hiss::cli;
     std::vector<std::string> positional;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--help" || arg == "-h") {
             return false;
         } else if (arg == "--ignore") {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "trace_diff: --ignore needs a value\n");
-                return false;
-            }
-            opt.ignore.push_back(argv[++i]);
+            opt.ignore.push_back(needValue(argc, argv, i));
         } else if (arg == "--context") {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "trace_diff: --context needs a value\n");
-                return false;
-            }
-            opt.context = std::atoi(argv[++i]);
-            if (opt.context < 0)
-                opt.context = 0;
+            opt.context = static_cast<int>(parseInt(
+                "--context", needValue(argc, argv, i), 0, 1'000'000));
         } else if (!arg.empty() && arg[0] == '-') {
             std::fprintf(stderr, "trace_diff: unknown flag %s\n",
                          arg.c_str());
@@ -86,6 +78,9 @@ parseArgs(int argc, char **argv, Options &opt)
     opt.path_a = positional[0];
     opt.path_b = positional[1];
     return true;
+} catch (const hiss::FatalError &e) {
+    std::fprintf(stderr, "trace_diff: %s\n", e.what());
+    return false;
 }
 
 /** One side of the comparison: a filtered line stream. */
