@@ -27,19 +27,27 @@ AddressStream::fill(Addr *buf, std::size_t n)
     const double hot_fraction = profile_.hot_fraction;
     const double stride_fraction = profile_.stride_fraction;
     const bool has_hot = profile_.hot_set_bytes > 0;
+    // Each range is drawn from only when it holds two lines or more.
+    const Rng::IntRange hot_pick = Rng::intRange(0, hot_lines - 1);
+    const Rng::IntRange cold_pick = Rng::intRange(0, cold_lines - 1);
     Addr cursor = cursor_;
+    // HISS_LINT_ALLOW(rng-discipline): a working copy of the stream
+    // that replaces rng_ on exit, so no draw is replayed. buf cannot
+    // alias a local, so the generator state stays in registers instead
+    // of being reloaded after every store to buf.
+    Rng rng = rng_;
 
     for (std::size_t i = 0; i < n; ++i) {
-        if (has_hot && rng_.withProbability(hot_fraction)) {
+        if (has_hot && rng.withProbability(hot_fraction)) {
             // Hot access: uniform within the hot subset.
             const std::uint64_t pick =
-                hot_lines <= 1 ? 0 : rng_.uniformInt(0, hot_lines - 1);
+                hot_lines <= 1 ? 0 : rng.uniformInt(hot_pick);
             buf[i] = base + pick * line;
             continue;
         }
         // Cold access: sequential walk with probability
         // stride_fraction, else uniform within the full working set.
-        if (rng_.withProbability(stride_fraction)) {
+        if (rng.withProbability(stride_fraction)) {
             cursor += line;
             if (cursor >= wrap)
                 cursor = base;
@@ -47,10 +55,11 @@ AddressStream::fill(Addr *buf, std::size_t n)
             continue;
         }
         const std::uint64_t pick =
-            cold_lines <= 1 ? 0 : rng_.uniformInt(0, cold_lines - 1);
+            cold_lines <= 1 ? 0 : rng.uniformInt(cold_pick);
         buf[i] = base + pick * line;
     }
 
+    rng_ = rng;
     cursor_ = cursor;
 }
 
@@ -76,19 +85,24 @@ BranchStream::fill(Outcome *buf, std::size_t n)
     const Addr pc_base = pc_base_;
     const double noise = profile_.pattern_noise;
     const double *const biases = biases_.data();
-    const std::uint64_t num_sites = biases_.size();
+    const Rng::IntRange sites = Rng::intRange(0, biases_.size() - 1);
+    // HISS_LINT_ALLOW(rng-discipline): a register-resident working
+    // copy that replaces rng_ on exit, as in AddressStream::fill.
+    Rng rng = rng_;
 
     for (std::size_t i = 0; i < n; ++i) {
-        const auto site = static_cast<std::uint32_t>(
-            rng_.uniformInt(0, num_sites - 1));
+        const auto site =
+            static_cast<std::uint32_t>(rng.uniformInt(sites));
         const Addr pc = pc_base + static_cast<Addr>(site) * 16;
         bool taken;
-        if (rng_.withProbability(noise))
-            taken = rng_.withProbability(0.5);
+        if (rng.withProbability(noise))
+            taken = rng.withProbability(0.5);
         else
-            taken = rng_.withProbability(biases[site]);
+            taken = rng.withProbability(biases[site]);
         buf[i] = Outcome{pc, taken};
     }
+
+    rng_ = rng;
 }
 
 } // namespace hiss

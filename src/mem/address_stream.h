@@ -11,9 +11,10 @@
  *
  * The batched fill() generators produce a whole burst sample into a
  * caller-owned buffer in one call, with the Rng helpers inlined into
- * the loop. They draw *exactly* the sequence the scalar next() loop
- * would — element i of a fill is bit-identical to the i-th next() —
- * which is the substrate determinism contract (docs/TESTING.md).
+ * the loop and the generator state held in registers. They draw
+ * *exactly* the sequence the scalar next() loop would — element i of
+ * a fill is bit-identical to the i-th next() — which is the substrate
+ * determinism contract (docs/TESTING.md).
  */
 
 #ifndef HISS_MEM_ADDRESS_STREAM_H_

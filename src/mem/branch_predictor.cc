@@ -60,11 +60,13 @@ BranchPredictor::predictRun(const BranchOutcome *outcomes, std::size_t n,
         if constexpr (Record)
             correct_out[i] = static_cast<std::uint8_t>(correct);
 
-        // Update the 2-bit saturating counter.
-        if (taken && counter < 3)
-            table[idx] = counter + 1;
-        else if (!taken && counter > 0)
-            table[idx] = counter - 1;
+        // Update the 2-bit saturating counter, branch-free: taken
+        // outcomes are data-dependent, so an if/else mispredicts.
+        const unsigned up = static_cast<unsigned>(taken)
+            & static_cast<unsigned>(counter < 3);
+        const unsigned down = static_cast<unsigned>(!taken)
+            & static_cast<unsigned>(counter > 0);
+        table[idx] = static_cast<std::uint8_t>(counter + up - down);
 
         // Shift the outcome into global history.
         history = (history << 1) | static_cast<std::uint32_t>(taken);

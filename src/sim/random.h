@@ -11,8 +11,10 @@
  * The hot helpers (next, uniformInt, uniformReal, withProbability)
  * are defined inline here so the batched stream-fill loops
  * (mem/address_stream.cc) compile down to straight-line generator
- * code. Their emitted value sequences are part of the determinism
- * contract and must never change (docs/TESTING.md).
+ * code; intRange lets those loops compute uniformInt's rejection
+ * bound once per fill instead of once per draw. The emitted value
+ * sequences are part of the determinism contract and must never
+ * change (docs/TESTING.md).
  */
 
 #ifndef HISS_SIM_RANDOM_H_
@@ -55,24 +57,49 @@ class Rng
         return result;
     }
 
+    /**
+     * The range [lo, hi] of uniformInt with its rejection bound
+     * computed once, for loops that draw many values from one range.
+     */
+    struct IntRange
+    {
+        std::uint64_t lo;
+        std::uint64_t span;  ///< hi - lo + 1; 0 for the full 64 bits.
+        std::uint64_t limit; ///< Draws at or above it are rejected.
+    };
+
+    /** The IntRange of [lo, hi] inclusive; requires lo <= hi. */
+    static IntRange
+    intRange(std::uint64_t lo, std::uint64_t hi)
+    {
+        if (lo > hi)
+            uniformIntRangeError(lo, hi);
+        const std::uint64_t span = hi - lo + 1;
+        // Rejection sampling to avoid modulo bias.
+        const std::uint64_t limit = span == 0
+            ? 0
+            : ~std::uint64_t{0} - (~std::uint64_t{0} % span);
+        return {lo, span, limit};
+    }
+
+    /** Uniform integer in @p range; draws what uniformInt(lo, hi) does. */
+    std::uint64_t
+    uniformInt(const IntRange &range)
+    {
+        if (range.span == 0)
+            return next();
+        std::uint64_t draw;
+        do {
+            draw = next();
+        } while (draw >= range.limit);
+        return range.lo + draw % range.span;
+    }
+
     /** Uniform integer in [lo, hi] inclusive; requires lo <= hi. */
     std::uint64_t
     uniformInt(std::uint64_t lo, std::uint64_t hi)
     {
-        if (lo > hi)
-            uniformIntRangeError(lo, hi);
-        const std::uint64_t range = hi - lo;
-        if (range == ~std::uint64_t{0})
-            return next();
-        // Rejection sampling to avoid modulo bias.
-        const std::uint64_t span = range + 1;
-        const std::uint64_t limit =
-            ~std::uint64_t{0} - (~std::uint64_t{0} % span);
-        std::uint64_t draw;
-        do {
-            draw = next();
-        } while (draw >= limit);
-        return lo + draw % span;
+        return uniformInt(intRange(lo, hi));
     }
 
     /** Uniform real in [0, 1). */

@@ -29,7 +29,10 @@ class TracingTest : public ::testing::Test
   protected:
     void SetUp() override
     {
-        path_ = ::testing::TempDir() + "hiss_trace_test.json";
+        // One file per test, so parallel ctest runs cannot race.
+        path_ = ::testing::TempDir() + "hiss_trace_"
+            + ::testing::UnitTest::GetInstance()->current_test_info()->name()
+            + ".json";
     }
     void TearDown() override { std::remove(path_.c_str()); }
 

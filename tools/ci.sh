@@ -7,7 +7,8 @@
 # Usage: tools/ci.sh [preset...]      (default: default check asan tsan;
 #                                      every preset sweep starts with the
 #                                      hiss_lint and hiss_statecheck
-#                                      static passes)
+#                                      static passes and ends with the
+#                                      nosimd, snapshot and perf legs)
 #        tools/ci.sh lint             (static pass only: build hiss_lint,
 #                                      run the rule self-test, then lint
 #                                      the tree — zero unsuppressed
@@ -29,7 +30,8 @@
 #                                      loss of any *Batch median)
 #        tools/ci.sh bench --update   (rewrite the committed baselines)
 #        tools/ci.sh perf             (end-to-end benchmark smoke:
-#                                      python3 perfbench/run.py --short)
+#                                      python3 perfbench/run.py --short;
+#                                      pinned digests, traced == untraced)
 #        tools/ci.sh snapshot         (snapshot fidelity leg: a run
 #                                      restored from a mid-warmup
 #                                      snapshot must produce byte-
@@ -126,9 +128,14 @@ if [ "${1-}" = "tidy" ]; then
 fi
 
 # `perf` mode: every BENCHMARK.json workload at minimum length,
-# checking correctness (pinned digests, spans), not speed.
-if [ "${1-}" = "perf" ]; then
+# checking correctness (pinned digests, traced results equal to
+# untraced, spans), not speed. The full sweep runs it too, so a
+# speed-only change that alters any simulated result fails CI.
+run_perf() {
     python3 perfbench/run.py --short
+}
+if [ "${1-}" = "perf" ]; then
+    run_perf
     exit 0
 fi
 
@@ -447,9 +454,11 @@ for p in "${presets[@]}"; do
     esac
 done
 
-# The full sweep also exercises the portable-kernel build and the
-# snapshot restore-fidelity leg.
+# The full sweep also exercises the portable-kernel build, the
+# snapshot restore-fidelity leg and the end-to-end benchmark's
+# pinned-result check.
 run_nosimd
 run_snapshot
+run_perf
 
-echo "ci: all presets green (${presets[*]} nosimd snapshot)"
+echo "ci: all presets green (${presets[*]} nosimd snapshot perf)"
