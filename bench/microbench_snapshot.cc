@@ -1,21 +1,13 @@
 /**
  * @file
- * Snapshot-engine microbenchmarks.
- *
- * Three questions: what does a save cost, what does a restore cost,
- * and what does warm-state reuse buy a warmup-heavy sweep? The last
- * one is the headline number — SnapshotBatchWarmSweep vs
- * SnapshotColdSweep run the same rate-window grid with and without
- * the shared warm cache, and SnapshotSweepSpeedup reports the ratio
- * directly as a counter so BENCH_snapshot.json records it.
+ * Snapshot-engine microbenchmarks: what does a save cost, and what
+ * does a restore cost?
  */
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "core/hiss.h"
 
@@ -68,76 +60,6 @@ SnapshotRestore(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(SnapshotRestore)->Unit(benchmark::kMillisecond);
-
-/**
- * The warm-start shape: one config+seed measured at several rate
- * windows, every cell re-simulating the same long warmup. 8 cells,
- * 36 ms warmup, windows 37..44 ms.
- */
-std::vector<ExperimentCell>
-sweepCells(bool warm)
-{
-    std::vector<ExperimentCell> cells;
-    for (int i = 0; i < 8; ++i) {
-        ExperimentCell cell;
-        cell.gpu_app = "ubench";
-        cell.mode = MeasureMode::GpuOnly;
-        cell.config.seed = 11;
-        cell.config.rate_window = msToTicks(37.0 + i);
-        cell.config.warmup_ticks = warm ? msToTicks(36.0) : 0;
-        cells.push_back(cell);
-    }
-    return cells;
-}
-
-double
-runSweep(bool warm)
-{
-    const auto start = std::chrono::steady_clock::now();
-    const std::vector<RunResult> results =
-        ExperimentBatch(1).run(sweepCells(warm));
-    benchmark::DoNotOptimize(results.data());
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - start)
-        .count();
-}
-
-void
-SnapshotColdSweep(benchmark::State &state)
-{
-    for (auto _ : state)
-        runSweep(false);
-    state.SetItemsProcessed(state.iterations() * 8);
-}
-BENCHMARK(SnapshotColdSweep)->Unit(benchmark::kMillisecond);
-
-void
-SnapshotBatchWarmSweep(benchmark::State &state)
-{
-    for (auto _ : state)
-        runSweep(true);
-    state.SetItemsProcessed(state.iterations() * 8);
-}
-BENCHMARK(SnapshotBatchWarmSweep)->Unit(benchmark::kMillisecond);
-
-/** Cold/warm wall-clock ratio, recorded as a counter per repetition
- *  so the committed baseline carries the speedup itself. */
-void
-SnapshotSweepSpeedup(benchmark::State &state)
-{
-    double cold = 0.0;
-    double warm = 0.0;
-    for (auto _ : state) {
-        cold += runSweep(false);
-        warm += runSweep(true);
-    }
-    state.counters["speedup"] =
-        benchmark::Counter(warm > 0.0 ? cold / warm : 0.0);
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(SnapshotSweepSpeedup)
-    ->Unit(benchmark::kMillisecond)
-    ->Iterations(2);
 
 } // namespace
 

@@ -86,39 +86,6 @@ BM_CacheAccessBatch(benchmark::State &state)
 }
 BENCHMARK(BM_CacheAccessBatch)->Arg(kBurstAccesses)->Arg(4096);
 
-/** 8-way geometry: the widest vector-probe special case (one AVX2
- *  quad-compare pair per set). */
-void
-BM_CacheAccessBatch8Way(benchmark::State &state)
-{
-    const auto n = static_cast<std::size_t>(state.range(0));
-    hiss::Cache cache(hiss::CacheParams{32 * 1024, 8, 64});
-    const auto addrs = pregeneratedAddresses(n);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(cache.accessBatch(addrs.data(), n));
-    state.SetItemsProcessed(static_cast<std::int64_t>(n)
-                            * state.iterations());
-}
-BENCHMARK(BM_CacheAccessBatch8Way)->Arg(4096);
-
-/** Same batch with the probe kernel pinned to portable scalar — the
- *  non-x86 / HISS_SIMD=OFF floor, and the denominator of the SIMD
- *  speedup. */
-void
-BM_CacheAccessBatchPortable(benchmark::State &state)
-{
-    const auto n = static_cast<std::size_t>(state.range(0));
-    hiss::Cache cache(hiss::CacheParams{16 * 1024, 4, 64});
-    const auto addrs = pregeneratedAddresses(n);
-    hiss::Cache::setKernel(hiss::CacheKernel::Portable);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(cache.accessBatch(addrs.data(), n));
-    hiss::Cache::setKernel(hiss::Cache::bestKernel());
-    state.SetItemsProcessed(static_cast<std::int64_t>(n)
-                            * state.iterations());
-}
-BENCHMARK(BM_CacheAccessBatchPortable)->Arg(4096);
-
 void
 BM_BranchPredict(benchmark::State &state)
 {

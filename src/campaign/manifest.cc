@@ -8,6 +8,8 @@
 
 #include "sim/logging.h"
 #include "snap/snap.h"
+#include "workloads/gpu_suite.h"
+#include "workloads/parsec.h"
 
 namespace hiss {
 namespace campaign {
@@ -268,7 +270,6 @@ specLine(const GridSpec &spec)
                    spec.all_mitigations ? 1 : 0);
     appendFieldF64s(out, "qos", spec.qos_thresholds);
     appendFieldF64(out, "duration_ms", spec.duration_ms);
-    appendFieldF64(out, "warmup_ms", spec.warmup_ms);
     appendFieldU64(out, "reps",
                    static_cast<std::uint64_t>(spec.reps));
     appendFieldF64(out, "tick_budget_ms", spec.tick_budget_ms);
@@ -298,7 +299,6 @@ parseSpec(const std::string &line)
     spec.all_mitigations = getU64(line, "all_mitigations") != 0;
     spec.qos_thresholds = getNumbers<double>(line, "qos");
     spec.duration_ms = getF64(line, "duration_ms");
-    spec.warmup_ms = getF64(line, "warmup_ms");
     spec.reps = static_cast<int>(getU64(line, "reps"));
     spec.tick_budget_ms = getF64(line, "tick_budget_ms");
     spec.fault.ppr_queue_capacity =
@@ -353,6 +353,14 @@ GridSpec::buildCells() const
 {
     if (gpu_apps.empty() && cpu_apps.empty())
         fatal("campaign: the grid needs at least one CPU or GPU app");
+    // An unknown name fails the build here, not every cell at run
+    // time after its retries.
+    for (const std::string &cpu : cpu_apps)
+        if (!cpu.empty())
+            parsec::params(cpu);
+    for (const std::string &gpu : gpu_apps)
+        if (!gpu.empty())
+            gpu_suite::params(gpu);
     // Normalize empty dimensions to a single "none" element so the
     // cross product stays a cross product.
     const std::vector<std::string> cpus =
@@ -388,8 +396,6 @@ GridSpec::buildCells() const
                         cell.config.fault = fault;
                         cell.config.rate_window =
                             msToTicks(duration_ms);
-                        cell.config.warmup_ticks =
-                            msToTicks(warmup_ms);
                         if (tick_budget_ms > 0.0)
                             cell.config.max_sim_time =
                                 msToTicks(tick_budget_ms);

@@ -7,7 +7,7 @@
  * completely or not at all — a SIGKILL during build never leaves a
  * half-manifest a resume could misread. Three line types:
  *
- *   {"type":"header","format":1,"name":...,"cells":N}
+ *   {"type":"header","format":2,"name":...,"cells":N}
  *   {"type":"spec", ...grid parameters...}
  *   {"type":"cell","index":i,"key":"<hex16>","label":...}
  *
@@ -36,7 +36,7 @@ namespace hiss {
 namespace campaign {
 
 /** Manifest format version; bump on any line-layout change. */
-inline constexpr int kManifestFormat = 1;
+inline constexpr int kManifestFormat = 2;
 
 /**
  * The grid a campaign sweeps: the cross product of workload pairs,
@@ -57,8 +57,6 @@ struct GridSpec
     std::vector<double> qos_thresholds = {0.0};
     /** Rate window for rate-based cells, ms. */
     double duration_ms = 8.0;
-    /** Warm-state cut, ms (0 = no warmup sharing). */
-    double warmup_ms = 0.0;
     /** Per-cell repetitions (averaged, seeds seed..seed+reps-1). */
     int reps = 1;
     /** Simulated-time cap per cell, ms (containment; 0 = default). */
@@ -66,7 +64,10 @@ struct GridSpec
     /** Fault-injection plan applied to every cell. */
     FaultPlan fault;
 
-    /** Enumerate the grid's cells in canonical index order. */
+    /**
+     * Enumerate the grid's cells in canonical index order.
+     * @throws FatalError on an unknown CPU or GPU app name.
+     */
     std::vector<ExperimentCell> buildCells() const;
 };
 

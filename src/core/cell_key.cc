@@ -87,7 +87,6 @@ canonicalCellText(const ExperimentCell &cell)
     appendU64(out, "max_sim_time", c.max_sim_time);
     appendI64(out, "extra_accelerators", c.extra_accelerators);
     appendBool(out, "check_invariants", c.check_invariants);
-    appendU64(out, "warmup_ticks", c.warmup_ticks);
 
     const FaultPlan &f = c.fault;
     appendU64(out, "fault.ppr_queue_capacity", f.ppr_queue_capacity);

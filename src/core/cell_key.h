@@ -3,23 +3,17 @@
  * Canonical per-cell config hashing for the campaign engine.
  *
  * Every experiment cell — workload pair, full ExperimentConfig
- * (mitigations, QoS, fault plan, warmup cut), seed, measure mode, and
- * repetition count — reduces to one canonical text whose FNV-1a
- * digest keys the on-disk result cache (src/campaign). The
- * determinism contract (same seed + config => identical bytes) is
- * what makes the key meaningful: two cells with equal keys produce
- * bit-identical results, so a cache hit is indistinguishable from a
- * fresh run.
+ * (mitigations, QoS, fault plan), seed, measure mode, and repetition
+ * count — reduces to one canonical text whose FNV-1a digest keys the
+ * on-disk result cache (src/campaign). The determinism contract (same
+ * seed + config => identical bytes) is what makes the key meaningful:
+ * two cells with equal keys produce bit-identical results, so a cache
+ * hit is indistinguishable from a fresh run.
  *
  * The canonical text is versioned (kCellKeyFormat) and includes every
  * ExperimentConfig field that can change an observable (a base_system
  * only as its describe(), which omits some parameters; campaign grids
- * never set one), including warmup_ticks: a
- * warm-restored run is bit-identical to the cold run by the snapshot
- * round-trip contract, so warm and cold execution of the same cell
- * share one key, while cells that cut warmup at different points do
- * not. The snapshot_cache pointer is deliberately excluded — where a
- * warm state is shared never changes results.
+ * never set one).
  */
 
 #ifndef HISS_CORE_CELL_KEY_H_
@@ -34,7 +28,7 @@ namespace hiss {
 
 /** Bump whenever canonicalCellText's layout or field set changes;
  *  old cache records then miss instead of aliasing new cells. */
-inline constexpr int kCellKeyFormat = 1;
+inline constexpr int kCellKeyFormat = 2;
 
 /**
  * Stable, line-oriented serialization of everything that determines

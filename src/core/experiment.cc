@@ -3,7 +3,6 @@
 #include <cstdio>
 
 #include "core/cell_key.h"
-#include "core/snapshot_cache.h"
 #include "core/system.h"
 #include "sim/logging.h"
 #include "workloads/gpu_suite.h"
@@ -116,47 +115,6 @@ runCell(const std::string &cpu_app, const std::string &gpu_app,
     } else if (mode == MeasureMode::GpuPrimary
                || mode == MeasureMode::GpuOnly) {
         fatal("ExperimentRunner: GPU-measuring mode without a GPU app");
-    }
-
-    // Warm-state cut: advance to warmup_ticks before measuring. The
-    // first cell with a given (config fingerprint, warmup) key
-    // simulates the prefix and publishes it; later cells restore the
-    // snapshot, which is bit-identical to having simulated it (the
-    // snapshot round-trip contract, tests/test_snapshot.cc).
-    if (config.warmup_ticks > 0) {
-        if (config.warmup_ticks >= config.max_sim_time)
-            fatal("ExperimentConfig: warmup_ticks (%llu) must be "
-                  "below max_sim_time (%llu)",
-                  static_cast<unsigned long long>(config.warmup_ticks),
-                  static_cast<unsigned long long>(config.max_sim_time));
-        if (rate_based && config.warmup_ticks >= config.rate_window)
-            fatal("ExperimentConfig: warmup_ticks (%llu) must be "
-                  "below rate_window (%llu)",
-                  static_cast<unsigned long long>(config.warmup_ticks),
-                  static_cast<unsigned long long>(config.rate_window));
-        // checkMonitor(), not config.check_invariants: HISS_CHECK=ON
-        // builds arm the monitor by default, and an armed monitor
-        // refuses snapshots. Those cells warm up inline instead.
-        if (config.snapshot_cache != nullptr
-            && sys.checkMonitor() == nullptr) {
-            char key[64];
-            std::snprintf(key, sizeof key, "%016llx:%llu",
-                          static_cast<unsigned long long>(
-                              sys.configFingerprint()),
-                          static_cast<unsigned long long>(
-                              config.warmup_ticks));
-            bool built_here = false;
-            const std::string &blob =
-                config.snapshot_cache->getOrBuild(key, [&] {
-                    sys.runUntil(config.warmup_ticks);
-                    built_here = true;
-                    return sys.snapshotBytes();
-                });
-            if (!built_here)
-                sys.restoreSnapshotBytes(blob);
-        } else {
-            sys.runUntil(config.warmup_ticks);
-        }
     }
 
     RunResult result;

@@ -22,8 +22,6 @@
 
 namespace hiss {
 
-class SnapshotCache;
-
 /** Which workload's completion ends the measurement. */
 enum class MeasureMode {
     CpuPrimary, ///< CPU app runs to completion; GPU app loops.
@@ -66,30 +64,6 @@ struct ExperimentConfig
 
     /** Override the default testbed (leave nullptr for Table II). */
     const SystemConfig *base_system = nullptr;
-
-    /**
-     * Warm-state cut point: when > 0 the run first advances to this
-     * simulated time, then the measurement proceeds as usual. On its
-     * own this changes nothing observable as long as the cut lands
-     * before the measurement's natural end. Its purpose is sharing:
-     * cells with the same config fingerprint (system config,
-     * workload shape, seed) and the same warmup_ticks reuse one warm
-     * snapshot through @ref snapshot_cache instead of each
-     * re-simulating the prefix.
-     */
-    Tick warmup_ticks = 0;
-
-    /**
-     * Where warm states are shared. nullptr disables reuse (the
-     * warmup then runs inline). ExperimentBatch supplies a per-batch
-     * cache automatically for cells that set warmup_ticks but no
-     * cache. Ignored for check_invariants cells: the invariant
-     * monitor's ledgers cannot cross a snapshot boundary.
-     */
-    // HISS_STATE_EXEMPT(snapshot_cache, cellkey): caching policy only;
-    // it cannot change simulated behaviour, so cells differing in it
-    // deliberately share one result-cache key
-    SnapshotCache *snapshot_cache = nullptr;
 };
 
 /** Observables extracted from one run. */

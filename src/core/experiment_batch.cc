@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "core/cell_key.h"
-#include "core/snapshot_cache.h"
 #include "sim/logging.h"
 
 namespace hiss {
@@ -93,8 +92,6 @@ std::vector<CellOutcome>
 settle(const std::vector<ExperimentCell> &cells, int jobs,
        std::vector<std::exception_ptr> &errors)
 {
-    // Warm-start runs with no cache of their own share one per batch.
-    SnapshotCache cache;
     std::vector<Run> runs;
     std::vector<std::vector<std::size_t>> uses(cells.size());
     // Looked up, never iterated: the keys hold addresses.
@@ -104,9 +101,6 @@ settle(const std::vector<ExperimentCell> &cells, int jobs,
             ExperimentCell one = cells[i];
             one.reps = 1;
             one.config.seed += static_cast<std::uint64_t>(r);
-            if (one.config.warmup_ticks > 0
-                && one.config.snapshot_cache == nullptr)
-                one.config.snapshot_cache = &cache;
             const auto [at, fresh] =
                 by_identity.emplace(cellIdentity(one), runs.size());
             if (fresh)

@@ -27,7 +27,6 @@
 #include "core/experiment.h"
 #include "core/experiment_batch.h"
 #include "core/metrics.h"
-#include "core/snapshot_cache.h"
 #include "core/system.h"
 #include "workloads/gpu_suite.h"
 #include "workloads/parsec.h"

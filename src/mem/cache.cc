@@ -1,7 +1,6 @@
 #include "mem/cache.h"
 
 #include "mem/cache_run.h"
-#include "mem/cache_simd.h"
 #include "sim/logging.h"
 
 namespace hiss {
@@ -22,94 +21,7 @@ log2u(std::uint64_t v)
     return s;
 }
 
-/** The resolved dispatch: one kernel pair for the whole process. */
-struct Dispatch
-{
-    CacheKernel kernel = CacheKernel::Portable;
-    cache_detail::RunFn record = nullptr;
-    cache_detail::RunFn plain = nullptr;
-};
-
-Dispatch
-dispatchFor(CacheKernel kernel)
-{
-    switch (kernel) {
-      case CacheKernel::Portable:
-        break;
-#if defined(HISS_SIMD_X86)
-      case CacheKernel::Avx2:
-        return {kernel, &cache_detail::runAvx2Record,
-                &cache_detail::runAvx2Plain};
-#else
-      case CacheKernel::Avx2:
-        break; // Unreachable: kernelSupported() rejects these.
-#endif
-    }
-    return {CacheKernel::Portable,
-            &cache_detail::run<cache_detail::PortableProbe, true>,
-            &cache_detail::run<cache_detail::PortableProbe, false>};
-}
-
-/** One-time CPUID select, overridable via Cache::setKernel. */
-Dispatch &
-dispatch()
-{
-    static Dispatch d = dispatchFor(Cache::bestKernel());
-    return d;
-}
-
 } // namespace
-
-bool
-Cache::kernelSupported(CacheKernel kernel)
-{
-    if (kernel == CacheKernel::Portable)
-        return true;
-#if defined(HISS_SIMD_X86)
-    __builtin_cpu_init();
-    switch (kernel) {
-      case CacheKernel::Avx2:
-        return __builtin_cpu_supports("avx2") != 0;
-      case CacheKernel::Portable:
-        break;
-    }
-#endif
-    return false;
-}
-
-CacheKernel
-Cache::bestKernel()
-{
-    return kernelSupported(CacheKernel::Avx2) ? CacheKernel::Avx2
-                                              : CacheKernel::Portable;
-}
-
-CacheKernel
-Cache::activeKernel()
-{
-    return dispatch().kernel;
-}
-
-bool
-Cache::setKernel(CacheKernel kernel)
-{
-    if (!kernelSupported(kernel))
-        return false;
-    dispatch() = dispatchFor(kernel);
-    return true;
-}
-
-const char *
-Cache::kernelName(CacheKernel kernel)
-{
-    switch (kernel) {
-      case CacheKernel::Portable:
-        return "portable";
-      case CacheKernel::Avx2:
-        return "avx2";
-    }
-    return "unknown";
-}
 
 Cache::Cache(const CacheParams &params) : params_(params)
 {
@@ -145,11 +57,7 @@ Cache::tagOf(Addr addr) const
 
 /**
  * The one lookup/replace entry, shared by the scalar and batch paths
- * so they cannot diverge. The loop itself lives in cache_run.h; the
- * probe inside it is whichever kernel the one-time CPUID dispatch
- * selected (portable on every host; AVX2 in HISS_SIMD builds on hosts
- * that support it — bit-identical by construction and pinned by
- * SubstrateBatch.*).
+ * so they cannot diverge. The loop itself lives in cache_run.h.
  */
 template <bool Record>
 std::uint64_t
@@ -158,9 +66,8 @@ Cache::accessRun(const Addr *addrs, std::size_t n, std::uint8_t *hits_out)
     cache_detail::RunState state{tags_.data(), lru_.data(),
                                  params_.assoc, num_sets_ - 1,
                                  line_shift_, use_clock_};
-    const Dispatch &d = dispatch();
     const std::uint64_t miss_count =
-        (Record ? d.record : d.plain)(state, addrs, n, hits_out);
+        cache_detail::run<Record>(state, addrs, n, hits_out);
     use_clock_ = state.clock;
     accesses_ += n;
     misses_ += miss_count;

@@ -39,17 +39,6 @@ struct CacheParams
     std::uint32_t line_bytes = 64;        ///< Line size.
 };
 
-/**
- * Which tag-probe kernel services accessRun. The SIMD tiers exist
- * only in HISS_SIMD builds on x86-64 and engage only after runtime
- * CPUID confirms host support; every tier is access-by-access
- * bit-identical to Portable (pinned by SubstrateBatch.* in ctest).
- */
-enum class CacheKernel {
-    Portable, ///< Branchless scalar compare (any host, any build).
-    Avx2,     ///< vpcmpeqq, four ways per compare (4/8-way sets).
-};
-
 /** A set-associative, true-LRU, tag-only cache model. */
 class Cache
 {
@@ -106,24 +95,6 @@ class Cache
 
     std::uint32_t numSets() const { return num_sets_; }
     const CacheParams &params() const { return params_; }
-
-    /// @name Probe-kernel dispatch (process-wide, all Cache instances).
-    /// @{
-    /** True if @p kernel can execute on this host and build. */
-    static bool kernelSupported(CacheKernel kernel);
-    /** Best supported kernel (the one-time CPUID dispatch default). */
-    static CacheKernel bestKernel();
-    /** Kernel currently servicing accesses. */
-    static CacheKernel activeKernel();
-    /**
-     * Force the probe kernel (equivalence tests, benchmarks). Not
-     * thread-safe against concurrent accesses — call only from
-     * single-threaded setup code.
-     * @return false (and change nothing) if unsupported here.
-     */
-    static bool setKernel(CacheKernel kernel);
-    static const char *kernelName(CacheKernel kernel);
-    /// @}
 
   private:
     /** Snapshot layer serializes tags_/lru_/clock/counters. */

@@ -1,14 +1,9 @@
 /**
  * @file
- * The shared lookup/replace loop behind Cache::access{,Batch}.
+ * The lookup/replace loop behind Cache::access{,Batch}.
  *
- * The loop is a template over a *probe policy* so the portable scalar
- * kernel and the AVX2 kernel (src/mem/cache_simd_avx2.cc) are one
- * piece of code that cannot diverge: a probe only answers "which
- * way holds this tag code", and every probe must return the same way
- * index for the same set contents (at most one way can match, because
- * insertion happens only on miss). Everything behaviour-relevant —
- * LRU stamping, victim choice, counters — lives here, once.
+ * Everything behaviour-relevant — the tag probe, LRU stamping, victim
+ * choice, counters — lives here, once, for both entry points.
  *
  * This header is internal to src/mem; tests and callers go through
  * the Cache API in cache.h.
@@ -37,55 +32,36 @@ struct RunState
     std::uint64_t clock = 0;       ///< In/out: monotonic use clock.
 };
 
-/** One accessRun kernel: returns the miss count for the run. */
-using RunFn = std::uint64_t (*)(RunState &state, const Addr *addrs,
-                                std::size_t n, std::uint8_t *hits_out);
-
 /**
- * Portable probe. The 4-way case (default L1D geometry) and the
- * 8-way case (shared-L2-shaped geometries) evaluate all ways
- * branchlessly; a loop with an early exit mispredicts on the
- * data-dependent exit way. Invalid ways hold code 0 and can never
- * match, so no validity check is needed anywhere.
+ * The way holding tag code @p code, or @p assoc if no way does. At
+ * most one way can match, because insertion happens only on miss, and
+ * invalid ways hold code 0 and never match, so no validity check is
+ * needed. The 4-way case (the L1D geometry) builds a 4-bit match mask
+ * from all four compares and takes its lowest set bit, with bit 4 as
+ * the miss sentinel: the ctz-of-movemask a vpcmpeqq probe computes,
+ * with no branch. A first-match compare chain, in loop or ternary
+ * form, compiles to one data-dependent branch per way, and those
+ * mispredict on hit-heavy streams. Other associativities keep the
+ * first-match loop.
  */
-struct PortableProbe
+inline std::uint32_t
+probeWay(const Addr *set_tags, Addr code, std::uint32_t assoc)
 {
-    static inline std::uint32_t
-    find(const Addr *set_tags, Addr code, std::uint32_t assoc)
-    {
-        if (assoc == 4) {
-            const bool h0 = set_tags[0] == code;
-            const bool h1 = set_tags[1] == code;
-            const bool h2 = set_tags[2] == code;
-            const bool h3 = set_tags[3] == code;
-            return h0 ? 0u : h1 ? 1u : h2 ? 2u : h3 ? 3u : 4u;
-        }
-        if (assoc == 8) {
-            const bool h0 = set_tags[0] == code;
-            const bool h1 = set_tags[1] == code;
-            const bool h2 = set_tags[2] == code;
-            const bool h3 = set_tags[3] == code;
-            const bool h4 = set_tags[4] == code;
-            const bool h5 = set_tags[5] == code;
-            const bool h6 = set_tags[6] == code;
-            const bool h7 = set_tags[7] == code;
-            return h0 ? 0u
-                 : h1 ? 1u
-                 : h2 ? 2u
-                 : h3 ? 3u
-                 : h4 ? 4u
-                 : h5 ? 5u
-                 : h6 ? 6u
-                 : h7 ? 7u
-                      : 8u;
-        }
-        std::uint32_t way;
-        for (way = 0; way < assoc; ++way)
-            if (set_tags[way] == code)
-                break;
-        return way;
+    if (assoc == 4) {
+        const std::uint32_t match =
+            static_cast<std::uint32_t>(set_tags[0] == code)
+            | static_cast<std::uint32_t>(set_tags[1] == code) << 1
+            | static_cast<std::uint32_t>(set_tags[2] == code) << 2
+            | static_cast<std::uint32_t>(set_tags[3] == code) << 3;
+        return static_cast<std::uint32_t>(
+            __builtin_ctz(match | 1u << 4));
     }
-};
+    std::uint32_t way;
+    for (way = 0; way < assoc; ++way)
+        if (set_tags[way] == code)
+            break;
+    return way;
+}
 
 /**
  * Miss-path victim: the *last* invalid way if any way is invalid,
@@ -137,7 +113,7 @@ victimWay(const std::uint64_t *set_lru, std::uint32_t assoc)
  * lives in locals across the loop; a hit exits before the victim
  * select runs.
  */
-template <class Probe, bool Record>
+template <bool Record>
 std::uint64_t
 run(RunState &state, const Addr *addrs, std::size_t n,
     std::uint8_t *hits_out)
@@ -160,7 +136,7 @@ run(RunState &state, const Addr *addrs, std::size_t n,
         Addr *const set_tags = tags + base;
         std::uint64_t *const set_lru = lru + base;
 
-        const std::uint32_t way = Probe::find(set_tags, code, assoc);
+        const std::uint32_t way = probeWay(set_tags, code, assoc);
         if (way < assoc) {
             set_lru[way] = ++clock;
             if constexpr (Record)

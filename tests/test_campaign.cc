@@ -23,7 +23,6 @@
 
 #include "campaign/campaign.h"
 #include "core/cell_key.h"
-#include "core/snapshot_cache.h"
 #include "sim/logging.h"
 #include "snap/snap.h"
 
@@ -116,11 +115,6 @@ TEST(CellKey, SensitiveToEveryResultDeterminingField)
     }
     {
         ExperimentCell cell = fastCell(81);
-        cell.config.warmup_ticks = msToTicks(1);
-        EXPECT_NE(cellKey(cell), base) << "warmup cut";
-    }
-    {
-        ExperimentCell cell = fastCell(81);
         cell.reps = 2;
         EXPECT_NE(cellKey(cell), base) << "reps";
     }
@@ -129,14 +123,6 @@ TEST(CellKey, SensitiveToEveryResultDeterminingField)
         cell.gpu_app = "spmv";
         EXPECT_NE(cellKey(cell), base) << "workload";
     }
-}
-
-TEST(CellKey, SnapshotCachePointerIsExcluded)
-{
-    SnapshotCache cache;
-    ExperimentCell with = fastCell(81);
-    with.config.snapshot_cache = &cache;
-    EXPECT_EQ(cellKey(with), cellKey(fastCell(81)));
 }
 
 TEST(ResultCacheTest, RoundTripsSuccessAndFailure)
@@ -238,10 +224,14 @@ TEST(ManifestTest, RejectsUnknownFormatAndTruncation)
     const std::string text = readAll(path);
 
     {
+        const std::string format =
+            "\"format\":" + std::to_string(campaign::kManifestFormat);
         std::string bumped = text;
-        const std::size_t at = bumped.find("\"format\":1");
+        const std::size_t at = bumped.find(format);
         ASSERT_NE(at, std::string::npos);
-        bumped.replace(at, 10, "\"format\":9");
+        bumped.replace(at, format.size(),
+                       "\"format\":"
+                           + std::to_string(campaign::kManifestFormat + 1));
         std::ofstream out(path, std::ios::binary | std::ios::trunc);
         out << bumped;
     }
@@ -337,9 +327,9 @@ TEST(CampaignTest, FailuresSettleAsTypedReproducibleRecords)
 {
     const std::string dir = freshDir("campaign_fail");
     GridSpec spec = fastGrid();
-    spec.gpu_apps = {"not-a-workload"};
     spec.seeds = {81};
-    spec.qos_thresholds = {0.0};
+    // Out of (0, 1]: the QoS governor refuses it when the cell runs.
+    spec.qos_thresholds = {1.5};
     const CampaignEngine engine(dir);
     engine.build(spec);
 
@@ -360,8 +350,7 @@ TEST(CampaignTest, FailuresSettleAsTypedReproducibleRecords)
                                       canonicalCellText(cells[0]));
     ASSERT_EQ(found.status, LookupStatus::Hit);
     EXPECT_FALSE(found.outcome.ok);
-    EXPECT_NE(found.outcome.error.find("not-a-workload"),
-              std::string::npos)
+    EXPECT_NE(found.outcome.error.find("QosParams"), std::string::npos)
         << found.outcome.error;
     EXPECT_NE(found.outcome.repro.find("seed=81"), std::string::npos)
         << found.outcome.repro;
@@ -380,8 +369,21 @@ TEST(CampaignTest, FailuresSettleAsTypedReproducibleRecords)
     // The merged CSV carries the failure row rather than omitting it.
     const std::string csv_path = dir + "/merged.csv";
     EXPECT_EQ(engine.merge(csv_path), 1u);
-    EXPECT_NE(readAll(csv_path).find("not-a-workload"),
-              std::string::npos);
+    EXPECT_NE(readAll(csv_path).find("QosParams"), std::string::npos);
+}
+
+TEST(CampaignTest, BuildRejectsUnknownAppNames)
+{
+    GridSpec cpu = fastGrid();
+    cpu.cpu_apps = {"nosuchapp"};
+    EXPECT_THROW(cpu.buildCells(), FatalError);
+
+    // The build fails before it writes a manifest for run to fail on.
+    const std::string dir = freshDir("campaign_unknown_app");
+    GridSpec gpu = fastGrid();
+    gpu.gpu_apps = {"ubench", "nosuchgpu"};
+    EXPECT_THROW(CampaignEngine(dir).build(gpu), FatalError);
+    EXPECT_FALSE(std::ifstream(dir + "/manifest.jsonl").good());
 }
 
 TEST(CampaignTest, MergeRefusesIncompleteCampaigns)
@@ -395,35 +397,6 @@ TEST(CampaignTest, MergeRefusesIncompleteCampaigns)
     shard0.shard_count = 2;
     engine.run(shard0);
     EXPECT_THROW(engine.merge(dir + "/merged.csv"), FatalError);
-}
-
-TEST(SnapshotCacheFailureMemo, FirstFailureIsRecordedAndSurfaced)
-{
-    SnapshotCache cache;
-    EXPECT_THROW(
-        cache.getOrBuild("key", []() -> std::string {
-            throw FatalError("warmup exploded");
-        }),
-        FatalError);
-    EXPECT_EQ(cache.failureMessage("key"), "warmup exploded");
-
-    // Later lookups fail fast with the recorded reason instead of
-    // silently re-simulating the warmup cold.
-    try {
-        cache.getOrBuild("key",
-                         []() -> std::string { return "blob"; });
-        FAIL() << "expected SnapshotBuildError";
-    } catch (const SnapshotBuildError &e) {
-        EXPECT_NE(std::string(e.what()).find("warmup exploded"),
-                  std::string::npos)
-            << e.what();
-    }
-    EXPECT_EQ(cache.failedLookups(), 1u);
-
-    // Other keys are unaffected.
-    EXPECT_EQ(cache.getOrBuild(
-                  "other", []() -> std::string { return "blob"; }),
-              "blob");
 }
 
 } // namespace

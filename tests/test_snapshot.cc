@@ -222,100 +222,5 @@ TEST(Snapshot, FileRoundTrip)
     std::remove(path.c_str());
 }
 
-// ---- Warm-state reuse ---------------------------------------------
-
-/** A rate-window sweep over one config+seed: the warm-start shape. */
-std::vector<ExperimentCell>
-sweepCells(Tick warmup)
-{
-    std::vector<ExperimentCell> cells;
-    for (int i = 0; i < 4; ++i) {
-        ExperimentCell cell;
-        cell.gpu_app = "ubench";
-        cell.mode = MeasureMode::GpuOnly;
-        cell.config.seed = 11;
-        cell.config.rate_window = msToTicks(10.0 + i);
-        cell.config.warmup_ticks = warmup;
-        cells.push_back(cell);
-    }
-    return cells;
-}
-
-TEST(SnapshotWarmStart, WarmSweepMatchesColdSweep)
-{
-    // Cold cells still take the warmup cut (it is part of the run
-    // schedule); they just do not share state through a cache.
-    std::vector<ExperimentCell> cold = sweepCells(msToTicks(8));
-    for (ExperimentCell &cell : cold)
-        cell.config.snapshot_cache = nullptr;
-    std::vector<RunResult> cold_results;
-    for (const ExperimentCell &cell : cold)
-        cold_results.push_back(ExperimentRunner::run(
-            cell.cpu_app, cell.gpu_app, cell.config, cell.mode));
-
-    // Warm cells share one cache; run serially and in parallel.
-    for (const int jobs : {1, 4}) {
-        const std::vector<RunResult> warm =
-            ExperimentBatch(jobs).run(sweepCells(msToTicks(8)));
-        ASSERT_EQ(warm.size(), cold_results.size());
-        for (std::size_t i = 0; i < warm.size(); ++i) {
-            EXPECT_DOUBLE_EQ(warm[i].gpu_ssr_rate,
-                             cold_results[i].gpu_ssr_rate);
-            EXPECT_DOUBLE_EQ(warm[i].elapsed_ms,
-                             cold_results[i].elapsed_ms);
-            EXPECT_EQ(warm[i].faults_resolved,
-                      cold_results[i].faults_resolved);
-            EXPECT_EQ(warm[i].total_irqs, cold_results[i].total_irqs);
-            EXPECT_EQ(warm[i].msis_raised,
-                      cold_results[i].msis_raised);
-        }
-    }
-}
-
-TEST(SnapshotWarmStart, CacheComputesOncePerKey)
-{
-    SnapshotCache cache;
-    int builds = 0;
-    const std::string &a = cache.getOrBuild("k", [&] {
-        ++builds;
-        return std::string("blob");
-    });
-    const std::string &b = cache.getOrBuild("k", [&] {
-        ++builds;
-        return std::string("other");
-    });
-    EXPECT_EQ(builds, 1);
-    EXPECT_EQ(a, "blob");
-    EXPECT_EQ(&a, &b);
-    EXPECT_EQ(cache.hits(), 1u);
-    EXPECT_EQ(cache.misses(), 1u);
-}
-
-TEST(SnapshotWarmStart, FailedBuildDoesNotWedgeTheKey)
-{
-    // A failed build must not leave waiters hung on the key; it is
-    // memoized and every later lookup gets a loud typed error
-    // carrying the original reason instead of silently retrying a
-    // build that is known to fail.
-    SnapshotCache cache;
-    EXPECT_THROW(cache.getOrBuild(
-                     "k",
-                     []() -> std::string {
-                         throw std::runtime_error("boom");
-                     }),
-                 std::runtime_error);
-    try {
-        cache.getOrBuild("k", [] { return std::string("second"); });
-        FAIL() << "memoized failure should have surfaced";
-    } catch (const SnapshotBuildError &err) {
-        EXPECT_NE(std::string(err.what()).find("boom"),
-                  std::string::npos)
-            << err.what();
-    }
-    // Other keys are unaffected.
-    EXPECT_EQ(cache.getOrBuild("k2", [] { return std::string("ok"); }),
-              "ok");
-}
-
 } // namespace
 } // namespace hiss

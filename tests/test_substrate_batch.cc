@@ -334,18 +334,6 @@ randomCacheParams(Rng &rng)
     return kChoices[rng.uniformInt(0, 5)];
 }
 
-/** Pin the process-wide probe kernel for one scope, then restore the
- *  CPUID-selected best (tests must not leak a forced kernel). */
-class ScopedKernel
-{
-  public:
-    explicit ScopedKernel(CacheKernel kernel)
-    {
-        EXPECT_TRUE(Cache::setKernel(kernel));
-    }
-    ~ScopedKernel() { Cache::setKernel(Cache::bestKernel()); }
-};
-
 /** Corners of every MemoryProfile knob, then random profiles. */
 std::vector<MemoryProfile>
 memoryProfiles()
@@ -404,16 +392,6 @@ branchProfiles()
     Rng meta(0xB1A5);
     for (int i = 0; i < 24; ++i)
         out.push_back(randomBranchProfile(meta));
-    return out;
-}
-
-/** The probe kernels this host and build can run. */
-std::vector<CacheKernel>
-supportedKernels()
-{
-    std::vector<CacheKernel> out{CacheKernel::Portable};
-    if (Cache::kernelSupported(CacheKernel::Avx2))
-        out.push_back(CacheKernel::Avx2);
     return out;
 }
 
@@ -580,61 +558,6 @@ TEST(SubstrateBatch, MixedScalarAndBatchCallsCompose)
     EXPECT_EQ(mixed.accesses(), scalar.accesses());
 }
 
-/**
- * Every SIMD probe kernel the host supports must be bit-identical to
- * the portable kernel: same per-access hit bitmap, same miss count,
- * same final structural state, across geometries (including the
- * 8-way shapes the vector paths special-case).
- */
-TEST(SubstrateBatch, SimdKernelMatchesPortable)
-{
-    static const CacheParams kGeoms[] = {
-        {4 * 1024, 1, 64},  {8 * 1024, 2, 64},  {16 * 1024, 4, 64},
-        {16 * 1024, 8, 32}, {32 * 1024, 4, 128}, {32 * 1024, 8, 64},
-        {8 * 1024, 16, 64}, // generic-loop fallback inside SIMD TUs
-    };
-    const CacheKernel kernel = CacheKernel::Avx2;
-    if (!Cache::kernelSupported(kernel)) {
-        GTEST_LOG_(INFO) << "host lacks " << Cache::kernelName(kernel)
-                         << "; skipping";
-        return;
-    }
-    Rng meta(0x51D);
-    for (const CacheParams &geom : kGeoms) {
-        const MemoryProfile profile = randomMemoryProfile(meta);
-        const std::uint64_t seed = meta.next();
-        const std::size_t n = meta.uniformInt(64, 768);
-        AddressStream stream(profile, 0x10000000, seed);
-        std::vector<Addr> buf(n);
-        stream.fill(buf.data(), n);
-
-        Cache portable(geom);
-        std::vector<std::uint8_t> portable_hits(n);
-        std::uint64_t portable_misses = 0;
-        {
-            ScopedKernel pin(CacheKernel::Portable);
-            portable_misses = portable.accessBatch(
-                buf.data(), n, portable_hits.data());
-        }
-
-        Cache vectored(geom);
-        std::vector<std::uint8_t> vector_hits(n);
-        std::uint64_t vector_misses = 0;
-        {
-            ScopedKernel pin(kernel);
-            vector_misses = vectored.accessBatch(
-                buf.data(), n, vector_hits.data());
-        }
-
-        EXPECT_EQ(vector_hits, portable_hits)
-            << Cache::kernelName(kernel) << " assoc " << geom.assoc;
-        EXPECT_EQ(vector_misses, portable_misses)
-            << Cache::kernelName(kernel) << " assoc " << geom.assoc;
-        EXPECT_EQ(vectored.stateHash(), portable.stateHash())
-            << Cache::kernelName(kernel) << " assoc " << geom.assoc;
-    }
-}
-
 TEST(SubstrateBatch, AddressFillMatchesReferenceModel)
 {
     const std::vector<MemoryProfile> profiles = memoryProfiles();
@@ -676,9 +599,10 @@ TEST(SubstrateBatch, BranchFillMatchesReferenceModel)
 }
 
 /**
- * accessBatch against the reference victim scan, access by access,
- * on every associativity the kernels special-case (and a generic
- * one). Flushes between batches leave sets that mix valid ways with
+ * accessBatch against the reference first-match probe and victim
+ * scan, access by access, on the 4-way geometry the probe and victim
+ * select special-case and on the loop-based associativities.
+ * Flushes between batches leave sets that mix valid ways with
  * invalid ones, so the invalid-way branch of the victim choice runs.
  */
 TEST(SubstrateBatch, CacheMatchesReferenceModel)
@@ -689,42 +613,37 @@ TEST(SubstrateBatch, CacheMatchesReferenceModel)
         {8 * 1024, 16, 64},
     };
     const std::vector<MemoryProfile> profiles = memoryProfiles();
-    for (const CacheKernel kernel : supportedKernels()) {
-        ScopedKernel pin(kernel);
-        Rng meta(0xC0DE);
-        for (const CacheParams &geom : kGeoms) {
-            for (const MemoryProfile &profile : profiles) {
-                AddressStream stream(profile, 0x10000000, meta.next());
-                Cache cache(geom);
-                RefCache ref(geom);
-                std::vector<Addr> buf(160);
-                std::vector<std::uint8_t> hits(buf.size());
-                for (int batch = 0; batch < 12; ++batch) {
-                    const std::size_t n = meta.uniformInt(1, buf.size());
-                    stream.fill(buf.data(), n);
-                    // Odd batches take the hit-recording loop.
-                    const bool record = batch % 2 == 1;
-                    const std::uint64_t misses = cache.accessBatch(
-                        buf.data(), n, record ? hits.data() : nullptr);
-                    std::uint64_t want_misses = 0;
-                    for (std::size_t i = 0; i < n; ++i) {
-                        const bool hit = ref.access(buf[i]);
-                        want_misses += hit ? 0 : 1;
-                        if (record) {
-                            ASSERT_EQ(hits[i] != 0, hit)
-                                << Cache::kernelName(kernel) << " assoc "
-                                << geom.assoc << ", batch " << batch
-                                << ", access " << i;
-                        }
+    Rng meta(0xC0DE);
+    for (const CacheParams &geom : kGeoms) {
+        for (const MemoryProfile &profile : profiles) {
+            AddressStream stream(profile, 0x10000000, meta.next());
+            Cache cache(geom);
+            RefCache ref(geom);
+            std::vector<Addr> buf(160);
+            std::vector<std::uint8_t> hits(buf.size());
+            for (int batch = 0; batch < 12; ++batch) {
+                const std::size_t n = meta.uniformInt(1, buf.size());
+                stream.fill(buf.data(), n);
+                // Odd batches take the hit-recording loop.
+                const bool record = batch % 2 == 1;
+                const std::uint64_t misses = cache.accessBatch(
+                    buf.data(), n, record ? hits.data() : nullptr);
+                std::uint64_t want_misses = 0;
+                for (std::size_t i = 0; i < n; ++i) {
+                    const bool hit = ref.access(buf[i]);
+                    want_misses += hit ? 0 : 1;
+                    if (record) {
+                        ASSERT_EQ(hits[i] != 0, hit)
+                            << "assoc " << geom.assoc << ", batch "
+                            << batch << ", access " << i;
                     }
-                    ASSERT_EQ(misses, want_misses);
-                    ASSERT_EQ(cache.stateHash(), ref.stateHash())
-                        << Cache::kernelName(kernel) << " assoc "
-                        << geom.assoc << ", batch " << batch;
-                    if (meta.uniformInt(0, 3) == 0) {
-                        cache.flush();
-                        ref.flush();
-                    }
+                }
+                ASSERT_EQ(misses, want_misses);
+                ASSERT_EQ(cache.stateHash(), ref.stateHash())
+                    << "assoc " << geom.assoc << ", batch " << batch;
+                if (meta.uniformInt(0, 3) == 0) {
+                    cache.flush();
+                    ref.flush();
                 }
             }
         }
@@ -740,46 +659,41 @@ TEST(SubstrateBatch, CacheMatchesReferenceModel)
  */
 TEST(SubstrateBatch, VictimMatchesReferenceScanForEveryStampPattern)
 {
-    for (const CacheKernel kernel : supportedKernels()) {
-        ScopedKernel pin(kernel);
-        for (const std::uint32_t assoc : {1u, 2u, 4u, 8u}) {
-            const CacheParams geom{assoc * 64, assoc, 64}; // one set
-            const std::uint64_t alphabet = assoc == 8 ? 3 : 4;
-            std::uint64_t patterns = 1;
-            for (std::uint32_t w = 0; w < assoc; ++w)
-                patterns *= alphabet;
-            for (std::uint64_t pattern = 0; pattern < patterns;
-                 ++pattern) {
-                RefCache ref(geom);
-                std::uint64_t digits = pattern;
-                for (std::uint32_t w = 0; w < assoc; ++w) {
-                    ref.lru[w] = digits % alphabet;
-                    ref.tags[w] = ref.lru[w] == 0 ? 0 : w + 1;
-                    digits /= alphabet;
-                }
-                ref.clock = alphabet;
-                snap::Writer w;
-                w.u64(assoc);
-                for (const Addr code : ref.tags)
-                    w.u64(code);
-                for (const std::uint64_t stamp : ref.lru)
-                    w.u64(stamp);
-                for (const std::uint64_t v : {ref.clock, std::uint64_t{0},
-                                              std::uint64_t{0},
-                                              std::uint64_t{0}})
-                    w.u64(v);
-                Cache cache(geom);
-                snap::Reader r(w.buffer());
-                snap::Access::restore(r, cache);
-                ASSERT_EQ(cache.stateHash(), ref.stateHash());
-
-                const Addr missing = Addr{1000} * 64;
-                ASSERT_FALSE(cache.access(missing));
-                ASSERT_FALSE(ref.access(missing));
-                ASSERT_EQ(cache.stateHash(), ref.stateHash())
-                    << Cache::kernelName(kernel) << " assoc " << assoc
-                    << ", stamp pattern " << pattern;
+    for (const std::uint32_t assoc : {1u, 2u, 4u, 8u}) {
+        const CacheParams geom{assoc * 64, assoc, 64}; // one set
+        const std::uint64_t alphabet = assoc == 8 ? 3 : 4;
+        std::uint64_t patterns = 1;
+        for (std::uint32_t w = 0; w < assoc; ++w)
+            patterns *= alphabet;
+        for (std::uint64_t pattern = 0; pattern < patterns; ++pattern) {
+            RefCache ref(geom);
+            std::uint64_t digits = pattern;
+            for (std::uint32_t w = 0; w < assoc; ++w) {
+                ref.lru[w] = digits % alphabet;
+                ref.tags[w] = ref.lru[w] == 0 ? 0 : w + 1;
+                digits /= alphabet;
             }
+            ref.clock = alphabet;
+            snap::Writer w;
+            w.u64(assoc);
+            for (const Addr code : ref.tags)
+                w.u64(code);
+            for (const std::uint64_t stamp : ref.lru)
+                w.u64(stamp);
+            for (const std::uint64_t v : {ref.clock, std::uint64_t{0},
+                                          std::uint64_t{0},
+                                          std::uint64_t{0}})
+                w.u64(v);
+            Cache cache(geom);
+            snap::Reader r(w.buffer());
+            snap::Access::restore(r, cache);
+            ASSERT_EQ(cache.stateHash(), ref.stateHash());
+
+            const Addr missing = Addr{1000} * 64;
+            ASSERT_FALSE(cache.access(missing));
+            ASSERT_FALSE(ref.access(missing));
+            ASSERT_EQ(cache.stateHash(), ref.stateHash())
+                << "assoc " << assoc << ", stamp pattern " << pattern;
         }
     }
 }
@@ -917,25 +831,6 @@ TEST(SubstrateBatch, FillsMatchReferenceModelOnARejectedDraw)
     }
     EXPECT_GE(ref.rejections, 1u);
     EXPECT_EQ(savedState(stream), savedState(ref.rng));
-}
-
-TEST(SubstrateBatch, KernelSelectionApi)
-{
-    const CacheKernel best = Cache::bestKernel();
-    EXPECT_TRUE(Cache::kernelSupported(best));
-    // Portable is always available and selectable.
-    EXPECT_TRUE(Cache::kernelSupported(CacheKernel::Portable));
-    {
-        ScopedKernel pin(CacheKernel::Portable);
-        EXPECT_EQ(Cache::activeKernel(), CacheKernel::Portable);
-    }
-    EXPECT_EQ(Cache::activeKernel(), best);
-    // An unsupported kernel is rejected without changing the active
-    // one (on non-SIMD builds the AVX2 tier is unsupported).
-    if (!Cache::kernelSupported(CacheKernel::Avx2)) {
-        EXPECT_FALSE(Cache::setKernel(CacheKernel::Avx2));
-        EXPECT_EQ(Cache::activeKernel(), best);
-    }
 }
 
 } // namespace

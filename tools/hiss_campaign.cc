@@ -60,7 +60,6 @@ usage()
         "  --all-mitigations    all 8 mitigation combinations\n"
         "  --qos t[,t...]       QoS thresholds (0 = governor off)\n"
         "  --duration ms        rate window (default 8)\n"
-        "  --warmup ms          shared warm-state cut (default 0)\n"
         "  --reps N             repetitions per cell (default 1)\n"
         "  --tick-budget ms     simulated-time cap per cell\n"
         "\n"
@@ -128,9 +127,6 @@ cmdBuild(int argc, char **argv, const std::string &dir)
         } else if (arg == "--duration") {
             spec.duration_ms = parseReal(
                 "--duration", needValue(argc, argv, i), 1e-6, 1e6);
-        } else if (arg == "--warmup") {
-            spec.warmup_ms = parseReal(
-                "--warmup", needValue(argc, argv, i), 0.0, 1e6);
         } else if (arg == "--reps") {
             spec.reps = static_cast<int>(parseInt(
                 "--reps", needValue(argc, argv, i), 1, 1024));
@@ -191,8 +187,15 @@ cmdRun(int argc, char **argv, const std::string &dir)
 }
 
 int
-cmdStatus(const std::string &dir)
+cmdStatus(int argc, char **argv, const std::string &dir)
 {
+    for (int i = 2; i < argc; ++i) {
+        const std::string arg = argv[i];
+        if (arg == "--dir")
+            needValue(argc, argv, i);
+        else
+            fatal("status: unknown flag '%s'", arg.c_str());
+    }
     const CampaignEngine engine(dir);
     const CampaignStatus s = engine.status();
     std::printf("campaign status: total=%zu ok=%zu failed=%zu "
@@ -251,7 +254,7 @@ main(int argc, char **argv)
         if (verb == "run" || verb == "resume")
             return cmdRun(argc, argv, dir);
         if (verb == "status")
-            return cmdStatus(dir);
+            return cmdStatus(argc, argv, dir);
         if (verb == "merge")
             return cmdMerge(argc, argv, dir);
         fatal("unknown verb '%s' (build run resume status merge)",

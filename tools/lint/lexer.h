@@ -50,9 +50,9 @@ struct Comment
 
 /**
  * A preprocessor directive, kept for rules that reason about
- * conditional-compilation structure (e.g. simd-gate). Swallowed from
- * the token stream as before; continuation lines are joined and
- * embedded comments dropped.
+ * conditional-compilation structure. Swallowed from the token stream
+ * as before; continuation lines are joined and embedded comments
+ * dropped.
  */
 struct PpDirective
 {

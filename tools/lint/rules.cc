@@ -541,108 +541,6 @@ checkStatName(const Rule &rule, const FileContext &file,
 }
 
 // ---------------------------------------------------------------------
-// Rule: simd-gate
-//
-// Intrinsics headers and vector intrinsics in simulation layers must
-// sit inside a conditional-compilation region whose condition names
-// HISS_SIMD (e.g. `#if defined(HISS_SIMD_X86)`): the portable build
-// (HISS_SIMD=OFF, non-x86 hosts) must never see them, and the CI
-// no-simd leg only proves what actually compiles. Accepted blind
-// spot: the `#else` branch of a HISS_SIMD gate is treated as gated
-// even though it compiles in the portable build.
-// ---------------------------------------------------------------------
-
-bool
-hasSimdPrefix(const std::string &text)
-{
-    static const char *const kPrefixes[] = {
-        "_mm_", "_mm256_", "_mm512_", "__m128", "__m256", "__m512"};
-    for (const char *prefix : kPrefixes) {
-        if (text.rfind(prefix, 0) == 0)
-            return true;
-    }
-    return false;
-}
-
-void
-checkSimdGate(const Rule &rule, const FileContext &file,
-              std::vector<Finding> &out)
-{
-    if (!file.in_sim_layer)
-        return;
-    const LexResult &lex = file.lex;
-
-    // Line ranges covered by a HISS_SIMD-conditioned #if/#ifdef (or
-    // any directive nested inside one). An unterminated gate runs to
-    // end of file.
-    std::vector<std::pair<int, int>> gated;
-    struct Open
-    {
-        int line = 0;
-        bool simd = false;
-    };
-    std::vector<Open> stack;
-    for (const PpDirective &dir : lex.directives) {
-        std::size_t k = 1; // skip '#'
-        while (k < dir.text.size()
-               && std::isspace(static_cast<unsigned char>(dir.text[k])))
-            ++k;
-        const std::size_t begin = k;
-        while (k < dir.text.size()
-               && std::isalpha(static_cast<unsigned char>(dir.text[k])))
-            ++k;
-        const std::string kw = dir.text.substr(begin, k - begin);
-        if (kw == "if" || kw == "ifdef" || kw == "ifndef") {
-            const bool simd =
-                dir.text.find("HISS_SIMD") != std::string::npos;
-            stack.push_back({dir.line, simd});
-        } else if (kw == "endif" && !stack.empty()) {
-            const Open open = stack.back();
-            stack.pop_back();
-            const bool enclosed_simd = [&] {
-                for (const Open &o : stack)
-                    if (o.simd)
-                        return true;
-                return open.simd;
-            }();
-            if (enclosed_simd)
-                gated.emplace_back(open.line, dir.line);
-        }
-    }
-    for (const Open &open : stack)
-        if (open.simd)
-            gated.emplace_back(open.line, lex.num_lines);
-
-    const auto isGated = [&gated](int line) {
-        for (const auto &[begin, end] : gated)
-            if (begin <= line && line <= end)
-                return true;
-        return false;
-    };
-
-    for (const PpDirective &dir : lex.directives) {
-        if (dir.text.find("include") == std::string::npos
-            || dir.text.find("intrin") == std::string::npos)
-            continue;
-        if (!isGated(dir.line))
-            out.push_back(self(rule).make(
-                file, dir.line,
-                "intrinsics header included outside a HISS_SIMD "
-                "conditional — the portable build must not see it"));
-    }
-    for (const Token &tok : lex.tokens) {
-        if (tok.kind != TokKind::Identifier || !hasSimdPrefix(tok.text))
-            continue;
-        if (!isGated(tok.line))
-            out.push_back(self(rule).make(
-                file, tok.line,
-                "vector intrinsic '" + tok.text
-                    + "' outside a HISS_SIMD conditional — the "
-                      "portable build must not see it"));
-    }
-}
-
-// ---------------------------------------------------------------------
 // Rule: bare-catch
 //
 // catch (...) that neither rethrows nor records a reason erases the
@@ -767,12 +665,6 @@ Registry::standard()
             "rename to lowercase dotted form, e.g. "
             "\"core0.l1d.misses\"",
             checkStatName);
-    addRule(reg, "simd-gate", Severity::Error,
-            "intrinsics headers and vector intrinsics in simulation "
-            "layers are reachable only behind a HISS_SIMD conditional",
-            "wrap the code in #if defined(HISS_SIMD_X86) ... #endif "
-            "(see src/mem/cache_simd_*.cc)",
-            checkSimdGate);
     addRule(reg, "bare-catch", Severity::Error,
             "every catch (...) in src/ rethrows or records a failure "
             "reason (the robustness contract: no erased errors)",
