@@ -81,22 +81,22 @@ class Results
             std::size_t n)
     {
         for (std::size_t i = 0; i < n; ++i)
-            by_identity_.emplace(cellIdentity(cells[i]), results[i]);
+            by_text_.emplace(canonicalCellText(cells[i]), results[i]);
     }
 
     /** @throws FatalError if the figure did not declare @p cell. */
     const RunResult &
     operator[](const ExperimentCell &cell) const
     {
-        const auto found = by_identity_.find(cellIdentity(cell));
-        if (found == by_identity_.end())
+        const auto found = by_text_.find(canonicalCellText(cell));
+        if (found == by_text_.end())
             fatal("figure reads an undeclared cell: %s",
                   cellRepro(cell).c_str());
         return found->second;
     }
 
   private:
-    std::map<std::string, RunResult> by_identity_;
+    std::map<std::string, RunResult> by_text_;
 };
 
 /** One paper table, figure or extension study. */

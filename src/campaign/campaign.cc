@@ -1,13 +1,9 @@
 #include "campaign/campaign.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
-#include <thread>
 
-#include "os/qos_governor.h"
 #include "sim/logging.h"
 #include "snap/snap.h"
 
@@ -61,48 +57,6 @@ u64Field(std::uint64_t value)
     return buf;
 }
 
-/**
- * Per-shard append-only event log. Appends are line-buffered and
- * flushed, but the ledger makes no atomicity promise — a SIGKILL can
- * tear the last line. That is fine: the ledger is diagnostic, never
- * read back to decide what to run (the cache is).
- */
-class Ledger
-{
-  public:
-    explicit Ledger(const std::string &path)
-        : out_(path, std::ios::app)
-    {
-        if (!out_.is_open())
-            fatal("campaign: cannot open ledger '%s'", path.c_str());
-    }
-
-    void
-    event(const std::string &type, std::size_t index,
-          const std::string &key, int attempt,
-          const CellOutcome &outcome)
-    {
-        std::string line = "{";
-        line += "\"type\":\"" + jsonEscape(type) + "\"";
-        line += ",\"index\":" + u64Field(index);
-        line += ",\"key\":\"" + key + "\"";
-        line += ",\"attempt\":" + std::to_string(attempt);
-        line += ",\"ok\":";
-        line += outcome.ok ? "1" : "0";
-        line += ",\"wall_ms\":" + f64Field(outcome.wall_ms);
-        if (!outcome.ok) {
-            line += ",\"error\":\"" + jsonEscape(outcome.error) + "\"";
-            line += ",\"repro\":\"" + jsonEscape(outcome.repro) + "\"";
-        }
-        line += "}\n";
-        out_ << line;
-        out_.flush();
-    }
-
-  private:
-    std::ofstream out_;
-};
-
 /** A cell this shard still has to run. */
 struct PendingCell
 {
@@ -140,15 +94,10 @@ CampaignEngine::run(const CampaignOptions &options) const
         || options.shard_index >= options.shard_count)
         fatal("campaign: shard index %d out of range [0, %d)",
               options.shard_index, options.shard_count);
-    if (options.max_attempts < 1)
-        fatal("campaign: max attempts must be >= 1 (got %d)",
-              options.max_attempts);
 
     const Manifest manifest = readManifest(dir_);
     const std::vector<ExperimentCell> cells = rebuildCells(manifest);
     const ResultCache cache(cacheDir());
-    Ledger ledger(dir_ + "/ledger.shard"
-                  + std::to_string(options.shard_index) + ".jsonl");
 
     CampaignReport report;
     report.total = cells.size();
@@ -179,11 +128,6 @@ CampaignEngine::run(const CampaignOptions &options) const
             warn("campaign: damaged record for cell %zu (%s): %s — "
                  "re-running",
                  i, cell.key_hex.c_str(), found.detail.c_str());
-            {
-                CellOutcome note;
-                note.error = found.detail;
-                ledger.event("corrupt", i, cell.key_hex, 0, note);
-            }
             ++report.corrupt_rerun;
             pending.push_back(std::move(cell));
             break;
@@ -194,69 +138,28 @@ CampaignEngine::run(const CampaignOptions &options) const
     }
     report.executed = pending.size();
 
-    // Retry waves with exponential backoff between them. Each wave
-    // runs the still-pending cells in chunks of the worker count, so
-    // settled outcomes (success, or failure on the final attempt)
-    // persist as each chunk completes — a SIGKILL mid-wave loses at
+    // Each pending cell runs once and its outcome is cached, failure
+    // or not: a cell is deterministic, so a rerun could only fail the
+    // same way. Cells run in chunks of the worker count and each
+    // chunk's records persist as it completes, so a SIGKILL loses at
     // most one chunk of in-flight work, never the records already
-    // committed. That incremental durability is what the ci.sh
-    // crash drill measures.
+    // committed. That incremental durability is what the ci.sh crash
+    // drill measures.
     const ExperimentBatch batch(options.jobs);
-    const std::size_t chunk =
-        static_cast<std::size_t>(batch.jobs());
-    BackoffPolicy backoff;
-    Tick delay = 0;
-    for (int attempt = 1;
-         attempt <= options.max_attempts && !pending.empty();
-         ++attempt) {
-        if (attempt > 1) {
-            delay = backoff.next(delay);
-            std::this_thread::sleep_for(
-                std::chrono::nanoseconds(delay));
+    const std::size_t chunk = static_cast<std::size_t>(batch.jobs());
+    for (std::size_t at = 0; at < pending.size(); at += chunk) {
+        const std::size_t end = std::min(pending.size(), at + chunk);
+        std::vector<ExperimentCell> group;
+        group.reserve(end - at);
+        for (std::size_t j = at; j < end; ++j)
+            group.push_back(cells[pending[j].index]);
+        const std::vector<CellOutcome> outcomes = batch.runCatching(group);
+        for (std::size_t j = 0; j < outcomes.size(); ++j) {
+            const PendingCell &cell = pending[at + j];
+            cache.store(cell.key_hex, cell.canonical, outcomes[j]);
+            if (!outcomes[j].ok)
+                ++report.failures;
         }
-        std::vector<PendingCell> next;
-        for (std::size_t at = 0; at < pending.size(); at += chunk) {
-            const std::size_t end =
-                std::min(pending.size(), at + chunk);
-            std::vector<ExperimentCell> wave;
-            wave.reserve(end - at);
-            for (std::size_t j = at; j < end; ++j)
-                wave.push_back(cells[pending[j].index]);
-            const std::vector<CellOutcome> outcomes =
-                batch.runCatching(wave);
-
-            for (std::size_t j = 0; j < outcomes.size(); ++j) {
-                const PendingCell &cell = pending[at + j];
-                const CellOutcome &outcome = outcomes[j];
-                ledger.event("attempt", cell.index, cell.key_hex,
-                             attempt, outcome);
-                const bool over_budget = options.wall_budget_ms > 0.0
-                    && outcome.wall_ms > options.wall_budget_ms;
-                if (outcome.ok) {
-                    // Over-budget successes still cache: the result
-                    // is deterministic and complete, just slow to
-                    // obtain.
-                    cache.store(cell.key_hex, cell.canonical, outcome);
-                    if (over_budget)
-                        ledger.event("wall-budget", cell.index,
-                                     cell.key_hex, attempt, outcome);
-                } else if (over_budget) {
-                    // Too expensive to retry now, and not worth
-                    // pinning as a permanent failure: ledger only,
-                    // so a future resume gets another try.
-                    ledger.event("wall-budget", cell.index,
-                                 cell.key_hex, attempt, outcome);
-                    ++report.failures;
-                } else if (attempt == options.max_attempts) {
-                    cache.store(cell.key_hex, cell.canonical,
-                                outcome);
-                    ++report.failures;
-                } else {
-                    next.push_back(cell);
-                }
-            }
-        }
-        pending = std::move(next);
     }
     return report;
 }

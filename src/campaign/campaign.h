@@ -6,25 +6,21 @@
  *
  *   <dir>/manifest.jsonl        the grid (campaign/manifest.h)
  *   <dir>/cache/<hex16>.rec     per-cell results (result_cache.h)
- *   <dir>/ledger.shard<k>.jsonl per-shard append-only event log
  *
  * The invariant the layout buys: a shard killed at any instant —
  * SIGKILL included — leaves only complete artifacts (manifest and
- * records are write-then-rename; the ledger is append-only and
- * tolerated torn), so a resume simply scans the cache and runs the
- * cells whose records are missing or damaged. Because each cell is
- * deterministic, the merged output of "run, crash, resume" is
- * byte-identical to an uninterrupted run.
+ * records are write-then-rename), so a resume simply scans the cache
+ * and runs the cells whose records are missing or damaged. Because
+ * each cell is deterministic, the merged output of "run, crash,
+ * resume" is byte-identical to an uninterrupted run.
  *
  * Containment keeps one pathological cell from sinking a sweep:
  * GridSpec::tick_budget_ms caps simulated time deterministically
- * inside the run, failures retry in waves with exponential backoff
- * (BackoffPolicy, src/os/qos_governor.h), and cells whose host wall
- * time exceeds CampaignOptions::wall_budget_ms are not retried —
- * their failure stays in the ledger only, so a later resume (maybe on
- * a faster machine) tries again. Deterministic failures that exhaust
- * their retries ARE cached (ok=false + reason + repro line), so
- * merges stay complete and resumes do not loop on them.
+ * inside the run, and a cell that fails is cached as a failure
+ * (ok=false + reason + repro line) on its first run — rerunning a
+ * deterministic cell can only fail the same way — so merges stay
+ * complete and resumes do not loop on it. --retry-failed reruns
+ * cached failures on request.
  */
 
 #ifndef HISS_CAMPAIGN_CAMPAIGN_H_
@@ -42,23 +38,13 @@ namespace campaign {
 /** Run-time knobs for one CampaignEngine::run invocation. */
 struct CampaignOptions
 {
-    /** Worker threads per wave; <= 0 = hardware concurrency. */
+    /** Worker threads, and cells per committed chunk; <= 0 =
+     *  hardware concurrency. */
     int jobs = 0;
 
     /** This process owns cells with index % shard_count == shard_index. */
     int shard_index = 0;
     int shard_count = 1;
-
-    /** Attempts per failing cell before its failure is cached. */
-    int max_attempts = 3;
-
-    /**
-     * Host wall-clock budget per cell, ms (0 = unlimited). A cell
-     * whose attempt exceeded this is not retried this run and its
-     * failure is not cached — the ledger records the timeout and a
-     * future resume tries again.
-     */
-    double wall_budget_ms = 0.0;
 
     /** Re-run cells whose cached record is a failure. */
     bool retry_failed = false;
@@ -71,7 +57,7 @@ struct CampaignReport
     std::size_t owned = 0;        ///< Cells this shard owns.
     std::size_t cached_hits = 0;  ///< Owned cells served from cache.
     std::size_t executed = 0;     ///< Owned cells actually simulated.
-    std::size_t failures = 0;     ///< Owned cells whose final outcome failed.
+    std::size_t failures = 0;     ///< Owned cells whose outcome is a failure.
     std::size_t corrupt_rerun = 0; ///< Damaged records detected and re-run.
 };
 
@@ -107,9 +93,9 @@ class CampaignEngine
 
     /**
      * Run (or resume) this shard's share of the grid: scan the cache,
-     * re-run missing/corrupt cells in retry waves, and store every
-     * settled outcome. Idempotent — a second call with a warm cache
-     * executes nothing.
+     * run each missing or corrupt cell once, and store every
+     * outcome. Idempotent — a second call with a warm cache executes
+     * nothing.
      */
     CampaignReport run(const CampaignOptions &options) const;
 

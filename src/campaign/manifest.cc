@@ -16,17 +16,27 @@ namespace campaign {
 namespace {
 
 // ---------------------------------------------------------------------
-// Minimal flat-JSON emit/parse. Manifest and ledger lines are flat
-// objects of strings, numbers, bools, and arrays of strings/numbers —
-// written by this file, so the parser only has to be exact about that
-// subset (and fail loudly on anything else).
+// Minimal flat-JSON emit/parse. Manifest lines are flat objects of
+// strings, numbers, bools, and arrays of strings/numbers — written by
+// this file, so the parser only has to be exact about that subset
+// (and fail loudly on anything else).
 // ---------------------------------------------------------------------
 
+/** @p value as a minimally escaped JSON string literal. */
 void
 appendJsonString(std::string &out, const std::string &value)
 {
     out += '"';
-    out += jsonEscape(value);
+    for (const char c : value) {
+        switch (c) {
+          case '"': out += "\\\""; break;
+          case '\\': out += "\\\\"; break;
+          case '\n': out += "\\n"; break;
+          case '\t': out += "\\t"; break;
+          case '\r': out += "\\r"; break;
+          default: out += c; break;
+        }
+    }
     out += '"';
 }
 
@@ -330,31 +340,13 @@ cellLabel(const ExperimentCell &cell)
 
 } // namespace
 
-std::string
-jsonEscape(const std::string &value)
-{
-    std::string out;
-    out.reserve(value.size());
-    for (const char c : value) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default: out += c; break;
-        }
-    }
-    return out;
-}
-
 std::vector<ExperimentCell>
 GridSpec::buildCells() const
 {
     if (gpu_apps.empty() && cpu_apps.empty())
         fatal("campaign: the grid needs at least one CPU or GPU app");
     // An unknown name fails the build here, not every cell at run
-    // time after its retries.
+    // time.
     for (const std::string &cpu : cpu_apps)
         if (!cpu.empty())
             parsec::params(cpu);

@@ -105,9 +105,6 @@ Manifest readManifest(const std::string &dir);
 std::vector<ExperimentCell>
 rebuildCells(const Manifest &manifest);
 
-/** Minimal JSON string escaping for manifest/ledger values. */
-std::string jsonEscape(const std::string &value);
-
 } // namespace campaign
 } // namespace hiss
 

@@ -1,51 +1,53 @@
 #include "core/cell_key.h"
 
 #include <cstdio>
+#include <string_view>
+#include <type_traits>
 
 #include "snap/snap.h"
 
 namespace hiss {
 namespace {
 
-void
-appendKv(std::string &out, const char *key, const std::string &value)
+/** Appends key=value lines to one text, every key under one prefix. */
+class Lines
 {
-    out += key;
-    out += '=';
-    out += value;
-    out += '\n';
-}
+  public:
+    Lines(std::string &out, const char *prefix)
+        : out_(out), prefix_(prefix)
+    {
+    }
 
-void
-appendU64(std::string &out, const char *key, std::uint64_t value)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%llu",
-                  static_cast<unsigned long long>(value));
-    appendKv(out, key, buf);
-}
+    /** Strings verbatim; doubles %.17g; integers, bools and enums as
+     *  decimal integers. */
+    template <typename T>
+    void
+    operator()(const char *key, const T &value) const
+    {
+        out_ += prefix_;
+        out_ += key;
+        out_ += '=';
+        if constexpr (std::is_convertible_v<const T &, std::string_view>) {
+            out_ += std::string_view(value);
+        } else {
+            char buf[48];
+            if constexpr (std::is_floating_point_v<T>)
+                std::snprintf(buf, sizeof buf, "%.17g", value);
+            else if constexpr (std::is_unsigned_v<T>)
+                std::snprintf(buf, sizeof buf, "%llu",
+                              static_cast<unsigned long long>(value));
+            else
+                std::snprintf(buf, sizeof buf, "%lld",
+                              static_cast<long long>(value));
+            out_ += buf;
+        }
+        out_ += '\n';
+    }
 
-void
-appendI64(std::string &out, const char *key, long long value)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%lld", value);
-    appendKv(out, key, buf);
-}
-
-void
-appendF64(std::string &out, const char *key, double value)
-{
-    char buf[48];
-    std::snprintf(buf, sizeof buf, "%.17g", value);
-    appendKv(out, key, buf);
-}
-
-void
-appendBool(std::string &out, const char *key, bool value)
-{
-    appendKv(out, key, value ? "1" : "0");
-}
+  private:
+    std::string &out_;
+    const char *prefix_;
+};
 
 const char *
 modeName(MeasureMode mode)
@@ -59,6 +61,29 @@ modeName(MeasureMode mode)
     return "?";
 }
 
+/** A fault plan: the cell's own (fault.*) or its base's (base.fault.*). */
+void
+appendFault(const Lines &put, const FaultPlan &f)
+{
+    put("ppr_queue_capacity", f.ppr_queue_capacity);
+    put("irq_drop_prob", f.irq_drop_prob);
+    put("irq_dup_prob", f.irq_dup_prob);
+    put("irq_delay_prob", f.irq_delay_prob);
+    put("irq_delay", f.irq_delay);
+    put("ipi_delay_prob", f.ipi_delay_prob);
+    put("ipi_delay", f.ipi_delay);
+    put("kworker_stall_prob", f.kworker_stall_prob);
+    put("kworker_stall", f.kworker_stall);
+    put("signal_loss_prob", f.signal_loss_prob);
+    put("irq_watchdog", f.irq_watchdog);
+    put("signal_resend", f.signal_resend);
+    put("request_timeout", f.request_timeout);
+    put("max_retries", f.max_retries);
+    put("retry_backoff_initial", f.retry_backoff_initial);
+    put("retry_backoff_max", f.retry_backoff_max);
+    put("unledgered_drops", f.unledgered_drops);
+}
+
 } // namespace
 
 std::string
@@ -67,66 +92,133 @@ canonicalCellText(const ExperimentCell &cell)
     const ExperimentConfig &c = cell.config;
     std::string out;
     out.reserve(1024);
-    appendI64(out, "cell_key_format", kCellKeyFormat);
-    appendKv(out, "cpu", cell.cpu_app);
-    appendKv(out, "gpu", cell.gpu_app);
-    appendKv(out, "mode", modeName(cell.mode));
-    appendI64(out, "reps", cell.reps);
+    const Lines put(out, "");
+    put("cell_key_format", kCellKeyFormat);
+    put("cpu", cell.cpu_app);
+    put("gpu", cell.gpu_app);
+    put("mode", modeName(cell.mode));
+    put("reps", cell.reps);
 
-    appendBool(out, "mit.steer", c.mitigation.steer_to_single_core);
-    appendI64(out, "mit.steer_core", c.mitigation.steer_core);
-    appendBool(out, "mit.coalesce", c.mitigation.interrupt_coalescing);
-    appendU64(out, "mit.coalesce_window", c.mitigation.coalesce_window);
-    appendBool(out, "mit.monolithic",
-               c.mitigation.monolithic_bottom_half);
+    put("mit.steer", c.mitigation.steer_to_single_core);
+    put("mit.steer_core", c.mitigation.steer_core);
+    put("mit.coalesce", c.mitigation.interrupt_coalescing);
+    put("mit.coalesce_window", c.mitigation.coalesce_window);
+    put("mit.monolithic", c.mitigation.monolithic_bottom_half);
 
-    appendF64(out, "qos_threshold", c.qos_threshold);
-    appendU64(out, "seed", c.seed);
-    appendBool(out, "demand_paging", c.gpu_demand_paging);
-    appendU64(out, "rate_window", c.rate_window);
-    appendU64(out, "max_sim_time", c.max_sim_time);
-    appendI64(out, "extra_accelerators", c.extra_accelerators);
-    appendBool(out, "check_invariants", c.check_invariants);
+    put("qos_threshold", c.qos_threshold);
+    put("seed", c.seed);
+    put("demand_paging", c.gpu_demand_paging);
+    put("rate_window", c.rate_window);
+    put("max_sim_time", c.max_sim_time);
+    put("extra_accelerators", c.extra_accelerators);
+    put("check_invariants", c.check_invariants);
+    appendFault(Lines(out, "fault."), c.fault);
 
-    const FaultPlan &f = c.fault;
-    appendU64(out, "fault.ppr_queue_capacity", f.ppr_queue_capacity);
-    appendF64(out, "fault.irq_drop_prob", f.irq_drop_prob);
-    appendF64(out, "fault.irq_dup_prob", f.irq_dup_prob);
-    appendF64(out, "fault.irq_delay_prob", f.irq_delay_prob);
-    appendU64(out, "fault.irq_delay", f.irq_delay);
-    appendF64(out, "fault.ipi_delay_prob", f.ipi_delay_prob);
-    appendU64(out, "fault.ipi_delay", f.ipi_delay);
-    appendF64(out, "fault.kworker_stall_prob", f.kworker_stall_prob);
-    appendU64(out, "fault.kworker_stall", f.kworker_stall);
-    appendF64(out, "fault.signal_loss_prob", f.signal_loss_prob);
-    appendU64(out, "fault.irq_watchdog", f.irq_watchdog);
-    appendU64(out, "fault.signal_resend", f.signal_resend);
-    appendU64(out, "fault.request_timeout", f.request_timeout);
-    appendI64(out, "fault.max_retries", f.max_retries);
-    appendU64(out, "fault.retry_backoff_initial",
-              f.retry_backoff_initial);
-    appendU64(out, "fault.retry_backoff_max", f.retry_backoff_max);
-    appendI64(out, "fault.unledgered_drops", f.unledgered_drops);
-
-    // A non-default testbed folds in as its full human-readable
-    // description: describe() names every structural parameter, so
-    // distinct base systems get distinct keys without this file
-    // chasing each subsystem's parameter list.
+    // A base system folds in whole, fields that runCell overrides
+    // (seed, mitigations, QoS, ...) included: a key may be
+    // over-specific, never under-specific. The Table II default is
+    // one marker line.
     if (c.base_system != nullptr)
-        appendKv(out, "base_system", c.base_system->describe());
+        out += canonicalSystemText(*c.base_system);
     else
-        appendKv(out, "base_system", "table2-default");
+        put("base_system", "table2-default");
     return out;
 }
 
 std::string
-cellIdentity(const ExperimentCell &cell)
+canonicalSystemText(const SystemConfig &s)
 {
-    char at[48] = "";
-    if (cell.config.base_system != nullptr)
-        std::snprintf(at, sizeof at, "base_system_at=%p\n",
-                      static_cast<const void *>(cell.config.base_system));
-    return canonicalCellText(cell) + at;
+    // Every leaf, in declaration order.
+    std::string out;
+    out.reserve(4096);
+    const Lines base(out, "base.");
+    base("num_cores", s.num_cores);
+
+    const CpuCoreParams &core = s.core;
+    const Lines c(out, "base.core.");
+    c("freq_ghz", core.freq_ghz);
+    c("l1d.size_bytes", core.l1d.size_bytes);
+    c("l1d.assoc", core.l1d.assoc);
+    c("l1d.line_bytes", core.l1d.line_bytes);
+    c("bp.table_bits", core.bp.table_bits);
+    c("bp.history_bits", core.bp.history_bits);
+    c("mode_switch", core.mode_switch);
+    c("context_switch", core.context_switch);
+    c("irq_entry_overhead", core.irq_entry_overhead);
+    c("l1_miss_penalty_cycles", core.l1_miss_penalty_cycles);
+    c("branch_penalty_cycles", core.branch_penalty_cycles);
+    c("accesses_per_inst", core.accesses_per_inst);
+    c("branches_per_inst", core.branches_per_inst);
+    c("footprint_scale", core.footprint_scale);
+    c("idle_grace", core.idle_grace);
+    c("cc6_exit_latency", core.cc6_exit_latency);
+    c("min_sleep_gap", core.min_sleep_gap);
+    c("cc6_flushes_l1", core.cc6_flushes_l1);
+    c("kernel_cpi", core.kernel_cpi);
+
+    const KernelParams &kernel = s.kernel;
+    const Lines k(out, "base.kernel.");
+    k("sched.wakeup_granularity", kernel.sched.wakeup_granularity);
+    k("sched.instant_preempt_share", kernel.sched.instant_preempt_share);
+    k("sched.timeslice", kernel.sched.timeslice);
+    k("sched.resched_ipi_cost", kernel.sched.resched_ipi_cost);
+    k("qos.enabled", kernel.qos.enabled);
+    k("qos.policy", kernel.qos.policy);
+    k("qos.bucket_cap_windows", kernel.qos.bucket_cap_windows);
+    k("qos.threshold", kernel.qos.threshold);
+    k("qos.period", kernel.qos.period);
+    k("qos.window", kernel.qos.window);
+    k("qos.initial_backoff", kernel.qos.initial_backoff);
+    k("qos.max_backoff", kernel.qos.max_backoff);
+    k("qos.sample_cost", kernel.qos.sample_cost);
+    k("service_costs.signal", kernel.service_costs.signal);
+    k("service_costs.page_fault", kernel.service_costs.page_fault);
+    k("service_costs.mem_alloc", kernel.service_costs.mem_alloc);
+    k("service_costs.file_read", kernel.service_costs.file_read);
+    k("service_costs.page_migration",
+      kernel.service_costs.page_migration);
+    k("service_costs.jitter", kernel.service_costs.jitter);
+    k("housekeeping_period", kernel.housekeeping_period);
+    k("housekeeping_cost", kernel.housekeeping_cost);
+    k("dram_frames", kernel.dram_frames);
+
+    const GpuParams &gpu = s.gpu;
+    const Lines g(out, "base.gpu.");
+    g("freq_ghz", gpu.freq_ghz);
+    g("max_outstanding", gpu.max_outstanding);
+    g("batch_translate", gpu.batch_translate);
+    g("device_id", gpu.device_id);
+
+    const IommuParams &iommu = s.iommu;
+    const Lines i(out, "base.iommu.");
+    i("steering", iommu.steering);
+    i("steer_core", iommu.steer_core);
+    i("coalescing", iommu.coalescing);
+    i("coalesce_window", iommu.coalesce_window);
+    i("coalesce_burst", iommu.coalesce_burst);
+    i("adaptive_coalescing", iommu.adaptive_coalescing);
+    i("iotlb_hit_latency", iommu.iotlb_hit_latency);
+    i("walk_latency", iommu.walk_latency);
+    i("iotlb_entries", iommu.iotlb_entries);
+    i("msi_latency", iommu.msi_latency);
+
+    const SsrDriverParams &driver = s.ssr_driver;
+    const Lines d(out, "base.ssr_driver.");
+    d("monolithic_bottom_half", driver.monolithic_bottom_half);
+    d("top_half_base", driver.top_half_base);
+    d("top_half_per_entry", driver.top_half_per_entry);
+    d("bottom_half_base", driver.bottom_half_base);
+    d("bottom_half_per_entry", driver.bottom_half_per_entry);
+    d("top_footprint_accesses", driver.top_footprint_accesses);
+    d("top_footprint_branches", driver.top_footprint_branches);
+    d("bh_footprint_accesses", driver.bh_footprint_accesses);
+    d("bh_footprint_branches", driver.bh_footprint_branches);
+
+    base("seed", s.seed);
+    base("check_invariants", s.check_invariants);
+    base("check_period", s.check_period);
+    appendFault(Lines(out, "base.fault."), s.fault);
+    return out;
 }
 
 std::uint64_t

@@ -1,19 +1,20 @@
 /**
  * @file
- * Canonical per-cell config hashing for the campaign engine.
+ * Canonical per-cell config text: the one identity of a cell.
  *
  * Every experiment cell — workload pair, full ExperimentConfig
- * (mitigations, QoS, fault plan), seed, measure mode, and repetition
- * count — reduces to one canonical text whose FNV-1a digest keys the
- * on-disk result cache (src/campaign). The determinism contract (same
- * seed + config => identical bytes) is what makes the key meaningful:
- * two cells with equal keys produce bit-identical results, so a cache
- * hit is indistinguishable from a fresh run.
+ * (mitigations, QoS, fault plan, base system), seed, measure mode,
+ * and repetition count — reduces to one canonical text. Equal texts
+ * mean equal work: ExperimentBatch shares runs on it, figure printers
+ * look results up by it, and its FNV-1a digest keys the on-disk
+ * result cache (src/campaign). The determinism contract (same seed +
+ * config => identical bytes) is what makes that sound: two cells with
+ * equal texts produce bit-identical results, so a shared run or a
+ * cache hit is indistinguishable from a fresh run.
  *
  * The canonical text is versioned (kCellKeyFormat) and includes every
- * ExperimentConfig field that can change an observable (a base_system
- * only as its describe(), which omits some parameters; campaign grids
- * never set one).
+ * ExperimentConfig field that can change an observable; a base_system
+ * folds in field by field (canonicalSystemText).
  */
 
 #ifndef HISS_CORE_CELL_KEY_H_
@@ -28,7 +29,7 @@ namespace hiss {
 
 /** Bump whenever canonicalCellText's layout or field set changes;
  *  old cache records then miss instead of aliasing new cells. */
-inline constexpr int kCellKeyFormat = 2;
+inline constexpr int kCellKeyFormat = 3;
 
 /**
  * Stable, line-oriented serialization of everything that determines
@@ -38,12 +39,12 @@ inline constexpr int kCellKeyFormat = 2;
 std::string canonicalCellText(const ExperimentCell &cell);
 
 /**
- * canonicalCellText plus the base_system address, if any, since
- * describe() does not tell every two bases apart: equal identities
- * give bit-identical results within one process, while the bases
- * they name are alive. ExperimentBatch shares runs on it.
+ * Every leaf field of @p system, nested params included, as one
+ * base.<path>=<value> line (doubles %.17g, enums and bools as
+ * integers). canonicalCellText folds a base_system in as this text,
+ * and HeteroSystem::configFingerprint hashes it.
  */
-std::string cellIdentity(const ExperimentCell &cell);
+std::string canonicalSystemText(const SystemConfig &system);
 
 /** FNV-1a 64-bit digest of canonicalCellText (snap::Hash64). */
 std::uint64_t cellKey(const ExperimentCell &cell);
@@ -58,8 +59,8 @@ std::string keyToHex(std::uint64_t key);
  * One-line seed + config repro summary for failure reports, e.g.
  * "seed=81 cpu='x264' gpu='ubench' mitigation=default qos=0 ...".
  * Matches the stderr line ExperimentRunner prints on a throwing
- * cell, so every CellOutcome and campaign-ledger entry names enough
- * to reproduce the failure verbatim.
+ * cell, so every CellOutcome and cached campaign failure names
+ * enough to reproduce the failure verbatim.
  */
 std::string cellRepro(const ExperimentCell &cell);
 

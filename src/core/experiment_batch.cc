@@ -94,15 +94,14 @@ settle(const std::vector<ExperimentCell> &cells, int jobs,
 {
     std::vector<Run> runs;
     std::vector<std::vector<std::size_t>> uses(cells.size());
-    // Looked up, never iterated: the keys hold addresses.
-    std::map<std::string, std::size_t> by_identity;
+    std::map<std::string, std::size_t> by_text;
     for (std::size_t i = 0; i < cells.size(); ++i) {
         for (int r = 0; r < cells[i].reps; ++r) {
             ExperimentCell one = cells[i];
             one.reps = 1;
             one.config.seed += static_cast<std::uint64_t>(r);
             const auto [at, fresh] =
-                by_identity.emplace(cellIdentity(one), runs.size());
+                by_text.emplace(canonicalCellText(one), runs.size());
             if (fresh)
                 runs.push_back({std::move(one), i, {}, nullptr, 0.0});
             uses[i].push_back(at->second);

@@ -59,16 +59,16 @@ struct CellOutcome
     std::string error;
     /**
      * Seed + config repro line for the failing cell (cellRepro),
-     * filled on every failure path so a campaign ledger or fuzz
-     * report can name the exact rerun without the cell vector.
+     * filled on every failure path so a cached campaign failure or
+     * fuzz report can name the exact rerun without the cell vector.
      */
     std::string repro;
     /**
      * Host wall-clock time of the runs this cell executed, successful
      * or not. A run shared with an earlier cell of the batch is
      * charged to that cell, so a cell served entirely by earlier
-     * cells reports 0. Diagnostic only (per-cell containment budgets
-     * in src/campaign); never folded into simulation results.
+     * cells reports 0. Diagnostic only (host profiling); never
+     * folded into simulation results.
      */
     double wall_ms = 0.0;
 };
@@ -88,7 +88,7 @@ class ExperimentBatch
 
     /**
      * Run every cell and return results in submission order. Each
-     * distinct per-seed run (by cellIdentity) executes once, on
+     * distinct per-seed run (by canonicalCellText) executes once, on
      * min(jobs, runs) workers that each take the next unstarted run,
      * so stragglers (long CPU apps) do not serialize the tail. If any
      * cell fails, the first failure in submission order (within a

@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "check/invariants.h"
+#include "core/cell_key.h"
 #include "sim/logging.h"
 #include "snap/access.h"
 
@@ -100,10 +101,9 @@ std::uint64_t
 HeteroSystem::configFingerprint() const
 {
     snap::Hash64 h;
-    h.mixString(config_.describe());
-    h.mix(config_.seed);
-    h.mix(config_.fault.enabled() ? 1 : 0);
-    h.mixString(config_.fault.label());
+    // Every SystemConfig field, seed and fault plan included: the
+    // same text a cell key folds a base system in as.
+    h.mixString(canonicalSystemText(config_));
     // Workload shape: restore requires the same addCpuApp / launchGpu
     // / addAccelerator calls replayed on the target system.
     h.mix(apps_.size());

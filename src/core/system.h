@@ -142,9 +142,10 @@ class HeteroSystem
      */
     std::uint64_t stateHash() const;
     /**
-     * Digest of everything structural: config description, seed,
-     * fault plan label, workload shape, and the registered stat
-     * names. Stored in every snapshot; restore refuses a mismatch.
+     * Digest of everything structural: every SystemConfig field
+     * (canonicalSystemText, seed and fault plan included), workload
+     * shape, and the registered stat names. Stored in every
+     * snapshot; restore refuses a mismatch.
      */
     std::uint64_t configFingerprint() const;
     /// @}

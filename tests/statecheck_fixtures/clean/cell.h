@@ -1,6 +1,6 @@
-// Clean cell-key fixture: every field reachable by value from the
-// cell appears in canonicalCellText (directly or via a helper in the
-// same translation unit).
+// Clean cell-key fixture: every field reachable from the cell, by
+// value or through the testbed pointer, appears in canonicalCellText
+// (directly or via a helper in the same translation unit).
 #ifndef FIX_CLEAN_CELL_H_
 #define FIX_CLEAN_CELL_H_
 
@@ -9,10 +9,17 @@
 
 namespace fix {
 
+struct Testbed
+{
+    std::uint32_t cores = 4;
+    std::uint32_t ways = 4;
+};
+
 struct CellConfig
 {
     std::uint32_t seed = 1;
     std::uint32_t window = 64;
+    const Testbed *testbed = nullptr;
 };
 
 struct Cell

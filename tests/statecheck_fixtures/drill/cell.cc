@@ -6,8 +6,11 @@ namespace {
 std::string
 appendConfig(const CellConfig &config)
 {
-    return "seed=" + std::to_string(config.seed)
+    std::string out = "seed=" + std::to_string(config.seed)
         + ";window=" + std::to_string(config.window);
+    if (config.testbed != nullptr)
+        out += ";cores=" + std::to_string(config.testbed->cores);
+    return out;
 }
 
 } // namespace

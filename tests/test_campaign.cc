@@ -123,6 +123,51 @@ TEST(CellKey, SensitiveToEveryResultDeterminingField)
         cell.gpu_app = "spmv";
         EXPECT_NE(cellKey(cell), base) << "workload";
     }
+
+    // A base system keys by every field, not by describe(): one
+    // perturbation per params struct, plus fields describe() omits.
+    const SystemConfig table2;
+    ExperimentCell on_default = fastCell(81);
+    on_default.config.base_system = &table2;
+    const std::uint64_t default_base = cellKey(on_default);
+    const struct
+    {
+        const char *field;
+        void (*perturb)(SystemConfig &);
+    } kBaseFields[] = {
+        {"num_cores", [](SystemConfig &s) { s.num_cores = 2; }},
+        {"core.freq_ghz", [](SystemConfig &s) { s.core.freq_ghz = 3.0; }},
+        {"core.l1d.line_bytes",
+         [](SystemConfig &s) { s.core.l1d.line_bytes = 128; }},
+        {"core.bp.history_bits",
+         [](SystemConfig &s) { s.core.bp.history_bits = 8; }},
+        {"kernel.housekeeping_period",
+         [](SystemConfig &s) { s.kernel.housekeeping_period = 0; }},
+        {"kernel.sched.timeslice",
+         [](SystemConfig &s) { s.kernel.sched.timeslice = msToTicks(2); }},
+        {"kernel.qos.policy",
+         [](SystemConfig &s) {
+             s.kernel.qos.policy = ThrottlePolicy::TokenBucket;
+         }},
+        {"kernel.service_costs.jitter",
+         [](SystemConfig &s) { s.kernel.service_costs.jitter = 0.3; }},
+        {"gpu.max_outstanding",
+         [](SystemConfig &s) { s.gpu.max_outstanding = 8; }},
+        {"iommu.adaptive_coalescing",
+         [](SystemConfig &s) { s.iommu.adaptive_coalescing = true; }},
+        {"ssr_driver.bottom_half_per_entry",
+         [](SystemConfig &s) { s.ssr_driver.bottom_half_per_entry = 300; }},
+        {"seed", [](SystemConfig &s) { s.seed = 2; }},
+        {"fault.irq_drop_prob",
+         [](SystemConfig &s) { s.fault.irq_drop_prob = 0.5; }},
+    };
+    for (const auto &field : kBaseFields) {
+        SystemConfig perturbed;
+        field.perturb(perturbed);
+        ExperimentCell cell = fastCell(81);
+        cell.config.base_system = &perturbed;
+        EXPECT_NE(cellKey(cell), default_base) << "base." << field.field;
+    }
 }
 
 TEST(ResultCacheTest, RoundTripsSuccessAndFailure)
@@ -335,7 +380,6 @@ TEST(CampaignTest, FailuresSettleAsTypedReproducibleRecords)
 
     CampaignOptions options;
     options.jobs = 1;
-    options.max_attempts = 2;
     const CampaignReport report = engine.run(options);
     EXPECT_EQ(report.owned, 1u);
     EXPECT_EQ(report.failures, 1u);
@@ -370,6 +414,36 @@ TEST(CampaignTest, FailuresSettleAsTypedReproducibleRecords)
     const std::string csv_path = dir + "/merged.csv";
     EXPECT_EQ(engine.merge(csv_path), 1u);
     EXPECT_NE(readAll(csv_path).find("QosParams"), std::string::npos);
+}
+
+TEST(CampaignTest, FailingCellRunsOncePerRunCall)
+{
+    const std::string dir = freshDir("campaign_fail_once");
+    GridSpec spec = fastGrid();
+    spec.seeds = {81};
+    spec.qos_thresholds = {1.5};
+    const CampaignEngine engine(dir);
+    engine.build(spec);
+
+    // Every run of the failing cell prints one "hiss: run failed"
+    // report; a deterministic failure is never retried.
+    const auto reports = [&engine](const CampaignOptions &options) {
+        ::testing::internal::CaptureStderr();
+        engine.run(options);
+        const std::string err = ::testing::internal::GetCapturedStderr();
+        std::size_t n = 0;
+        for (std::size_t at = err.find("hiss: run failed");
+             at != std::string::npos;
+             at = err.find("hiss: run failed", at + 1))
+            ++n;
+        return n;
+    };
+    CampaignOptions options;
+    options.jobs = 1;
+    EXPECT_EQ(reports(options), 1u);
+    EXPECT_EQ(reports(options), 0u); // cached
+    options.retry_failed = true;
+    EXPECT_EQ(reports(options), 1u);
 }
 
 TEST(CampaignTest, BuildRejectsUnknownAppNames)

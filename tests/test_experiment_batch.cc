@@ -222,8 +222,8 @@ TEST(ExperimentBatch, RepsBelowOneFailsTheCell)
 TEST(ExperimentBatch, BasesThatDescribeAlikeDoNotShareRuns)
 {
     // SystemConfig::describe() names neither adaptive coalescing nor
-    // the QoS throttle policy, so these three bases have equal
-    // canonicalCellText. Each cell must still get its own base's run.
+    // the QoS throttle policy, so these three bases describe alike.
+    // Each cell must still get its own base's run.
     SystemConfig fixed;
     SystemConfig adaptive;
     adaptive.iommu.adaptive_coalescing = true;
@@ -238,8 +238,10 @@ TEST(ExperimentBatch, BasesThatDescribeAlikeDoNotShareRuns)
         cells.push_back({"swaptions", "ubench", config,
                          MeasureMode::CpuPrimary, 1});
     }
-    ASSERT_EQ(canonicalCellText(cells[0]), canonicalCellText(cells[1]));
-    ASSERT_EQ(canonicalCellText(cells[0]), canonicalCellText(cells[2]));
+    ASSERT_EQ(fixed.describe(), adaptive.describe());
+    ASSERT_EQ(fixed.describe(), bucket.describe());
+    EXPECT_NE(canonicalCellText(cells[0]), canonicalCellText(cells[1]));
+    EXPECT_NE(canonicalCellText(cells[0]), canonicalCellText(cells[2]));
 
     const std::vector<RunResult> together =
         ExperimentBatch(2).run(cells);
@@ -253,6 +255,31 @@ TEST(ExperimentBatch, BasesThatDescribeAlikeDoNotShareRuns)
     // The bases really differ, so a shared run would have shown.
     EXPECT_NE(serial[0].total_irqs, serial[1].total_irqs);
     EXPECT_NE(serial[0].cpu_runtime_ms, serial[2].cpu_runtime_ms);
+}
+
+TEST(ExperimentBatch, EqualBasesShareOneRun)
+{
+    // Two base objects with equal contents are one cell: the second
+    // cell is served by the first one's run.
+    SystemConfig first;
+    first.iommu.adaptive_coalescing = true;
+    SystemConfig second = first;
+    std::vector<ExperimentCell> cells;
+    for (const SystemConfig *base : {&first, &second}) {
+        ExperimentConfig config = fastConfig(81);
+        config.mitigation.interrupt_coalescing = true;
+        config.base_system = base;
+        cells.push_back({"", "ubench", config, MeasureMode::GpuOnly, 1});
+    }
+    ASSERT_EQ(canonicalCellText(cells[0]), canonicalCellText(cells[1]));
+
+    const std::vector<CellOutcome> outcomes =
+        ExperimentBatch(2).runCatching(cells);
+    ASSERT_EQ(outcomes.size(), 2u);
+    ASSERT_TRUE(outcomes[0].ok && outcomes[1].ok);
+    EXPECT_GT(outcomes[0].wall_ms, 0.0);
+    EXPECT_EQ(outcomes[1].wall_ms, 0.0);
+    expectIdentical(outcomes[0].result, outcomes[1].result);
 }
 
 TEST(ExperimentBatch, DefaultJobsUsesHardwareConcurrency)

@@ -197,6 +197,34 @@ TEST(Snapshot, ConfigMismatchIsLoud)
     EXPECT_THROW(bare.restoreSnapshotBytes(blob), snap::SnapshotError);
 }
 
+TEST(Snapshot, CoalescingModeMismatchIsLoud)
+{
+    // describe() names neither coalescing mode; the fingerprint
+    // covers every SystemConfig field, so it tells them apart.
+    const auto build = [](bool adaptive) {
+        SystemConfig config;
+        config.check_invariants = false;
+        config.iommu.coalescing = true;
+        config.iommu.adaptive_coalescing = adaptive;
+        auto sys = std::make_unique<HeteroSystem>(config);
+        sys->launchGpu(gpu_suite::params("ubench"), true, true);
+        return sys;
+    };
+    const std::unique_ptr<HeteroSystem> adaptive = build(true);
+    adaptive->runUntil(msToTicks(1));
+    const std::string blob = adaptive->snapshotBytes();
+    const std::unique_ptr<HeteroSystem> fixed = build(false);
+    ASSERT_EQ(adaptive->config().describe(), fixed->config().describe());
+    try {
+        fixed->restoreSnapshotBytes(blob);
+        FAIL() << "coalescing-mode mismatch not detected";
+    } catch (const snap::SnapshotError &e) {
+        EXPECT_NE(std::string(e.what()).find("fingerprint"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(Snapshot, ArmedMonitorRefusesSnapshots)
 {
     SystemConfig config;

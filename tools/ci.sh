@@ -17,9 +17,10 @@
 #                                      hiss_statecheck, run its fixture
 #                                      self-test, require the seeded
 #                                      drill fixture to fire every mode
-#                                      and the clean fixture to pass,
-#                                      then prove the live tree covers
-#                                      every field)
+#                                      (its pointer-reached field
+#                                      included) and the clean fixture
+#                                      to pass, then prove the live
+#                                      tree covers every field)
 #        tools/ci.sh tidy             (optional clang-tidy pass over
 #                                      compile_commands.json; no-ops
 #                                      gracefully when clang-tidy is
@@ -94,6 +95,12 @@ run_statecheck() {
             exit 1
         }
     done
+    # The cell-key walk must follow pointers (a cell's base_system).
+    echo "$drill_out" | grep -q "field 'ways' of Testbed" || {
+        echo "ci: statecheck FAILED: drill fixture's pointer-reached" \
+             "field was not flagged"
+        exit 1
+    }
     if "$sc" --root tests/statecheck_fixtures drill > /dev/null; then
         echo "ci: statecheck FAILED: drill fixture passed clean"
         exit 1

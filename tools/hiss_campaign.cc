@@ -67,9 +67,6 @@ usage()
         "  --shard k/K          own cells with index %% K == k "
         "(default 0/1)\n"
         "  --jobs N             worker threads (default: all)\n"
-        "  --max-attempts N     retries before caching the failure "
-        "(default 3)\n"
-        "  --wall-budget ms     host wall budget per cell (0 = off)\n"
         "  --retry-failed       re-run cells with cached failures\n"
         "\n"
         "merge:\n"
@@ -163,12 +160,6 @@ cmdRun(int argc, char **argv, const std::string &dir)
         } else if (arg == "--jobs") {
             options.jobs = static_cast<int>(parseInt(
                 "--jobs", needValue(argc, argv, i), 1, 1024));
-        } else if (arg == "--max-attempts") {
-            options.max_attempts = static_cast<int>(parseInt(
-                "--max-attempts", needValue(argc, argv, i), 1, 100));
-        } else if (arg == "--wall-budget") {
-            options.wall_budget_ms = parseReal(
-                "--wall-budget", needValue(argc, argv, i), 0.0, 1e9);
         } else if (arg == "--retry-failed") {
             options.retry_failed = true;
         } else {

@@ -12,7 +12,9 @@
  *   hiss_sim --cpu facesim --gpu sssp --qos 0.01
  *   hiss_sim --gpu ubench --steer 0 --coalesce 13 --duration 20
  *   hiss_sim --cpu x264 --gpu sssp --trace timeline.json
- *   hiss_sim --cpu x264 --gpu sssp --reps 8 --jobs 4
+ *
+ * Each invocation simulates one seed; averaged, seed-swept cells are
+ * hiss_repro --reps and hiss_campaign build --reps.
  */
 
 #include <chrono>
@@ -54,8 +56,6 @@ struct Options
     double duration_ms = 0.0; // 0 = until CPU app completes.
     std::uint64_t seed = 1;
     FaultPlan fault;
-    int reps = 1;
-    int jobs = 0; // 0 = all hardware threads.
     std::string stats_path;
     std::string csv_path;
     std::string trace_path;
@@ -107,9 +107,6 @@ usage()
         "  --check              arm the runtime invariant layer\n"
         "  --duration ms        fixed window (default: CPU app end)\n"
         "  --seed N             experiment seed (default 1)\n"
-        "  --reps N             average N runs, seeds seed..seed+N-1\n"
-        "  --jobs N             parallel workers for --reps\n"
-        "                       (default: all hardware threads)\n"
         "  --stats FILE|-       dump all statistics\n"
         "  --csv FILE           dump statistics as CSV\n"
         "  --trace FILE.json    chrome://tracing timeline\n"
@@ -183,11 +180,6 @@ parseArgs(int argc, char **argv, Options &opt)
             opt.duration_ms = parseReal("--duration", value(), 1e-6, 1e6);
         } else if (arg == "--seed") {
             opt.seed = parseSeed("--seed", value());
-        } else if (arg == "--reps") {
-            opt.reps =
-                static_cast<int>(parseInt("--reps", value(), 1, 1'000'000));
-        } else if (arg == "--jobs") {
-            opt.jobs = static_cast<int>(parseInt("--jobs", value(), 0, 4096));
         } else if (arg == "--fault-ppr-capacity") {
             opt.fault.ppr_queue_capacity = static_cast<std::size_t>(
                 parseInt("--fault-ppr-capacity", value(), 1, 1'000'000));
@@ -239,13 +231,7 @@ parseArgs(int argc, char **argv, Options &opt)
         }
     }
 
-    // Cross-flag sanity. Repetitions use seeds seed..seed+reps-1, so
-    // the range must neither wrap nor reuse a seed.
-    if (opt.reps > 1
-        && opt.seed > UINT64_MAX
-               - (static_cast<std::uint64_t>(opt.reps) - 1))
-        fatal("--seed %llu with --reps %d overflows the seed space",
-              static_cast<unsigned long long>(opt.seed), opt.reps);
+    // Cross-flag sanity.
     const int cores = opt.cores > 0 ? opt.cores : SystemConfig{}.num_cores;
     if (opt.steer && opt.steer_core >= cores)
         fatal("--steer %d: core out of range (system has %d cores)",
@@ -256,10 +242,6 @@ parseArgs(int argc, char **argv, Options &opt)
         && opt.check)
         fatal("snapshots with the invariant monitor armed (--check) "
               "are unsupported");
-    if ((!opt.snapshot_save.empty() || !opt.snapshot_load.empty())
-        && opt.reps > 1)
-        fatal("--snapshot-save/--snapshot-load apply to a single "
-              "run, not --reps averaging");
     return true;
 }
 
@@ -276,80 +258,11 @@ printHostThroughput(std::chrono::steady_clock::time_point wall_start,
                                       - wall_start)
             .count();
     const double safe_s = wall_s > 0.0 ? wall_s : 1e-9;
-    std::printf("host: wall=%.3f s  %.1f Mticks/s",
-                wall_s, static_cast<double>(simulated) / safe_s / 1e6);
-    if (events > 0) // The averaged path has no per-system event count.
-        std::printf("  %.2f Mevents/s (%llu events)",
-                    static_cast<double>(events) / safe_s / 1e6,
-                    static_cast<unsigned long long>(events));
-    std::printf("\n");
-}
-
-/** --reps path: average repetitions, run in parallel on --jobs. */
-int
-runRepetitions(const Options &opt, const SystemConfig &system,
-               const MitigationConfig &mitigation)
-{
-    if (opt.cpu_apps.size() > 1 || opt.extra_accelerators > 0
-        || !opt.trace_path.empty() || !opt.stats_path.empty()
-        || !opt.csv_path.empty() || opt.proc_interrupts)
-        fatal("--reps averages over runs: use at most one --cpu and "
-              "no --accelerators/--trace/--stats/--csv/"
-              "--proc-interrupts");
-
-    ExperimentConfig config;
-    config.seed = opt.seed;
-    config.mitigation = mitigation;
-    config.qos_threshold = opt.qos_threshold;
-    config.gpu_demand_paging = opt.demand_paging;
-    config.check_invariants = opt.check;
-    config.fault = opt.fault;
-    if (opt.duration_ms > 0.0)
-        config.rate_window = msToTicks(opt.duration_ms);
-
-    // The single-run testbed carries what ExperimentConfig cannot
-    // express: core count, adaptive coalescing, QoS throttle policy.
-    config.base_system = &system;
-
-    const std::string cpu_app =
-        opt.cpu_apps.empty() ? "" : opt.cpu_apps.front();
-    const MeasureMode mode = !cpu_app.empty()
-        ? (opt.gpu_app.empty() ? MeasureMode::CpuOnly
-                               : MeasureMode::CpuPrimary)
-        : MeasureMode::GpuOnly;
-
-    const auto wall_start = std::chrono::steady_clock::now();
-    const ExperimentBatch batch(opt.jobs);
-    const RunResult avg =
-        batch.run({{cpu_app, opt.gpu_app, config, mode, opt.reps}})
-            .front();
-
-    std::printf("averaged %d runs (seeds %llu..%llu, %d jobs)\n",
-                opt.reps, static_cast<unsigned long long>(opt.seed),
-                static_cast<unsigned long long>(
-                    opt.seed + static_cast<std::uint64_t>(opt.reps)
-                    - 1),
-                batch.jobs());
-    if (!cpu_app.empty())
-        std::printf("  %-16s mean runtime %.3f ms\n", cpu_app.c_str(),
-                    avg.cpu_runtime_ms);
-    if (!opt.gpu_app.empty())
-        std::printf("  %-16s mean runtime %.3f ms  faults=%llu  "
-                    "rate=%.0f/s\n",
-                    opt.gpu_app.c_str(), avg.gpu_runtime_ms,
-                    static_cast<unsigned long long>(
-                        avg.faults_resolved),
-                    avg.gpu_ssr_rate);
-    std::printf("  ssr_cpu=%.1f%%  cc6=%.1f%%  irqs=%llu  "
-                "ipis=%llu%s\n",
-                100.0 * avg.ssr_cpu_fraction, 100.0 * avg.cc6_fraction,
-                static_cast<unsigned long long>(avg.total_irqs),
-                static_cast<unsigned long long>(avg.total_ipis),
-                avg.hit_time_cap ? "  (hit time cap)" : "");
-    const Tick total_ticks = msToTicks(avg.elapsed_ms)
-        * static_cast<Tick>(opt.reps);
-    printHostThroughput(wall_start, total_ticks, 0);
-    return 0;
+    std::printf("host: wall=%.3f s  %.1f Mticks/s  %.2f Mevents/s "
+                "(%llu events)\n",
+                wall_s, static_cast<double>(simulated) / safe_s / 1e6,
+                static_cast<double>(events) / safe_s / 1e6,
+                static_cast<unsigned long long>(events));
 }
 
 int
@@ -393,8 +306,6 @@ run(const Options &opt)
     }
     if (opt.cpu_apps.empty() && opt.gpu_app.empty())
         fatal("nothing to run: give --cpu and/or --gpu (see --help)");
-    if (opt.reps > 1)
-        return runRepetitions(opt, config, mitigation);
 
     const auto wall_start = std::chrono::steady_clock::now();
     HeteroSystem sys(config);

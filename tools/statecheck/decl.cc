@@ -544,8 +544,6 @@ class Parser
                     continue;
                 if (isPunct(stmt.toks[j], "&"))
                     field.is_reference = true;
-                if (isPunct(stmt.toks[j], "*"))
-                    field.is_pointer = true;
             }
             for (std::size_t j = name_idx; j-- > lo;) {
                 const Token &t = stmt.toks[j];

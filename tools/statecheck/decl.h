@@ -41,7 +41,6 @@ struct FieldDecl
     int line = 0;
     int col = 1;
     bool is_reference = false; // `T &x;` — rebinding is impossible
-    bool is_pointer = false;   // `T *x;`
 };
 
 /** Coverage dimensions a field can be checked (and exempted) in. */

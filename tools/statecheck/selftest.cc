@@ -5,10 +5,11 @@
  * The clean fixture corpus must produce zero findings; the drill
  * corpus seeds one example of every defect class — a field added
  * after the serializers were written (flagged in save, restore AND
- * hash), a cell-key-reachable field missing from canonicalCellText,
- * a class without a hash implementation, and every exempt-marker
- * failure (unknown target, stale, unjustified, orphan). Inline
- * sources cover the declaration parser's edges directly.
+ * hash), cell-key-reachable fields missing from canonicalCellText
+ * (one by value, one through a pointer), a class without a hash
+ * implementation, and every exempt-marker failure (unknown target,
+ * stale, unjustified, orphan). Inline sources cover the declaration
+ * parser's edges directly.
  */
 
 #include <algorithm>
@@ -139,9 +140,11 @@ TEST(DeclParser, ExtractsFieldsWithTypeShape)
     ASSERT_NE(mitigation, nullptr);
     EXPECT_EQ(mitigation->type_name, "MitigationConfig");
 
+    // A pointer field names its pointee, so the cell-key walk can
+    // follow it.
     const FieldDecl *kernel = findField(*cls, "kernel_");
     ASSERT_NE(kernel, nullptr);
-    EXPECT_TRUE(kernel->is_pointer);
+    EXPECT_EQ(kernel->type_name, "Kernel");
 
     const FieldDecl *clock = findField(*cls, "clock_");
     ASSERT_NE(clock, nullptr);
@@ -349,6 +352,18 @@ TEST(Statecheck, DrillFlagsCellKeyGap)
     EXPECT_EQ(count(findings, "cell-key", "window"), 0u);
     // The app field lives on Cell, reached transitively.
     EXPECT_EQ(count(findings, "cell-key", "'app'"), 0u);
+}
+
+TEST(Statecheck, DrillFollowsPointerFields)
+{
+    // Testbed is reached only through CellConfig::testbed, the way a
+    // cell reaches its base_system.
+    const std::vector<Finding> findings =
+        buildIndex("drill").analyze();
+    EXPECT_EQ(count(findings, "cell-key", "field 'ways' of Testbed"), 1u)
+        << render(findings);
+    EXPECT_EQ(count(findings, "cell-key", "Testbed"), 1u);
+    EXPECT_EQ(count(findings, "cell-key", "'testbed'"), 0u);
 }
 
 TEST(Statecheck, DrillFlagsMissingHashImplementation)

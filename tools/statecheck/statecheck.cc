@@ -327,8 +327,8 @@ Index::analyze(const Options &opts) const
 
     // --- Cell-key coverage -------------------------------------------
     // Union the identifiers mentioned by canonicalCellText and its
-    // same-file helpers, then require every field reachable by value
-    // from its root parameter to appear there.
+    // same-file helpers, then require every field reachable from its
+    // root parameter, by value or through a pointer, to appear there.
     const ParsedFile *ck_file = nullptr;
     const FunctionDef *ck_fn = nullptr;
     for (const ParsedFile &file : files_) {
@@ -359,8 +359,9 @@ Index::analyze(const Options &opts) const
             root = findClass("ExperimentCell");
 
         std::set<int> visited;
-        // Plain recursion via explicit stack: by-value struct fields
-        // pull their own type into the walk.
+        // Plain recursion via explicit stack: struct fields, by value
+        // or pointed to (a cell's base_system), pull their own type
+        // into the walk.
         std::vector<int> stack;
         if (root >= 0)
             stack.push_back(root);
@@ -385,11 +386,9 @@ Index::analyze(const Options &opts) const
             for (const FieldDecl &field : ref.decl->fields) {
                 if (field.is_reference)
                     continue;
-                if (!field.is_pointer) {
-                    const int sub = findClass(field.type_name);
-                    if (sub >= 0 && !isInfraClass(field.type_name))
-                        stack.push_back(sub);
-                }
+                const int sub = findClass(field.type_name);
+                if (sub >= 0 && !isInfraClass(field.type_name))
+                    stack.push_back(sub);
                 if (ck_idents.count(field.name) > 0)
                     continue;
                 const ExemptMarker *exempt = findCkExempt(field.name);

@@ -7,9 +7,10 @@
  * .h), discovers every snapshot-capable class — one targeted by at
  * least one save/restore/hash implementation — and proves that every
  * instance field is referenced by all three, that every field
- * reachable by value from the experiment cell appears in the
- * canonical cell-key text, and that every HISS_STATE_EXEMPT marker is
- * well-formed, justified, and still load-bearing.
+ * reachable from the experiment cell, by value or through a pointer,
+ * appears in the canonical cell-key text, and that every
+ * HISS_STATE_EXEMPT marker is well-formed, justified, and still
+ * load-bearing.
  *
  * Implementations are recognized across this tree's three naming
  * families (snapSave/snapRestore/stateHash members, the

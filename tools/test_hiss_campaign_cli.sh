@@ -56,6 +56,10 @@ for verb in build run resume status merge; do
 done
 expect_clean_error "removed --warmup" \
     "$camp" build --dir "$bad" --gpu ubench --warmup 5
+expect_clean_error "removed --max-attempts" \
+    "$camp" run --dir "$ok" --max-attempts 2
+expect_clean_error "removed --wall-budget" \
+    "$camp" run --dir "$ok" --wall-budget 5
 expect_clean_error "--shard index == count" \
     "$camp" run --dir "$ok" --shard 2/2
 expect_clean_error "non-numeric --shard index" \

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # hiss_sim command-line contract: bad values must die cleanly with a
 # "hiss_sim:" diagnostic and exit code 1 (not a crash), --help/--list
-# must exit 0, the --seed/--reps overflow guard must hold, and a tiny
-# checked run must succeed. Registered in ctest as hiss_sim_cli.
+# must exit 0, the removed --reps/--jobs averaged mode must be refused,
+# and a tiny checked run must succeed. Registered in ctest as
+# hiss_sim_cli.
 set -u
 
 sim="$1"
@@ -39,16 +40,15 @@ expect_exit0 "--list exits 0" "$sim" --list
 expect_exit0 "--describe exits 0" "$sim" --describe
 expect_exit0 "tiny checked run" \
     "$sim" --gpu ubench --duration 0.2 --check
-expect_exit0 "tiny reps run" \
-    "$sim" --gpu ubench --duration 0.2 --reps 2 --jobs 2 --check
 
 expect_clean_error "no workload" "$sim"
 expect_clean_error "unknown argument" "$sim" --frobnicate
 expect_clean_error "unknown CPU app" "$sim" --cpu nosuchapp
-expect_clean_error "non-numeric --reps" "$sim" --cpu x264 --reps abc
-expect_clean_error "float --reps" "$sim" --cpu x264 --reps 1e3
-expect_clean_error "zero --reps" "$sim" --cpu x264 --reps 0
-expect_clean_error "negative --jobs" "$sim" --cpu x264 --jobs -2
+# Averaged cells are hiss_repro --reps and hiss_campaign build --reps.
+expect_clean_error "tiny reps run" \
+    "$sim" --gpu ubench --duration 0.2 --reps 2 --jobs 2 --check
+expect_clean_error "removed --reps" "$sim" --cpu x264 --reps 2
+expect_clean_error "removed --jobs" "$sim" --cpu x264 --jobs 2
 expect_clean_error "zero --cores" "$sim" --cpu x264 --cores 0
 expect_clean_error "out-of-range --qos" "$sim" --gpu ubench --qos 2
 expect_clean_error "zero --qos" "$sim" --gpu ubench --qos 0
@@ -57,8 +57,6 @@ expect_clean_error "negative --seed" "$sim" --gpu ubench --seed -7
 expect_clean_error "non-numeric --duration" "$sim" --gpu ubench --duration x
 expect_clean_error "zero --accelerators" "$sim" --gpu ubench --accelerators 0
 expect_clean_error "--steer core out of range" "$sim" --gpu ubench --steer 7
-expect_clean_error "seed+reps overflow" \
-    "$sim" --cpu x264 --seed 18446744073709551615 --reps 2
 
 # Fault-injection flags: listed in --help, strict-parsed, and a tiny
 # faulty checked run must complete cleanly (recovery, not a hang).
