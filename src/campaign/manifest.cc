@@ -283,17 +283,6 @@ specLine(const GridSpec &spec)
     appendFieldU64(out, "reps",
                    static_cast<std::uint64_t>(spec.reps));
     appendFieldF64(out, "tick_budget_ms", spec.tick_budget_ms);
-    const FaultPlan &f = spec.fault;
-    appendFieldU64(out, "fault_ppr_capacity", f.ppr_queue_capacity);
-    appendFieldF64(out, "fault_drop", f.irq_drop_prob);
-    appendFieldF64(out, "fault_dup", f.irq_dup_prob);
-    appendFieldF64(out, "fault_delay", f.irq_delay_prob);
-    appendFieldF64(out, "fault_ipi_delay", f.ipi_delay_prob);
-    appendFieldF64(out, "fault_stall", f.kworker_stall_prob);
-    appendFieldF64(out, "fault_sigloss", f.signal_loss_prob);
-    appendFieldU64(out, "fault_timeout", f.request_timeout);
-    appendFieldU64(out, "fault_retries",
-                   static_cast<std::uint64_t>(f.max_retries));
     out += '}';
     return out;
 }
@@ -311,17 +300,6 @@ parseSpec(const std::string &line)
     spec.duration_ms = getF64(line, "duration_ms");
     spec.reps = static_cast<int>(getU64(line, "reps"));
     spec.tick_budget_ms = getF64(line, "tick_budget_ms");
-    spec.fault.ppr_queue_capacity =
-        static_cast<std::size_t>(getU64(line, "fault_ppr_capacity"));
-    spec.fault.irq_drop_prob = getF64(line, "fault_drop");
-    spec.fault.irq_dup_prob = getF64(line, "fault_dup");
-    spec.fault.irq_delay_prob = getF64(line, "fault_delay");
-    spec.fault.ipi_delay_prob = getF64(line, "fault_ipi_delay");
-    spec.fault.kworker_stall_prob = getF64(line, "fault_stall");
-    spec.fault.signal_loss_prob = getF64(line, "fault_sigloss");
-    spec.fault.request_timeout = getU64(line, "fault_timeout");
-    spec.fault.max_retries =
-        static_cast<int>(getU64(line, "fault_retries"));
     return spec;
 }
 
@@ -385,7 +363,6 @@ GridSpec::buildCells() const
                         cell.config.mitigation = mitigation;
                         cell.config.qos_threshold = qos;
                         cell.config.seed = seed;
-                        cell.config.fault = fault;
                         cell.config.rate_window =
                             msToTicks(duration_ms);
                         if (tick_budget_ms > 0.0)

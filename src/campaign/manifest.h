@@ -7,7 +7,7 @@
  * completely or not at all — a SIGKILL during build never leaves a
  * half-manifest a resume could misread. Three line types:
  *
- *   {"type":"header","format":2,"name":...,"cells":N}
+ *   {"type":"header","format":3,"name":...,"cells":N}
  *   {"type":"spec", ...grid parameters...}
  *   {"type":"cell","index":i,"key":"<hex16>","label":...}
  *
@@ -36,7 +36,7 @@ namespace hiss {
 namespace campaign {
 
 /** Manifest format version; bump on any line-layout change. */
-inline constexpr int kManifestFormat = 2;
+inline constexpr int kManifestFormat = 3;
 
 /**
  * The grid a campaign sweeps: the cross product of workload pairs,
@@ -61,8 +61,6 @@ struct GridSpec
     int reps = 1;
     /** Simulated-time cap per cell, ms (containment; 0 = default). */
     double tick_budget_ms = 0.0;
-    /** Fault-injection plan applied to every cell. */
-    FaultPlan fault;
 
     /**
      * Enumerate the grid's cells in canonical index order.

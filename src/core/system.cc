@@ -222,20 +222,10 @@ HeteroSystem::restoreSnapshotFile(const std::string &path)
 std::uint64_t
 HeteroSystem::stateHash() const
 {
+    snap::Writer w;
+    saveSnapshot(w);
     snap::Hash64 h;
-    h.mix(events_.now());
-    h.mix(events_.stateHash());
-    h.mix(kernel_->stateHash());
-    h.mix(iommu_->stateHash());
-    h.mix(signal_queue_->stateHash());
-    h.mix(gpu_->stateHash());
-    for (const auto &gpu : extra_gpus_)
-        h.mix(gpu->stateHash());
-    for (const auto &app : apps_)
-        h.mix(app->stateHash());
-    if (faults_ != nullptr)
-        h.mix(faults_->stateHash());
-    snap::Access::hash(h, stats_);
+    h.mixString(w.buffer());
     return h.value();
 }
 

@@ -135,10 +135,12 @@ class HeteroSystem
     /** restoreSnapshotBytes() from a file. */
     void restoreSnapshotFile(const std::string &path);
     /**
-     * Order-insensitive digest of all dynamic state. Two systems
-     * with equal hashes are (with overwhelming probability) in the
-     * same state; used by tests to prove restore fidelity and by
-     * trace_diff to locate divergences.
+     * Digest of all dynamic state: FNV-1a over the saveSnapshot()
+     * payload, so it covers exactly what a snapshot carries. Two
+     * systems with equal hashes are (with overwhelming probability)
+     * in the same state; tests use it to prove restore fidelity.
+     * Throws SnapshotError wherever saveSnapshot() does (armed
+     * invariant monitor, untagged pending event).
      */
     std::uint64_t stateHash() const;
     /**
@@ -185,9 +187,6 @@ class HeteroSystem
     std::vector<std::unique_ptr<CpuApp>> apps_;
     // Declared last: the monitor observes every other subsystem, so
     // it must be destroyed first.
-    // HISS_STATE_EXEMPT(monitor_, hash): diagnostic cross-check state;
-    // kept out of the divergence hash so check-mode and fast-mode
-    // systems hash identically
     std::unique_ptr<check::InvariantMonitor> monitor_;
 };
 

@@ -585,19 +585,6 @@ saveBurst(snap::Writer &w, const BurstRequest &b)
     w.f64(b.base_cpi);
 }
 
-void
-hashBurst(snap::Hash64 &h, const BurstRequest &b)
-{
-    h.mix(static_cast<std::uint64_t>(b.kind));
-    h.mix(b.instructions);
-    h.mix(b.duration);
-    h.mix(b.kernel_mode ? 1 : 0);
-    h.mix(b.ssr_work ? 1 : 0);
-    h.mix(b.mem_accesses);
-    h.mix(b.branches);
-    h.mixDouble(b.base_cpi);
-}
-
 BurstRequest
 restoreBurst(snap::Reader &r)
 {
@@ -759,59 +746,6 @@ CpuCore::rebuildEvent(const snap::Tag &tag)
         return [this] { finishWake(); };
     throw snap::SnapshotError("unknown core event tag '" +
                               std::string(tag.self.kind) + "'");
-}
-
-std::uint64_t
-CpuCore::stateHash() const
-{
-    snap::Hash64 h;
-    snap::Access::hash(h, rng());
-    h.mix(l1d_.stateHash());
-    h.mix(bp_.stateHash());
-    snap::Access::hash(h, kernel_astream_);
-    snap::Access::hash(h, kernel_bstream_);
-    h.mix(pending_kfp_accesses_);
-    h.mix(pending_kfp_branches_);
-    h.mix(static_cast<std::uint64_t>(state_));
-    h.mix(current_ != nullptr
-              ? static_cast<std::uint64_t>(current_->id())
-              : ~std::uint64_t{0});
-    h.mix(pending_overhead_);
-    h.mix(burst_overhead_);
-    h.mix(burst_active_ ? 1 : 0);
-    hashBurst(h, burst_);
-    h.mix(burst_start_);
-    h.mix(burst_duration_);
-    h.mix(burst_instructions_);
-    h.mix(burst_event_);
-    h.mix(pending_irqs_.size());
-    for (const Irq &irq : pending_irqs_)
-        h.mixString(irq.label);
-    h.mix(active_irq_.has_value() ? 1 : 0);
-    h.mix(irq_start_);
-    h.mix(irq_duration_);
-    h.mix(irq_event_);
-    h.mix(grace_event_);
-    h.mix(wake_event_);
-    h.mix(sleep_entered_);
-    h.mix(cc6_ticks_);
-    h.mix(last_irq_time_);
-    h.mix(irq_gap_ema_);
-    h.mix(last_mode_kernel_ ? 1 : 0);
-    h.mix(user_ticks_);
-    h.mix(kernel_ticks_);
-    h.mix(ssr_ticks_);
-    h.mix(irq_count_);
-    h.mix(ipi_count_);
-    h.mix(wakeups_);
-    h.mix(mode_switches_);
-    h.mix(ctx_switches_);
-    h.mix(user_instructions_);
-    h.mix(user_l1d_accesses_);
-    h.mix(user_l1d_misses_);
-    h.mix(user_branches_);
-    h.mix(user_branch_misses_);
-    return h.value();
 }
 
 } // namespace hiss

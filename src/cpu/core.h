@@ -284,11 +284,6 @@ class CpuCore : public SimObject
     /** Rebuild a pending event callback from its tag ("core.*"). */
     EventQueue::Callback rebuildEvent(const snap::Tag &tag);
 
-    /**
-     * Digest of all behaviour-relevant core state (substrate hashes,
-     * burst/irq bookkeeping, accounting counters, RNG cursor).
-     */
-    std::uint64_t stateHash() const;
     /// @}
 
   private:

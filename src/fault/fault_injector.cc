@@ -233,31 +233,4 @@ FaultInjector::snapRestore(snap::Reader &r)
     }
 }
 
-std::uint64_t
-FaultInjector::stateHash() const
-{
-    snap::Hash64 h;
-    snap::Access::hash(h, rng());
-    h.mix(pprs_overflowed_);
-    h.mix(irqs_dropped_);
-    h.mix(irqs_duplicated_);
-    h.mix(irqs_delayed_);
-    h.mix(ipis_delayed_);
-    h.mix(kworker_stalls_);
-    h.mix(signals_lost_);
-    h.mix(static_cast<std::uint64_t>(unledgered_drops_left_));
-    for (const auto &[name, source] : sources_by_name_) {
-        const auto it = loss_ledger_.find(source);
-        if (it == loss_ledger_.end())
-            continue;
-        h.mixString(name);
-        std::vector<std::uint64_t> ids(it->second.begin(),
-                                       it->second.end());
-        std::sort(ids.begin(), ids.end());
-        for (const std::uint64_t id : ids)
-            h.mix(id);
-    }
-    return h.value();
-}
-
 } // namespace hiss

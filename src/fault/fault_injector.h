@@ -109,7 +109,6 @@ class FaultInjector : public SimObject
     /// @{
     void snapSave(snap::Writer &w) const;
     void snapRestore(snap::Reader &r);
-    std::uint64_t stateHash() const;
     /// @}
 
   private:
@@ -121,9 +120,9 @@ class FaultInjector : public SimObject
         loss_ledger_;
     /** Stable source names for ledger serialization (name-sorted). */
     std::map<std::string, const void *> sources_by_name_;
-    // HISS_STATE_EXEMPT(source_names_, restore hash): registration-time
+    // HISS_STATE_EXEMPT(source_names_, restore): registration-time
     // reverse map; save emits it so restore can verify the same sources
-    // re-registered — nothing to reassign, no dynamic state to hash
+    // re-registered — nothing to reassign
     std::unordered_map<const void *, std::string> source_names_;
 
     std::uint64_t pprs_overflowed_ = 0;

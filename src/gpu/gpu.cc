@@ -468,44 +468,4 @@ Gpu::snapRestore(snap::Reader &r)
     stall_ticks_ = r.u64();
 }
 
-std::uint64_t
-Gpu::stateHash() const
-{
-    snap::Hash64 h;
-    snap::Access::hash(h, rng());
-    h.mix(demand_paging_ ? 1 : 0);
-    h.mix(loop_ ? 1 : 0);
-    h.mix(static_cast<std::uint64_t>(phase_));
-    h.mix(wavefronts_.size());
-    for (const Wavefront &wf : wavefronts_) {
-        h.mix(wf.busy ? 1 : 0);
-        h.mix(wf.work.vpn);
-        h.mix(wf.work.chunks);
-        h.mix(wf.work.fresh ? 1 : 0);
-        h.mix(wf.work.valid ? 1 : 0);
-        h.mix(wf.stall_start);
-        h.mix(static_cast<std::uint64_t>(wf.retries));
-        h.mix(wf.backoff);
-    }
-    h.mix(slot_waiters_.size());
-    for (const int waiter : slot_waiters_)
-        h.mix(static_cast<std::uint64_t>(waiter));
-    h.mix(outstanding_);
-    h.mix(next_new_vpn_);
-    h.mix(touched_pages_);
-    h.mix(preload_pages_left_);
-    h.mix(main_visits_left_);
-    h.mix(generation_);
-    h.mix(kernels_completed_);
-    h.mix(first_completion_);
-    h.mix(launch_time_);
-    h.mix(chunks_completed_);
-    h.mix(faults_issued_);
-    h.mix(faults_resolved_);
-    h.mix(aborted_wavefronts_);
-    h.mix(translate_retries_);
-    h.mix(stall_ticks_);
-    return h.value();
-}
-
 } // namespace hiss

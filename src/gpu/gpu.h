@@ -148,7 +148,6 @@ class Gpu : public SimObject
     rebuildTranslateCallback(const snap::Token &token);
     /** Rebuild the callback of any gpu.* event tag. */
     EventQueue::Callback rebuildEvent(const snap::Tag &tag);
-    std::uint64_t stateHash() const;
     /// @}
 
   private:

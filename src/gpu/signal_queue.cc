@@ -258,24 +258,4 @@ SignalQueue::snapRestore(snap::Reader &r)
     irq_recoveries_ = r.u64();
 }
 
-std::uint64_t
-SignalQueue::stateHash() const
-{
-    snap::Hash64 h;
-    h.mix(queue_.size());
-    for (const SsrRequest &request : queue_) {
-        h.mix(request.id);
-        h.mix(request.issued_at);
-    }
-    h.mix(irq_inflight_ ? 1 : 0);
-    h.mix(static_cast<std::uint64_t>(rr_next_core_));
-    h.mix(next_id_);
-    h.mix(signals_sent_);
-    h.mix(signals_delivered_);
-    h.mix(signals_resent_);
-    h.mix(signals_aborted_);
-    h.mix(irq_recoveries_);
-    return h.value();
-}
-
 } // namespace hiss

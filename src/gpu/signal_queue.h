@@ -81,7 +81,6 @@ class SignalQueue : public SimObject, public RequestSource
     void rebuildRequestCallbacks(SsrRequest &request);
     /** Rebuild the callback of any sig.* event tag. */
     EventQueue::Callback rebuildEvent(const snap::Tag &tag);
-    std::uint64_t stateHash() const;
     /// @}
 
   private:

@@ -636,48 +636,4 @@ Iommu::snapRestore(snap::Reader &r, const CallbackResolver &resolver)
     msi_recoveries_ = r.u64();
 }
 
-std::uint64_t
-Iommu::stateHash() const
-{
-    snap::Hash64 h;
-    for (const Vpn v : iotlb_slots_)
-        h.mix(v);
-    for (const Vpn v : iotlb_ring_)
-        h.mix(v);
-    h.mix(iotlb_head_);
-    h.mix(iotlb_size_);
-    h.mix(ppr_queue_.size());
-    for (const SsrRequest &request : ppr_queue_) {
-        h.mix(request.id);
-        h.mix(request.vpn);
-        h.mix(request.issued_at);
-    }
-    h.mix(last_ppr_at_);
-    h.mix(ppr_gap_ema_);
-    h.mix(msi_inflight_ ? 1 : 0);
-    h.mix(coalesce_event_);
-    h.mix(static_cast<std::uint64_t>(rr_next_core_));
-    h.mix(next_request_id_);
-    h.mix(batches_.size());
-    for (const auto &[id, batch] : batches_) {
-        h.mix(id);
-        h.mix(static_cast<std::uint64_t>(batch.events_left));
-        h.mix(batch.ops.size());
-        for (const BatchOp &op : batch.ops) {
-            h.mix(op.hit ? 1 : 0);
-            h.mix(op.vpn);
-        }
-    }
-    h.mix(next_batch_id_);
-    h.mix(pprs_issued_);
-    h.mix(msis_raised_);
-    h.mix(iotlb_hits_);
-    h.mix(iotlb_misses_);
-    h.mix(faults_resolved_);
-    h.mix(pprs_rejected_);
-    h.mix(faults_aborted_);
-    h.mix(msi_recoveries_);
-    return h.value();
-}
-
 } // namespace hiss

@@ -180,7 +180,6 @@ class Iommu : public SimObject, public RequestSource
     /** Rebuild the callback of any iommu.* event tag. */
     EventQueue::Callback rebuildEvent(const snap::Tag &tag,
                                       const CallbackResolver &resolver);
-    std::uint64_t stateHash() const;
     /// @}
 
   private:

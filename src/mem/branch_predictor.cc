@@ -111,22 +111,4 @@ BranchPredictor::reset()
     resetCounters();
 }
 
-std::uint64_t
-BranchPredictor::stateHash() const
-{
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    const auto mix = [&h](std::uint64_t v) {
-        for (int byte = 0; byte < 8; ++byte) {
-            h ^= (v >> (byte * 8)) & 0xff;
-            h *= 0x100000001b3ULL;
-        }
-    };
-    for (const std::uint8_t counter : table_)
-        mix(counter);
-    mix(history_);
-    mix(lookups_);
-    mix(mispredicts_);
-    return h;
-}
-
 } // namespace hiss

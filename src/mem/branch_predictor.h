@@ -94,13 +94,6 @@ class BranchPredictor
     /** Reset tables, history, and counters. */
     void reset();
 
-    /**
-     * Order-sensitive digest of the predictor state (pattern table
-     * and global history); used by the batch-vs-scalar equivalence
-     * property tests.
-     */
-    std::uint64_t stateHash() const;
-
   private:
     /** Snapshot layer serializes history_/table_/counters. */
     friend struct snap::Access;

@@ -123,28 +123,4 @@ Cache::resetCounters()
     flushes_ = 0;
 }
 
-std::uint64_t
-Cache::stateHash() const
-{
-    // FNV-1a over (tag code, lru stamp) per line — tag codes are 0
-    // for invalid ways, so the hash covers exactly the
-    // behaviour-relevant state.
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    const auto mix = [&h](std::uint64_t v) {
-        for (int byte = 0; byte < 8; ++byte) {
-            h ^= (v >> (byte * 8)) & 0xff;
-            h *= 0x100000001b3ULL;
-        }
-    };
-    for (std::size_t i = 0; i < lru_.size(); ++i) {
-        mix(tags_[i]);
-        mix(lru_[i]);
-    }
-    mix(use_clock_);
-    mix(accesses_);
-    mix(misses_);
-    mix(flushes_);
-    return h;
-}
-
 } // namespace hiss

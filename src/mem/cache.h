@@ -85,14 +85,6 @@ class Cache
     /** Zero the access/miss/flush counters (contents are kept). */
     void resetCounters();
 
-    /**
-     * Order-sensitive digest of the full replacement state (valid
-     * bits, tags, LRU ordering). Two caches that produce the same
-     * hash behave identically on all future accesses; used by the
-     * batch-vs-scalar equivalence property tests.
-     */
-    std::uint64_t stateHash() const;
-
     std::uint32_t numSets() const { return num_sets_; }
     const CacheParams &params() const { return params_; }
 

@@ -337,32 +337,4 @@ Kernel::snapRestore(snap::Reader &r, const RequestRebuild &rebuild)
     }
 }
 
-std::uint64_t
-Kernel::stateHash() const
-{
-    snap::Hash64 h;
-    snap::Access::hash(h, rng());
-    h.mix(static_cast<std::uint64_t>(next_thread_id_));
-    h.mix(threads_.size());
-    for (const auto &thread : threads_) {
-        h.mix(static_cast<std::uint64_t>(thread->id()));
-        snap::Access::hash(h, *thread);
-    }
-    snap::Access::hash(h, frames_);
-    snap::Access::hash(h, spaces_);
-    snap::Access::hash(h, proc_stats_);
-    h.mix(scheduler_->stateHash());
-    h.mix(services_->stateHash());
-    h.mix(work_queue_->stateHash());
-    if (qos_governor_ != nullptr)
-        h.mix(qos_governor_->stateHash());
-    for (const auto &worker : worker_models_)
-        h.mix(worker->stateHash());
-    for (const auto &driver : drivers_)
-        h.mix(driver->stateHash());
-    for (const auto &core : cores_)
-        h.mix(core->stateHash());
-    return h.value();
-}
-
 } // namespace hiss

@@ -156,7 +156,6 @@ class Kernel : public SimObject, public CoreListener
     Irq rebuildIrq(const snap::Token &token);
     /** Lookup a kernel-owned thread by id (nullptr if unknown). */
     Thread *threadById(int id) const;
-    std::uint64_t stateHash() const;
     /// @}
 
   private:

@@ -197,26 +197,4 @@ QosGovernor::snapRestore(snap::Reader &r)
     total_delay_ = r.u64();
 }
 
-std::uint64_t
-QosGovernor::stateHash() const
-{
-    snap::Hash64 h;
-    snap::Access::hash(h, rng());
-    h.mix(samples_.size());
-    for (const Sample &sample : samples_) {
-        h.mix(sample.when);
-        h.mix(sample.ssr_ticks);
-    }
-    h.mix(over_threshold_ ? 1 : 0);
-    h.mixDouble(fraction_);
-    h.mix(sleeping_next_ ? 1 : 0);
-    h.mix(static_cast<std::uint64_t>(bucket_));
-    h.mix(static_cast<std::uint64_t>(bucket_cap_));
-    h.mix(last_bucket_update_);
-    h.mix(last_ssr_ticks_);
-    h.mix(delays_applied_);
-    h.mix(total_delay_);
-    return h.value();
-}
-
 } // namespace hiss

@@ -158,7 +158,6 @@ class QosGovernor : public SimObject, public ExecutionModel
     /// @{
     void snapSave(snap::Writer &w) const;
     void snapRestore(snap::Reader &r);
-    std::uint64_t stateHash() const;
     /// @}
 
   private:

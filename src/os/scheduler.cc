@@ -397,23 +397,6 @@ Scheduler::rebuildEvent(const snap::Tag &tag,
     throw snap::SnapshotError("unknown scheduler event tag");
 }
 
-std::uint64_t
-Scheduler::stateHash() const
-{
-    snap::Hash64 h;
-    snap::Access::hash(h, rng());
-    for (const auto &queue : queues_) {
-        h.mix(queue.size());
-        for (const Thread *thread : queue)
-            h.mix(static_cast<std::uint64_t>(thread->id()));
-    }
-    for (const bool pending : resched_pending_)
-        h.mix(pending ? 1 : 0);
-    h.mix(ipis_sent_);
-    h.mix(migrations_);
-    return h.value();
-}
-
 Thread *
 Scheduler::stealFromOtherCores(int thief_index)
 {

@@ -107,7 +107,6 @@ class Scheduler : public SimObject
     EventQueue::Callback
     rebuildEvent(const snap::Tag &tag,
                  const std::function<Thread *(int)> &threadById);
-    std::uint64_t stateHash() const;
     /// @}
 
   private:

@@ -258,15 +258,4 @@ SystemServices::snapRestore(snap::Reader &r)
     total_serviced_ = r.u64();
 }
 
-std::uint64_t
-SystemServices::stateHash() const
-{
-    snap::Hash64 h;
-    snap::Access::hash(h, rng());
-    for (const std::uint64_t n : serviced_by_kind_)
-        h.mix(n);
-    h.mix(total_serviced_);
-    return h.value();
-}
-
 } // namespace hiss

@@ -40,9 +40,6 @@ const char *serviceKindName(ServiceKind kind);
 /** One service request as it travels down the handling chain. */
 struct SsrRequest
 {
-    // HISS_STATE_EXEMPT(SsrRequest, hash): hashed by the owning driver
-    // and queues through the identity fields saved here; a per-request
-    // hash method would duplicate that coverage
     std::uint64_t id = 0;
     ServiceKind kind = ServiceKind::PageFault;
     /** Requesting process address space (IOMMU PPRs carry PASIDs). */
@@ -160,7 +157,6 @@ class SystemServices : public SimObject
     /// @{
     void snapSave(snap::Writer &w) const;
     void snapRestore(snap::Reader &r);
-    std::uint64_t stateHash() const;
     /// @}
 
     /** Mean cost of a service kind (pre-jitter), for benches/tests. */
@@ -187,7 +183,7 @@ class SystemServices : public SimObject
     std::uint64_t total_serviced_ = 0;
     Distribution &latency_;
     // HISS_STATE_EXEMPT(stages_): aliases distributions owned by the
-    // stat registry, which serializes and hashes them
+    // stat registry, which serializes them
     SsrStageStats stages_;
 };
 

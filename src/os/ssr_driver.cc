@@ -298,41 +298,6 @@ SsrDriver::rebuildEvent(const snap::Tag &tag)
     throw snap::SnapshotError("unknown driver event tag");
 }
 
-std::uint64_t
-SsrDriver::stateHash() const
-{
-    snap::Hash64 h;
-    snap::Access::hash(h, rng());
-    h.mix(pending_.size());
-    for (const SsrRequest &request : pending_) {
-        h.mix(request.id);
-        h.mix(static_cast<std::uint64_t>(request.kind));
-        h.mix(request.issued_at);
-        h.mix(request.drained_at);
-    }
-    std::vector<std::uint64_t> ids;
-    ids.reserve(tracked_.size());
-    for (const auto &[id, entry] : tracked_)
-        ids.push_back(id);
-    std::sort(ids.begin(), ids.end());
-    h.mix(ids.size());
-    for (const std::uint64_t id : ids) {
-        const Tracked &entry = tracked_.at(id);
-        h.mix(id);
-        h.mix(entry.watchdog);
-        h.mix(entry.work_queued ? 1 : 0);
-        h.mix(entry.aborted ? 1 : 0);
-    }
-    h.mix(bh_model_.fresh_wake_ ? 1 : 0);
-    h.mix(bh_model_.remaining_);
-    h.mix(bh_model_.in_entry_ ? 1 : 0);
-    h.mix(interrupts_);
-    h.mix(requests_drained_);
-    h.mix(requests_aborted_);
-    h.mix(completions_suppressed_);
-    return h.value();
-}
-
 BurstRequest
 SsrDriver::BottomHalfModel::nextBurst(CpuCore &core)
 {

@@ -123,7 +123,6 @@ class SsrDriver : public SimObject
     void snapRestore(snap::Reader &r, const RequestRebuild &rebuild);
     /** Rebuild the callback of a "drv.wd" watchdog event. */
     EventQueue::Callback rebuildEvent(const snap::Tag &tag);
-    std::uint64_t stateHash() const;
     /// @}
 
   private:

@@ -143,24 +143,6 @@ WorkQueue::snapRestore(snap::Reader &r, const WorkItemRebuild &rebuild)
     in_service_ = r.u64();
 }
 
-std::uint64_t
-WorkQueue::stateHash() const
-{
-    snap::Hash64 h;
-    for (const auto &queue : queues_) {
-        h.mix(queue.size());
-        for (const WorkItem &item : queue) {
-            h.mix(item.snap.id);
-            h.mix(item.duration);
-            h.mix(item.enqueued_at);
-        }
-    }
-    h.mix(pushed_);
-    h.mix(completed_);
-    h.mix(in_service_);
-    return h.value();
-}
-
 WorkerModel::WorkerModel(WorkQueue &queue, int core, QosGovernor *governor,
                          FaultInjector *faults)
     : queue_(queue), core_(core), governor_(governor), faults_(faults)
@@ -185,20 +167,6 @@ WorkerModel::snapRestore(snap::Reader &r, const WorkItemRebuild &rebuild)
         current_ = snapRestoreWorkItem(r, rebuild);
     remaining_ = r.u64();
     backoff_ = r.u64();
-}
-
-std::uint64_t
-WorkerModel::stateHash() const
-{
-    snap::Hash64 h;
-    h.mix(current_.has_value() ? 1 : 0);
-    if (current_.has_value()) {
-        h.mix(current_->snap.id);
-        h.mix(current_->duration);
-    }
-    h.mix(remaining_);
-    h.mix(backoff_);
-    return h.value();
 }
 
 BurstRequest

@@ -59,9 +59,6 @@ struct WorkItemSnap
 /** One deferred unit of kernel work. */
 struct WorkItem
 {
-    // HISS_STATE_EXEMPT(WorkItem, hash): hashed by the owning
-    // WorkQueue through the snap identity, duration and queue stamp;
-    // a per-item hash method would duplicate that coverage
     /** CPU time needed to service the item. */
     Tick duration = 0;
     /** Invoked on the servicing core when the item completes. */
@@ -176,7 +173,6 @@ class WorkQueue : public SimObject
     /// @{
     void snapSave(snap::Writer &w) const;
     void snapRestore(snap::Reader &r, const WorkItemRebuild &rebuild);
-    std::uint64_t stateHash() const;
     /// @}
 
   private:
@@ -225,7 +221,6 @@ class WorkerModel : public ExecutionModel
     /// @{
     void snapSave(snap::Writer &w) const;
     void snapRestore(snap::Reader &r, const WorkItemRebuild &rebuild);
-    std::uint64_t stateHash() const;
     /// @}
 
   private:

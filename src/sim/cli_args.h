@@ -43,15 +43,16 @@ parseInt(const char *flag, const char *text, long long lo, long long hi)
     return value;
 }
 
-/** Any unsigned 64-bit seed. */
+/** Any unsigned 64-bit seed, written as plain decimal digits (a
+ *  sign or leading space would let strtoull negate the value). */
 inline std::uint64_t
 parseSeed(const char *flag, const char *text)
 {
     errno = 0;
     char *end = nullptr;
     const unsigned long long value = std::strtoull(text, &end, 10);
-    if (end == text || *end != '\0' || errno == ERANGE
-        || text[0] == '-')
+    if (text[0] < '0' || text[0] > '9' || *end != '\0'
+        || errno == ERANGE)
         fatal("%s: '%s' is not a valid seed", flag, text);
     return value;
 }

@@ -302,51 +302,6 @@ EventQueue::restoreState(snap::Reader &r, const TagResolver &resolve)
     dead_in_heap_ = 0;
 }
 
-std::uint64_t
-EventQueue::stateHash() const
-{
-    snap::Hash64 h;
-    h.mix(now_);
-    h.mix(next_seq_);
-    h.mix(executed_);
-    h.mix(slots_.size());
-    for (const Slot &s : slots_)
-        h.mix(s.gen);
-    h.mix(free_slots_.size());
-    for (const std::uint32_t slot : free_slots_)
-        h.mix(slot);
-
-    std::vector<Entry> live;
-    live.reserve(num_pending_);
-    for (const Entry &e : heap_) {
-        if (!dead(e))
-            live.push_back(e);
-    }
-    std::sort(live.begin(), live.end(),
-              [](const Entry &a, const Entry &b) {
-                  if (a.when != b.when)
-                      return a.when < b.when;
-                  return a.order < b.order;
-              });
-    h.mix(live.size());
-    for (const Entry &e : live) {
-        h.mix(e.when);
-        h.mix(e.order);
-        h.mix(e.slot);
-        h.mix(e.gen);
-        const snap::Tag &tag = slots_[e.slot].tag;
-        h.mixString(tag.self.kind != nullptr ? tag.self.kind : "");
-        h.mix(tag.self.a);
-        h.mix(tag.self.b);
-        h.mix(tag.self.c);
-        h.mixString(tag.arg.kind != nullptr ? tag.arg.kind : "");
-        h.mix(tag.arg.a);
-        h.mix(tag.arg.b);
-        h.mix(tag.arg.c);
-    }
-    return h.value();
-}
-
 void
 EventQueue::reset()
 {

@@ -168,13 +168,6 @@ class EventQueue
      */
     void restoreState(snap::Reader &r, const TagResolver &resolve);
 
-    /**
-     * Order-insensitive digest of queue state: counters, slot/free
-     * layout, and live events (key + tag). Cancelled heap residue is
-     * excluded — lazily-deleted entries are unobservable.
-     */
-    std::uint64_t stateHash() const;
-
   private:
     /**
      * Heap key: 24-byte POD. `order` packs (priority, FIFO sequence)
@@ -261,9 +254,9 @@ class EventQueue
     std::uint64_t next_seq_ = 0;
     std::uint64_t executed_ = 0;
     std::size_t num_pending_ = 0;
-    // HISS_STATE_EXEMPT(dead_in_heap_, save hash): save compacts the
-    // heap so snapshots never carry dead events and restore resets the
-    // count; hashing it would break pre-save vs post-restore equality
+    // HISS_STATE_EXEMPT(dead_in_heap_, save): save drops dead heap
+    // entries so snapshots never carry them, and restore resets the
+    // count
     std::size_t dead_in_heap_ = 0;
     std::vector<Entry> heap_;
     std::vector<Slot> slots_;

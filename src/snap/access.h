@@ -360,119 +360,6 @@ struct Access
             }
         });
     }
-
-    // ---- Hash helpers ----------------------------------------------
-    // Every hash mirrors the corresponding save: it mixes exactly the
-    // dynamic state that the snapshot carries, so a restored system
-    // always hashes equal to the one it was saved from.
-    static void
-    hash(Hash64 &h, const Rng &rng)
-    {
-        for (const std::uint64_t s : rng.s_)
-            h.mix(s);
-    }
-
-    static void
-    hash(Hash64 &h, const AddressStream &s)
-    {
-        hash(h, s.rng_);
-        h.mix(s.cursor_);
-    }
-
-    static void
-    hash(Hash64 &h, const BranchStream &s)
-    {
-        // As in save: biases_ reproduce from the construction seed.
-        hash(h, s.rng_);
-    }
-
-    static void
-    hash(Hash64 &h, const PageTable &pt)
-    {
-        std::vector<std::pair<Vpn, Pfn>> entries;
-        entries.reserve(pt.numMapped());
-        pt.forEach([&entries](Vpn vpn, Pfn pfn) {
-            entries.emplace_back(vpn, pfn);
-        });
-        std::sort(entries.begin(), entries.end());
-        h.mix(entries.size());
-        for (const auto &[vpn, pfn] : entries) {
-            h.mix(vpn);
-            h.mix(pfn);
-        }
-    }
-
-    static void
-    hash(Hash64 &h, const FrameAllocator &fa)
-    {
-        h.mix(fa.total_);
-        h.mix(fa.next_);
-        h.mix(fa.allocated_);
-        h.mix(fa.freelist_.size());
-        for (const Pfn pfn : fa.freelist_)
-            h.mix(pfn);
-        for (std::uint64_t pfn = 0; pfn < fa.next_; ++pfn) {
-            if (fa.in_use_[pfn])
-                h.mix(pfn);
-        }
-    }
-
-    static void
-    hash(Hash64 &h, const AddressSpaceDirectory &dir)
-    {
-        h.mix(dir.size());
-        dir.forEach([&h](Pasid pasid, const PageTable &pt) {
-            h.mix(pasid);
-            hash(h, pt);
-        });
-    }
-
-    static void
-    hash(Hash64 &h, const ProcStats &ps)
-    {
-        h.mix(ps.counts_.size());
-        for (const auto &[label, counts] : ps.counts_) {
-            h.mixString(label);
-            for (const std::uint64_t c : counts)
-                h.mix(c);
-        }
-    }
-
-    static void
-    hash(Hash64 &h, const StatRegistry &reg)
-    {
-        h.mix(reg.size());
-        reg.forEach([&h](const Stat &s) {
-            if (const auto *c = dynamic_cast<const Counter *>(&s)) {
-                h.mix(c->count_);
-            } else if (const auto *sc =
-                           dynamic_cast<const Scalar *>(&s)) {
-                h.mixDouble(sc->value_);
-            } else if (const auto *d =
-                           dynamic_cast<const Distribution *>(&s)) {
-                h.mix(d->n_);
-                h.mixDouble(d->mean_);
-                h.mixDouble(d->m2_);
-                h.mixDouble(d->min_);
-                h.mixDouble(d->max_);
-                h.mixDouble(d->sum_);
-            }
-        });
-    }
-
-    static void
-    hash(Hash64 &h, const Thread &t)
-    {
-        h.mix(static_cast<std::uint64_t>(t.state_));
-        h.mix(static_cast<std::uint64_t>(t.affinity_));
-        h.mix(static_cast<std::uint64_t>(t.last_core_));
-        h.mix(t.ran_since_dispatch_);
-        h.mix(t.total_cpu_);
-        h.mix(t.ready_since_);
-        h.mix(t.last_wake_time_);
-        h.mix(t.cpu_at_last_wake_);
-        h.mixDouble(t.recent_share_);
-    }
 };
 
 } // namespace snap

@@ -91,7 +91,8 @@ struct Tag
  */
 const char *internKind(const std::string &kind);
 
-/** FNV-1a 64-bit running hash for stateHash() implementations. */
+/** FNV-1a 64-bit running hash (state digest, config fingerprint,
+ *  cell keys). */
 struct Hash64
 {
     std::uint64_t h = 14695981039346656037ULL;
@@ -103,14 +104,6 @@ struct Hash64
             h ^= (v >> (i * 8)) & 0xffU;
             h *= 1099511628211ULL;
         }
-    }
-
-    void
-    mixDouble(double v)
-    {
-        std::uint64_t bits;
-        std::memcpy(&bits, &v, sizeof bits);
-        mix(bits);
     }
 
     void

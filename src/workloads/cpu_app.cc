@@ -186,17 +186,6 @@ CpuApp::ThreadModel::snapRestore(snap::Reader &r)
     snap::Access::restore(r, bstream_);
 }
 
-std::uint64_t
-CpuApp::ThreadModel::stateHash() const
-{
-    snap::Hash64 h;
-    h.mix(static_cast<std::uint64_t>(segment));
-    h.mix(remaining);
-    snap::Access::hash(h, astream_);
-    snap::Access::hash(h, bstream_);
-    return h.value();
-}
-
 void
 CpuApp::snapSave(snap::Writer &w) const
 {
@@ -228,22 +217,6 @@ CpuApp::snapRestore(snap::Reader &r)
     done_ = r.b();
     start_time_ = r.u64();
     completion_time_ = r.u64();
-}
-
-std::uint64_t
-CpuApp::stateHash() const
-{
-    snap::Hash64 h;
-    snap::Access::hash(h, rng());
-    h.mix(models_.size());
-    for (const auto &model : models_)
-        h.mix(model->stateHash());
-    h.mix(static_cast<std::uint64_t>(arrived_));
-    h.mix(iterations_done_);
-    h.mix(done_ ? 1 : 0);
-    h.mix(start_time_);
-    h.mix(completion_time_);
-    return h.value();
 }
 
 void

@@ -82,7 +82,6 @@ class CpuApp : public SimObject
      *  target (structure, covered by the config fingerprint). */
     void snapSave(snap::Writer &w) const;
     void snapRestore(snap::Reader &r);
-    std::uint64_t stateHash() const;
     /// @}
 
   private:
@@ -102,7 +101,6 @@ class CpuApp : public SimObject
 
         void snapSave(snap::Writer &w) const;
         void snapRestore(snap::Reader &r);
-        std::uint64_t stateHash() const;
 
         Segment segment = Segment::Parallel;
         std::uint64_t remaining = 0;

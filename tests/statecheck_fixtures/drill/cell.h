@@ -8,7 +8,7 @@
 #include <cstdint>
 #include <string>
 
-// HISS_STATE_EXEMPT(stray_, hash): not inside any class — must be
+// HISS_STATE_EXEMPT(stray_, save): not inside any class — must be
 // reported as an orphan marker
 
 namespace fix {

@@ -16,25 +16,10 @@ Widget::snapRestore(snap::Reader &in)
     read(in, credit_);
 }
 
-std::uint64_t
-Widget::stateHash() const
-{
-    std::uint64_t h = 14695981039346656037ull;
-    h = (h ^ count_) * 1099511628211ull;
-    h = (h ^ static_cast<std::uint64_t>(credit_)) * 1099511628211ull;
-    return h;
-}
-
 void
 Gauge::snapSave(snap::Writer &out) const
 {
     write(out, level_);
-}
-
-void
-Gauge::snapRestore(snap::Reader &in)
-{
-    read(in, level_);
 }
 
 } // namespace fix

@@ -2,7 +2,7 @@
 // class after its serializers were written — the exact regression
 // hiss_statecheck exists to catch. Also seeds every exempt-marker
 // failure mode (unknown target, stale, unjustified) and a class with
-// a missing hash implementation.
+// a missing restore implementation.
 #ifndef FIX_DRILL_WIDGET_H_
 #define FIX_DRILL_WIDGET_H_
 
@@ -20,17 +20,16 @@ class Widget
   public:
     void snapSave(snap::Writer &out) const;
     void snapRestore(snap::Reader &in);
-    std::uint64_t stateHash() const;
 
   private:
     std::uint64_t count_ = 0;
 
-    // HISS_STATE_EXEMPT(ghost_, hash): the field this exempted no
+    // HISS_STATE_EXEMPT(ghost_, restore): the field this exempted no
     // longer exists — the marker must be flagged as unknown
     int credit_ = 3;
 
-    // HISS_STATE_EXEMPT(credit_, hash): stale on purpose — credit_
-    // is hashed by the implementation, so this marker is dead weight
+    // HISS_STATE_EXEMPT(credit_, restore): stale on purpose — credit_
+    // is restored by the implementation, so this marker is dead weight
     // HISS_STATE_EXEMPT(count_, save)
     std::uint32_t epoch_ = 0; // the drill: never serialized
 };
@@ -39,8 +38,7 @@ class Gauge
 {
   public:
     void snapSave(snap::Writer &out) const;
-    void snapRestore(snap::Reader &in);
-    // No stateHash: the analyzer must flag the structural gap.
+    // No snapRestore: the analyzer must flag the structural gap.
 
   private:
     std::uint64_t level_ = 0;

@@ -161,21 +161,6 @@ struct RefBranchStream
     std::uint64_t rejections = 0;
 };
 
-/** FNV-1a over 64-bit words, as the structures' stateHash()es mix. */
-struct Fnv
-{
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-
-    void
-    mix(std::uint64_t v)
-    {
-        for (int byte = 0; byte < 8; ++byte) {
-            h ^= (v >> (byte * 8)) & 0xff;
-            h *= 0x100000001b3ULL;
-        }
-    }
-};
-
 /** True-LRU cache with the original miss-path victim scan. */
 struct RefCache
 {
@@ -222,17 +207,19 @@ struct RefCache
         ++flushes;
     }
 
-    std::uint64_t
-    stateHash() const
+    /** Cache's serialized state: tags, stamps, clock, counters. */
+    std::string
+    state() const
     {
-        Fnv f;
-        for (std::size_t i = 0; i < lru.size(); ++i) {
-            f.mix(tags[i]);
-            f.mix(lru[i]);
-        }
+        snap::Writer w;
+        w.u64(tags.size());
+        for (const Addr code : tags)
+            w.u64(code);
+        for (const std::uint64_t stamp : lru)
+            w.u64(stamp);
         for (const std::uint64_t v : {clock, accesses, misses, flushes})
-            f.mix(v);
-        return f.h;
+            w.u64(v);
+        return w.buffer();
     }
 
     std::uint32_t assoc;
@@ -277,16 +264,18 @@ struct RefPredictor
         return correct;
     }
 
-    std::uint64_t
-    stateHash() const
+    /** BranchPredictor's serialized state: history, table, counters. */
+    std::string
+    state() const
     {
-        Fnv f;
+        snap::Writer w;
+        w.u32(history);
+        w.u64(table.size());
         for (const std::uint8_t counter : table)
-            f.mix(counter);
-        for (const std::uint64_t v : {std::uint64_t{history}, lookups,
-                                      mispredicts})
-            f.mix(v);
-        return f.h;
+            w.u8(counter);
+        w.u64(lookups);
+        w.u64(mispredicts);
+        return w.buffer();
     }
 
     std::uint32_t mask;
@@ -488,7 +477,7 @@ TEST(SubstrateBatch, CachePipelineEquivalence)
         ASSERT_EQ(misses, scalar.misses()) << "trial " << trial;
         ASSERT_EQ(batched.accesses(), scalar.accesses());
         ASSERT_EQ(batched.misses(), scalar.misses());
-        ASSERT_EQ(batched.stateHash(), scalar.stateHash())
+        ASSERT_EQ(savedState(batched), savedState(scalar))
             << "trial " << trial;
     }
 }
@@ -524,7 +513,7 @@ TEST(SubstrateBatch, PredictorPipelineEquivalence)
         ASSERT_EQ(batch_correct, scalar_correct) << "trial " << trial;
         ASSERT_EQ(mispredicts, scalar.mispredicts()) << "trial " << trial;
         ASSERT_EQ(batched.lookups(), scalar.lookups());
-        ASSERT_EQ(batched.stateHash(), scalar.stateHash())
+        ASSERT_EQ(savedState(batched), savedState(scalar))
             << "trial " << trial;
     }
 }
@@ -553,7 +542,7 @@ TEST(SubstrateBatch, MixedScalarAndBatchCallsCompose)
         for (int i = 0; i < 3; ++i)
             mixed.access(sb.next());
     }
-    EXPECT_EQ(mixed.stateHash(), scalar.stateHash());
+    EXPECT_EQ(savedState(mixed), savedState(scalar));
     EXPECT_EQ(mixed.misses(), scalar.misses());
     EXPECT_EQ(mixed.accesses(), scalar.accesses());
 }
@@ -639,7 +628,7 @@ TEST(SubstrateBatch, CacheMatchesReferenceModel)
                     }
                 }
                 ASSERT_EQ(misses, want_misses);
-                ASSERT_EQ(cache.stateHash(), ref.stateHash())
+                ASSERT_EQ(savedState(cache), ref.state())
                     << "assoc " << geom.assoc << ", batch " << batch;
                 if (meta.uniformInt(0, 3) == 0) {
                     cache.flush();
@@ -674,25 +663,15 @@ TEST(SubstrateBatch, VictimMatchesReferenceScanForEveryStampPattern)
                 digits /= alphabet;
             }
             ref.clock = alphabet;
-            snap::Writer w;
-            w.u64(assoc);
-            for (const Addr code : ref.tags)
-                w.u64(code);
-            for (const std::uint64_t stamp : ref.lru)
-                w.u64(stamp);
-            for (const std::uint64_t v : {ref.clock, std::uint64_t{0},
-                                          std::uint64_t{0},
-                                          std::uint64_t{0}})
-                w.u64(v);
             Cache cache(geom);
-            snap::Reader r(w.buffer());
+            snap::Reader r(ref.state());
             snap::Access::restore(r, cache);
-            ASSERT_EQ(cache.stateHash(), ref.stateHash());
+            ASSERT_EQ(savedState(cache), ref.state());
 
             const Addr missing = Addr{1000} * 64;
             ASSERT_FALSE(cache.access(missing));
             ASSERT_FALSE(ref.access(missing));
-            ASSERT_EQ(cache.stateHash(), ref.stateHash())
+            ASSERT_EQ(savedState(cache), ref.state())
                 << "assoc " << assoc << ", stamp pattern " << pattern;
         }
     }
@@ -731,7 +710,7 @@ TEST(SubstrateBatch, PredictorMatchesReferenceModel)
                     }
                 }
                 ASSERT_EQ(misses, want_misses);
-                ASSERT_EQ(bp.stateHash(), ref.stateHash())
+                ASSERT_EQ(savedState(bp), ref.state())
                     << "table_bits " << geom.table_bits << ", batch "
                     << batch;
             }

@@ -16,9 +16,10 @@
 #        tools/ci.sh statecheck       (state-coverage pass only: build
 #                                      hiss_statecheck, run its fixture
 #                                      self-test, require the seeded
-#                                      drill fixture to fire every mode
-#                                      (its pointer-reached field
-#                                      included) and the clean fixture
+#                                      drill fixture to fire the save,
+#                                      restore, structure and cell-key
+#                                      rules (its pointer-reached field
+#                                      named) and the clean fixture
 #                                      to pass, then prove the live
 #                                      tree covers every field)
 #        tools/ci.sh tidy             (optional clang-tidy pass over
@@ -74,9 +75,11 @@ fi
 # `statecheck` mode: the cross-TU state-coverage gate (docs/TESTING.md
 # "Static checks"). Like the lint gate it needs only the analyzer, so
 # it also runs before the preset builds. The fixture drill mirrors the
-# lint selftest pattern: the seeded "field added but not serialized"
-# corpus must fire every mode, and the clean corpus must stay silent,
-# proving the gate can actually fail before we trust its green.
+# lint selftest pattern: the seeded corpus (a field added but not
+# serialized, a class with no restore, a field missing from the cell
+# key) must fire state-save, state-restore, state-structure and
+# cell-key, and the clean corpus must stay silent, proving the gate
+# can actually fail before we trust its green.
 run_statecheck() {
     cmake --preset default
     cmake --build --preset default -j "$jobs" \
@@ -88,7 +91,7 @@ run_statecheck() {
     drill_out=$("$sc" --root tests/statecheck_fixtures --format=gcc \
         drill || true)
     local rule
-    for rule in state-save state-restore state-hash cell-key; do
+    for rule in state-save state-restore state-structure cell-key; do
         echo "$drill_out" | grep -q "\[$rule\]" || {
             echo "ci: statecheck FAILED: drill fixture did not fire" \
                  "$rule"

@@ -17,6 +17,7 @@
  * hiss_repro --reps and hiss_campaign build --reps.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -306,6 +307,13 @@ run(const Options &opt)
     }
     if (opt.cpu_apps.empty() && opt.gpu_app.empty())
         fatal("nothing to run: give --cpu and/or --gpu (see --help)");
+    const Tick cap = opt.duration_ms > 0.0
+        ? msToTicks(opt.duration_ms)
+        : msToTicks(opt.cpu_apps.empty() ? 50.0 : 1000.0);
+    // A snapshot past the end of the run would stretch the run to it.
+    if (msToTicks(opt.snapshot_at_ms) > cap)
+        fatal("--snapshot-at %g ms is past the run's %.3f ms cap",
+              opt.snapshot_at_ms, ticksToMs(cap));
 
     const auto wall_start = std::chrono::steady_clock::now();
     HeteroSystem sys(config);
@@ -334,28 +342,29 @@ run(const Options &opt)
         std::printf("snapshot: restored %s (t=%.3f ms)\n",
                     opt.snapshot_load.c_str(), ticksToMs(sys.now()));
     }
+    const auto apps_done = [&apps] {
+        return std::all_of(apps.begin(), apps.end(),
+                           [](const CpuApp *app) { return app->done(); });
+    };
     if (!opt.snapshot_save.empty() && opt.snapshot_at_ms > 0.0) {
         sys.runUntil(msToTicks(opt.snapshot_at_ms));
+        if (!apps.empty() && apps_done()) {
+            Tick last = 0;
+            for (const CpuApp *app : apps)
+                last = std::max(last, app->completionTime());
+            fatal("--snapshot-at %g ms is past the end of the run: "
+                  "every CPU app finished by %.3f ms",
+                  opt.snapshot_at_ms, ticksToMs(last));
+        }
         sys.saveSnapshotFile(opt.snapshot_save);
         std::printf("snapshot: saved %s (t=%.3f ms)\n",
                     opt.snapshot_save.c_str(), ticksToMs(sys.now()));
     }
 
-    const Tick cap = opt.duration_ms > 0.0
-        ? msToTicks(opt.duration_ms)
-        : msToTicks(apps.empty() ? 50.0 : 1000.0);
-    if (apps.empty()) {
+    if (apps.empty())
         sys.runUntil(cap);
-    } else {
-        sys.runUntilCondition(
-            [&apps] {
-                for (const CpuApp *app : apps)
-                    if (!app->done())
-                        return false;
-                return true;
-            },
-            cap);
-    }
+    else
+        sys.runUntilCondition(apps_done, cap);
     // An end-of-run snapshot is taken before finalizeStats() so a
     // later --snapshot-load can keep simulating from unfolded state.
     if (!opt.snapshot_save.empty() && opt.snapshot_at_ms <= 0.0) {

@@ -67,18 +67,14 @@ lex(const std::string &source)
             continue;
         }
 
-        // Preprocessor directive: swallow to end of line (honoring
-        // backslash continuations and embedded comments), recording
-        // the joined text for structure-aware rules.
+        // Preprocessor directive: swallow to end of line, honoring
+        // backslash continuations and embedded comments.
         if (c == '#' && !line_has_code) {
-            const int start_line = line;
-            std::string text;
             while (i < n) {
                 if (source[i] == '\\' && i + 1 < n
                     && source[i + 1] == '\n') {
                     newline(i + 2);
                     i += 2;
-                    text += ' ';
                     continue;
                 }
                 if (source[i] == '/' && i + 1 < n
@@ -91,7 +87,6 @@ lex(const std::string &source)
                         ++i;
                     }
                     i = i + 2 <= n ? i + 2 : n;
-                    text += ' ';
                     continue;
                 }
                 if (source[i] == '/' && i + 1 < n
@@ -102,10 +97,8 @@ lex(const std::string &source)
                 }
                 if (source[i] == '\n')
                     break;
-                text += source[i];
                 ++i;
             }
-            out.directives.push_back({std::move(text), start_line});
             continue;
         }
 

@@ -48,23 +48,10 @@ struct Comment
     bool owns_line = false; // nothing but whitespace precedes it
 };
 
-/**
- * A preprocessor directive, kept for rules that reason about
- * conditional-compilation structure. Swallowed from the token stream
- * as before; continuation lines are joined and embedded comments
- * dropped.
- */
-struct PpDirective
-{
-    std::string text; // from '#' to end of (logical) line
-    int line = 0;     // line the '#' appears on
-};
-
 struct LexResult
 {
     std::vector<Token> tokens;   // EndOfFile-terminated
     std::vector<Comment> comments;
-    std::vector<PpDirective> directives;
     int num_lines = 0;
 };
 

@@ -255,6 +255,17 @@ findToken(const hiss::lint::LexResult &lexed, hiss::lint::TokKind kind,
     return nullptr;
 }
 
+/** The identifier spellings in @p lexed, in source order. */
+std::vector<std::string>
+identifiers(const hiss::lint::LexResult &lexed)
+{
+    std::vector<std::string> out;
+    for (const auto &token : lexed.tokens)
+        if (token.kind == hiss::lint::TokKind::Identifier)
+            out.push_back(token.text);
+    return out;
+}
+
 TEST(LintLexer, RawStringWithCustomDelimiter)
 {
     // Plain-quote and wrong-delimiter closers inside the literal must
@@ -293,16 +304,12 @@ TEST(LintLexer, PreprocessorContinuationJoinsLogicalLine)
     const auto lexed = hiss::lint::lex(
         "#define TWICE(x) \\\n    ((x) + (x))\n"
         "int after = 0;\n");
-    ASSERT_EQ(lexed.directives.size(), 1U);
-    EXPECT_EQ(lexed.directives[0].line, 1);
-    EXPECT_NE(lexed.directives[0].text.find("define TWICE"),
-              std::string::npos);
-    EXPECT_NE(lexed.directives[0].text.find("((x) + (x))"),
-              std::string::npos);
-    // The continuation body is part of the directive, not code.
-    EXPECT_EQ(findToken(lexed, hiss::lint::TokKind::Identifier,
-                        "TWICE"),
-              nullptr);
+    // The continuation body is part of the directive, not code: the
+    // directive yields no tokens at all.
+    ASSERT_FALSE(lexed.tokens.empty());
+    EXPECT_EQ(lexed.tokens[0].text, "int");
+    EXPECT_EQ(identifiers(lexed),
+              (std::vector<std::string>{"int", "after"}));
     const auto *after =
         findToken(lexed, hiss::lint::TokKind::Identifier, "after");
     ASSERT_NE(after, nullptr);
@@ -335,20 +342,24 @@ TEST(LintLexer, UnterminatedBlockCommentDegradesSoftly)
 TEST(LintLexer, ConditionalDirectiveEdges)
 {
     // Continuations and embedded block comments fold into one logical
-    // directive; a trailing line comment just ends it.
+    // directive; a trailing line comment just ends it. Neither the
+    // directives nor their comments leave anything behind.
     const auto lexed = hiss::lint::lex(
-        "#if defined(HISS_SIMD) /* gate */ \\\n    && !defined(OTHER)\n"
+        "#if defined(HISS_X) /* gate */ \\\n    && !defined(OTHER)\n"
         "int a = 0;\n"
-        "#endif // close the gate\n");
-    ASSERT_EQ(lexed.directives.size(), 2U);
-    EXPECT_NE(lexed.directives[0].text.find("defined(HISS_SIMD)"),
-              std::string::npos);
-    EXPECT_NE(lexed.directives[0].text.find("!defined(OTHER)"),
-              std::string::npos);
-    EXPECT_EQ(lexed.directives[1].text.rfind("#endif", 0), 0U);
-    EXPECT_EQ(lexed.directives[1].line, 4);
-    EXPECT_NE(findToken(lexed, hiss::lint::TokKind::Identifier, "a"),
-              nullptr);
+        "#endif // close the gate\n"
+        "int b = 0;\n");
+    EXPECT_EQ(identifiers(lexed),
+              (std::vector<std::string>{"int", "a", "int", "b"}));
+    EXPECT_TRUE(lexed.comments.empty());
+    const auto *a =
+        findToken(lexed, hiss::lint::TokKind::Identifier, "a");
+    ASSERT_NE(a, nullptr);
+    EXPECT_EQ(a->line, 3);
+    const auto *b =
+        findToken(lexed, hiss::lint::TokKind::Identifier, "b");
+    ASSERT_NE(b, nullptr);
+    EXPECT_EQ(b->line, 5);
 }
 
 TEST(LintLexer, HashAfterCodeIsNotADirective)
@@ -356,23 +367,25 @@ TEST(LintLexer, HashAfterCodeIsNotADirective)
     // '#' only starts a directive when nothing but whitespace
     // precedes it on the line.
     const auto lexed = hiss::lint::lex("int x = 0; #pragma probe\n");
-    EXPECT_TRUE(lexed.directives.empty());
     EXPECT_NE(findToken(lexed, hiss::lint::TokKind::Punct, "#"),
               nullptr);
-    EXPECT_NE(findToken(lexed, hiss::lint::TokKind::Identifier,
-                        "pragma"),
-              nullptr);
+    EXPECT_EQ(identifiers(lexed),
+              (std::vector<std::string>{"int", "x", "pragma", "probe"}));
 }
 
 TEST(LintLexer, StringsHideCommentAndDirectiveMarkers)
 {
     const auto lexed = hiss::lint::lex(
-        "const char *s = \"#include <x> // not a comment\";\n");
-    EXPECT_TRUE(lexed.directives.empty());
+        "const char *s = \"#include <x> // not a comment\";\n"
+        "int after = 0;\n");
     EXPECT_TRUE(lexed.comments.empty());
     EXPECT_NE(findToken(lexed, hiss::lint::TokKind::String,
                         "#include <x> // not a comment"),
               nullptr);
+    const auto *after =
+        findToken(lexed, hiss::lint::TokKind::Identifier, "after");
+    ASSERT_NE(after, nullptr);
+    EXPECT_EQ(after->line, 2);
 }
 
 } // namespace

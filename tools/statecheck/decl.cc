@@ -607,8 +607,6 @@ attachExempts(const std::vector<Comment> &comments, ParsedFile &out)
                         marker.modes.push_back(Mode::Save);
                     else if (words[j] == "restore")
                         marker.modes.push_back(Mode::Restore);
-                    else if (words[j] == "hash")
-                        marker.modes.push_back(Mode::Hash);
                     else if (words[j] == "cellkey")
                         marker.modes.push_back(Mode::CellKey);
                     else
@@ -642,7 +640,6 @@ modeName(Mode mode)
     switch (mode) {
       case Mode::Save: return "save";
       case Mode::Restore: return "restore";
-      case Mode::Hash: return "hash";
       case Mode::CellKey: return "cellkey";
     }
     return "?";

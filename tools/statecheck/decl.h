@@ -44,7 +44,7 @@ struct FieldDecl
 };
 
 /** Coverage dimensions a field can be checked (and exempted) in. */
-enum class Mode { Save, Restore, Hash, CellKey };
+enum class Mode { Save, Restore, CellKey };
 
 const char *modeName(Mode mode);
 
@@ -52,7 +52,7 @@ const char *modeName(Mode mode);
 struct ExemptMarker
 {
     /** Field name, or the class's short name for class-level
-     *  exemptions (e.g. exempting a whole class from Hash). */
+     *  exemptions (e.g. exempting a whole class from Restore). */
     std::string target;
     /** Exempted modes; empty = every mode. */
     std::vector<Mode> modes;

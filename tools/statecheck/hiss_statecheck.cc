@@ -4,7 +4,7 @@
  *
  * Parses every C++ file under the given paths (default: src under
  * --root) into one cross-TU index, then reports any snapshot-capable
- * class whose fields are not covered by all of save/restore/hash,
+ * class whose fields are not covered by both save and restore,
  * any cell-key-reachable field missing from canonicalCellText, and
  * any HISS_STATE_EXEMPT marker that is malformed, unjustified,
  * unknown, or stale.
@@ -33,6 +33,7 @@ namespace fs = std::filesystem;
 using hiss::lint::Finding;
 using hiss::lint::Severity;
 using hiss::statecheck::Index;
+using hiss::statecheck::Mode;
 using hiss::statecheck::Options;
 using hiss::statecheck::Subject;
 
@@ -164,10 +165,10 @@ main(int argc, char **argv)
         for (const Subject &subject : index.subjects()) {
             std::cout << subject.name << " (" << subject.file << ":"
                       << subject.line << ")";
-            static const char *kOps[] = {"save", "restore", "hash"};
-            for (int m = 0; m < 3; ++m)
-                std::cout << " " << kOps[m] << "="
-                          << subject.impls[m].size();
+            for (const Mode mode : {Mode::Save, Mode::Restore})
+                std::cout << " " << modeName(mode) << "="
+                          << subject.impls[static_cast<int>(mode)]
+                                 .size();
             std::cout << " fields="
                       << subject.decl->fields.size() << "\n";
         }

@@ -3,10 +3,11 @@
  * Runtime mutation drill for the state-coverage contract.
  *
  * hiss_statecheck proves statically that every field is referenced
- * by the save/restore/hash implementations; this drill closes the
- * loop dynamically: mutating covered state after a snapshot must
- * move stateHash, and restoring the snapshot must move it back.
- * Runs under `ctest -L lint` next to the analyzer itself.
+ * by the save and restore implementations; this drill closes the
+ * loop dynamically: mutating covered state must change the saved
+ * bytes (and so the system's stateHash, a digest of them), and
+ * restoring a snapshot must put them back. Runs under `ctest -L lint`
+ * next to the analyzer itself.
  */
 
 #include <gtest/gtest.h>
@@ -19,41 +20,52 @@
 #include "mem/branch_predictor.h"
 #include "mem/cache.h"
 #include "sim/ticks.h"
+#include "snap/access.h"
 
 namespace hiss {
 namespace {
+
+/** The serialized form of a substrate structure's state. */
+template <class T>
+std::string
+savedState(const T &object)
+{
+    snap::Writer w;
+    snap::Access::save(w, object);
+    return w.buffer();
+}
 
 TEST(MutationDrill, CacheCounterFlipMovesTheHash)
 {
     // A fresh cache has all-zero tags and lru stamps, so the entire
     // divergence here comes from the flush counter — exactly the
-    // counter coverage the analyzer demanded of Cache::stateHash.
+    // counter coverage the analyzer demands of the Cache save.
     Cache cache(CacheParams{1024, 2, 64});
-    const std::uint64_t before = cache.stateHash();
+    const std::string before = savedState(cache);
     cache.flush();
-    EXPECT_NE(cache.stateHash(), before);
+    EXPECT_NE(savedState(cache), before);
 }
 
 TEST(MutationDrill, CacheAccessCountersSplitEqualTagState)
 {
     // Two caches with identical tag/lru contents but different
-    // hit/miss histories must not hash equal.
+    // hit/miss histories must not save equal.
     Cache a(CacheParams{1024, 2, 64});
     Cache b(CacheParams{1024, 2, 64});
     a.access(0x1000);
     b.access(0x1000);
-    EXPECT_EQ(a.stateHash(), b.stateHash());
+    EXPECT_EQ(savedState(a), savedState(b));
     b.access(0x1000); // Hit: tags unchanged, counters move.
     b.access(0x1000);
-    EXPECT_NE(a.stateHash(), b.stateHash());
+    EXPECT_NE(savedState(a), savedState(b));
 }
 
 TEST(MutationDrill, BranchPredictorLookupMovesTheHash)
 {
     BranchPredictor bp(BranchPredictorParams{});
-    const std::uint64_t before = bp.stateHash();
+    const std::string before = savedState(bp);
     bp.predictAndUpdate(0x4000, true);
-    EXPECT_NE(bp.stateHash(), before);
+    EXPECT_NE(savedState(bp), before);
 }
 
 TEST(MutationDrill, PostSnapshotMutationDivergesAndRestoreRecovers)

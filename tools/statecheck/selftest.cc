@@ -4,9 +4,9 @@
  *
  * The clean fixture corpus must produce zero findings; the drill
  * corpus seeds one example of every defect class — a field added
- * after the serializers were written (flagged in save, restore AND
- * hash), cell-key-reachable fields missing from canonicalCellText
- * (one by value, one through a pointer), a class without a hash
+ * after the serializers were written (flagged in save AND restore),
+ * cell-key-reachable fields missing from canonicalCellText (one by
+ * value, one through a pointer), a class without a restore
  * implementation, and every exempt-marker failure (unknown target,
  * stale, unjustified, orphan). Inline sources cover the declaration
  * parser's edges directly.
@@ -211,11 +211,9 @@ TEST(DeclParser, RecordsFunctionBodiesAcrossStyles)
         }
 
         std::uint64_t
-        SignalQueue::stateHash() const
+        SignalQueue::pendingCount() const
         {
-            snap::Hash64 h;
-            h.mix(next_id_);
-            return h.value();
+            return next_id_ - delivered_;
         }
 
         struct Access {
@@ -241,9 +239,9 @@ TEST(DeclParser, RecordsFunctionBodiesAcrossStyles)
     EXPECT_TRUE(save.mentions("next_id_"));
     EXPECT_FALSE(save.mentions("rng"));
 
-    const FunctionDef &hash = file.functions[1];
-    EXPECT_EQ(hash.name, "stateHash");
-    EXPECT_EQ(hash.return_type, "uint64_t");
+    const FunctionDef &count = file.functions[1];
+    EXPECT_EQ(count.name, "pendingCount");
+    EXPECT_EQ(count.return_type, "uint64_t");
 
     const FunctionDef &access_save = file.functions[2];
     EXPECT_EQ(access_save.name, "save");
@@ -277,9 +275,9 @@ TEST(DeclParser, ParsesExemptMarkers)
         class Widget {
             // HISS_STATE_EXEMPT(scratch_): rebuilt lazily
             int scratch_ = 0;
-            // HISS_STATE_EXEMPT(cache_, hash cellkey): derived
+            // HISS_STATE_EXEMPT(cache_, restore cellkey): derived
             int cache_ = 0;
-            // HISS_STATE_EXEMPT(bad_, teleport): unknown mode
+            // HISS_STATE_EXEMPT(bad_, hash): not a mode
             int bad_ = 0;
             // HISS_STATE_EXEMPT(naked_, save)
             int naked_ = 0;
@@ -297,7 +295,7 @@ TEST(DeclParser, ParsesExemptMarkers)
     EXPECT_EQ(cls->exempts[1].target, "cache_");
     ASSERT_EQ(cls->exempts[1].modes.size(), 2u);
     EXPECT_EQ(cls->exempts[1].modes[0],
-              hiss::statecheck::Mode::Hash);
+              hiss::statecheck::Mode::Restore);
     EXPECT_EQ(cls->exempts[1].modes[1],
               hiss::statecheck::Mode::CellKey);
 
@@ -323,23 +321,21 @@ TEST(Statecheck, CleanFixtureIsClean)
     EXPECT_EQ(widget.name, "Widget");
     EXPECT_EQ(widget.impls[0].size(), 1u);
     EXPECT_EQ(widget.impls[1].size(), 1u);
-    EXPECT_EQ(widget.impls[2].size(), 1u);
 }
 
 TEST(Statecheck, DrillFlagsUnserializedFieldInEveryMode)
 {
     const std::vector<Finding> findings =
         buildIndex("drill").analyze();
-    // The freshly added epoch_ must be caught by all three coverage
+    // The freshly added epoch_ must be caught by both coverage
     // dimensions — this is the "field added but not serialized"
     // regression the analyzer exists for.
     EXPECT_EQ(count(findings, "state-save", "epoch_"), 1u)
         << render(findings);
     EXPECT_EQ(count(findings, "state-restore", "epoch_"), 1u);
-    EXPECT_EQ(count(findings, "state-hash", "epoch_"), 1u);
     // Covered fields stay silent.
     EXPECT_EQ(count(findings, "state-save", "count_"), 0u);
-    EXPECT_EQ(count(findings, "state-hash", "credit_"), 0u);
+    EXPECT_EQ(count(findings, "state-restore", "credit_"), 0u);
 }
 
 TEST(Statecheck, DrillFlagsCellKeyGap)
@@ -372,8 +368,11 @@ TEST(Statecheck, DrillFlagsMissingHashImplementation)
         buildIndex("drill").analyze();
     EXPECT_EQ(count(findings, "state-structure", "Gauge"), 1u)
         << render(findings);
-    // Gauge's covered field must not produce per-mode noise for the
-    // modes it does implement.
+    EXPECT_EQ(count(findings, "state-structure",
+                    "no restore implementation"),
+              1u);
+    // Gauge's covered field must not produce per-field noise: save
+    // covers it, and the missing restore is one structural finding.
     EXPECT_EQ(count(findings, "state-save", "level_"), 0u);
     EXPECT_EQ(count(findings, "state-restore", "level_"), 0u);
 }
@@ -404,22 +403,21 @@ TEST(Statecheck, OnlyClassFilterRestrictsFindings)
 
 TEST(Statecheck, ExemptSuppressesAndEarnsItsKeep)
 {
-    // The clean fixture's scratch_ exempt suppresses all three mode
+    // The clean fixture's scratch_ exempt suppresses both mode
     // findings; were it stale, CleanFixtureIsClean would fail on the
-    // stale warning. Flip the drill: removing a justified exempt from
-    // a covered field must warn.
+    // stale warning. Flip the drill: an exempt on a covered field
+    // must warn.
     Index index;
     index.addFile(parseFile("w.h", R"(
         class Widget {
             std::uint64_t count_ = 0;
-            // HISS_STATE_EXEMPT(count_, hash): pretends count_ is
-            // not hashed, but it is
+            // HISS_STATE_EXEMPT(count_, restore): pretends count_ is
+            // not restored, but it is
         };
     )"));
     index.addFile(parseFile("w.cc", R"(
         void Widget::snapSave(snap::Writer &out) const { out.u64(count_); }
         void Widget::snapRestore(snap::Reader &in) { count_ = in.u64(); }
-        std::uint64_t Widget::stateHash() const { return count_; }
     )"));
     index.build();
     const std::vector<Finding> findings = index.analyze();
@@ -429,8 +427,8 @@ TEST(Statecheck, ExemptSuppressesAndEarnsItsKeep)
 
 TEST(Statecheck, AccessOverloadsTargetTheSerializedClass)
 {
-    // The snap::Access pattern: static save/restore/hash overloads
-    // whose target is the first non-infrastructure class parameter.
+    // The snap::Access pattern: static save/restore overloads whose
+    // target is the first non-infrastructure class parameter.
     Index index;
     index.addFile(parseFile("rng.h", R"(
         class Rng {
@@ -448,22 +446,17 @@ TEST(Statecheck, AccessOverloadsTargetTheSerializedClass)
             {
                 rng.state_ = in.u64();
             }
-            static void hash(Hash64 &h, const Rng &rng)
-            {
-                h.mix(rng.state_);
-            }
         };
     )"));
     index.build();
     ASSERT_EQ(index.subjects().size(), 1u);
     EXPECT_EQ(index.subjects()[0].name, "Rng");
 
-    // seq_ is touched by nothing: three findings, one per mode.
+    // seq_ is touched by nothing: two findings, one per mode.
     const std::vector<Finding> findings = index.analyze();
     EXPECT_EQ(count(findings, "state-save", "seq_"), 1u)
         << render(findings);
     EXPECT_EQ(count(findings, "state-restore", "seq_"), 1u);
-    EXPECT_EQ(count(findings, "state-hash", "seq_"), 1u);
 }
 
 TEST(Statecheck, GenericNamesRequireSnapshotSignature)

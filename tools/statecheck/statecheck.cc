@@ -17,8 +17,8 @@ bool
 isInfraClass(const std::string &short_name)
 {
     return short_name == "Writer" || short_name == "Reader"
-        || short_name == "Hash64" || short_name == "Access"
-        || short_name == "Token" || short_name == "Tag";
+        || short_name == "Access" || short_name == "Token"
+        || short_name == "Tag";
 }
 
 std::string
@@ -36,7 +36,7 @@ startsWith(const std::string &s, const char *prefix)
 }
 
 /**
- * Classify a definition as a save/restore/hash implementation.
+ * Classify a definition as a save/restore implementation.
  * Specific family names match by prefix (so the SsrRequest-style free
  * functions snapSaveRequest/snapRestoreRequest count); the bare
  * generic names only count when the signature carries the matching
@@ -57,10 +57,6 @@ classifyImpl(const FunctionDef &fn, Mode &mode)
         mode = Mode::Restore;
         return true;
     }
-    if (startsWith(fn.name, "stateHash")) {
-        mode = Mode::Hash;
-        return true;
-    }
     auto hasParam = [&fn](const char *type) {
         return std::find(fn.param_idents.begin(), fn.param_idents.end(),
                          type)
@@ -72,10 +68,6 @@ classifyImpl(const FunctionDef &fn, Mode &mode)
     }
     if (fn.name == "restore" && hasParam("Reader")) {
         mode = Mode::Restore;
-        return true;
-    }
-    if (fn.name == "hash" && hasParam("Hash64")) {
-        mode = Mode::Hash;
         return true;
     }
     return false;
@@ -141,7 +133,6 @@ ruleForMode(Mode mode)
     switch (mode) {
       case Mode::Save: return kRuleSave;
       case Mode::Restore: return kRuleRestore;
-      case Mode::Hash: return kRuleHash;
       case Mode::CellKey: return kRuleCellKey;
     }
     return kRuleSave;
@@ -253,8 +244,7 @@ Index::analyze(const Options &opts) const
         for (const ExemptMarker &marker : ref.decl->exempts)
             usage.seen(marker);
 
-    static const Mode kOps[] = {Mode::Save, Mode::Restore, Mode::Hash};
-    static const char *kOpVerb[] = {"save", "restore", "hash"};
+    static const Mode kOps[] = {Mode::Save, Mode::Restore};
 
     for (const Subject &subject : subjects_) {
         const ClassDecl &decl = *subject.decl;
@@ -282,7 +272,7 @@ Index::analyze(const Options &opts) const
                         Severity::Warning,
                         "class " + subject.short_name
                             + " is snapshot-capable but has no "
-                            + kOpVerb[m] + " implementation",
+                            + modeName(mode) + " implementation",
                         std::string("implement it, or exempt the class "
                                     "with HISS_STATE_EXEMPT(")
                             + subject.short_name + ", " + modeName(mode)
@@ -316,8 +306,8 @@ Index::analyze(const Options &opts) const
                     ruleForMode(mode), Severity::Error,
                     "field '" + field.name + "' of "
                         + subject.short_name
-                        + " is not referenced by any " + kOpVerb[m]
-                        + " implementation",
+                        + " is not referenced by any "
+                        + modeName(mode) + " implementation",
                     "serialize it, or add HISS_STATE_EXEMPT("
                         + field.name + ", " + modeName(mode)
                         + "): why it is not snapshot state"));
@@ -425,7 +415,7 @@ Index::analyze(const Options &opts) const
                     ref.file->path, marker.line, 1, kRuleExempt,
                     Severity::Error,
                     "malformed marker '" + marker.raw + "'",
-                    "write HISS_STATE_EXEMPT(field[, save restore hash"
+                    "write HISS_STATE_EXEMPT(field[, save restore"
                     " cellkey]): justification"));
                 continue;
             }

@@ -5,18 +5,18 @@
  * The Index ingests parsed files (headers and sources together, so an
  * implementation in a .cc is matched against fields declared in the
  * .h), discovers every snapshot-capable class — one targeted by at
- * least one save/restore/hash implementation — and proves that every
- * instance field is referenced by all three, that every field
+ * least one save/restore implementation — and proves that every
+ * instance field is referenced by both, that every field
  * reachable from the experiment cell, by value or through a pointer,
  * appears in the canonical cell-key text, and that every
  * HISS_STATE_EXEMPT marker is well-formed, justified, and still
  * load-bearing.
  *
  * Implementations are recognized across this tree's three naming
- * families (snapSave/snapRestore/stateHash members, the
+ * families (snapSave/snapRestore members, the
  * saveState/restoreState and saveSnapshot/restoreSnapshot variants,
- * and snap::Access-style static save/restore/hash overloads, which
- * must take a snap::Writer / snap::Reader / Hash64 to count).
+ * and snap::Access-style static save/restore overloads, which must
+ * take a snap::Writer / snap::Reader to count).
  * Findings reuse the hiss_lint Finding type and formats.
  */
 
@@ -35,11 +35,10 @@ namespace hiss::statecheck {
 /** Rule names, one per coverage dimension plus the marker audits. */
 inline constexpr const char *kRuleSave = "state-save";
 inline constexpr const char *kRuleRestore = "state-restore";
-inline constexpr const char *kRuleHash = "state-hash";
 inline constexpr const char *kRuleCellKey = "cell-key";
 /** Malformed / unjustified / unknown-target / stale exempt markers. */
 inline constexpr const char *kRuleExempt = "state-exempt";
-/** Snapshot-capable class missing one of the three operations. */
+/** Snapshot-capable class missing its save or its restore. */
 inline constexpr const char *kRuleStructure = "state-structure";
 
 const char *ruleForMode(Mode mode);
@@ -52,8 +51,8 @@ struct Subject
     std::string file;       // file that defines the class
     int line = 0;
     const ClassDecl *decl = nullptr;
-    /** Indexed by Mode Save/Restore/Hash. */
-    std::array<std::vector<const FunctionDef *>, 3> impls;
+    /** Indexed by Mode Save/Restore. */
+    std::array<std::vector<const FunctionDef *>, 2> impls;
 };
 
 struct Options

@@ -2,12 +2,15 @@
 # hiss_sim command-line contract: bad values must die cleanly with a
 # "hiss_sim:" diagnostic and exit code 1 (not a crash), --help/--list
 # must exit 0, the removed --reps/--jobs averaged mode must be refused,
-# and a tiny checked run must succeed. Registered in ctest as
-# hiss_sim_cli.
+# a --snapshot-at past the end of the run must be refused rather than
+# stretch it, and a tiny checked run must succeed. Registered in ctest
+# as hiss_sim_cli.
 set -u
 
 sim="$1"
 failures=0
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
 
 note() { printf '%s\n' "$*"; }
 
@@ -54,6 +57,8 @@ expect_clean_error "out-of-range --qos" "$sim" --gpu ubench --qos 2
 expect_clean_error "zero --qos" "$sim" --gpu ubench --qos 0
 expect_clean_error "non-numeric --seed" "$sim" --gpu ubench --seed banana
 expect_clean_error "negative --seed" "$sim" --gpu ubench --seed -7
+expect_clean_error "padded negative --seed" \
+    "$sim" --gpu ubench --duration 0.2 --seed " -7"
 expect_clean_error "non-numeric --duration" "$sim" --gpu ubench --duration x
 expect_clean_error "zero --accelerators" "$sim" --gpu ubench --accelerators 0
 expect_clean_error "--steer core out of range" "$sim" --gpu ubench --steer 7
@@ -80,6 +85,22 @@ expect_clean_error "negative --fault-timeout" \
     "$sim" --gpu ubench --fault-timeout -5
 expect_clean_error "missing --fault-retries value" \
     "$sim" --gpu ubench --fault-retries
+
+# --snapshot-at must not stretch the run: past the --duration cap it is
+# refused before simulating; once every CPU app has finished (x264
+# alone ends near 35 ms) it is refused before the file is written.
+expect_clean_error "--snapshot-at past --duration" \
+    "$sim" --gpu ubench --duration 1 --snapshot-at 5 \
+    --snapshot-save "$tmp/past_cap.hsnap"
+expect_clean_error "--snapshot-at after every CPU app finished" \
+    "$sim" --cpu x264 --snapshot-at 80 \
+    --snapshot-save "$tmp/past_apps.hsnap"
+for f in past_cap past_apps; do
+    if [ -e "$tmp/$f.hsnap" ]; then
+        note "FAIL: refused --snapshot-at still wrote $f.hsnap"
+        failures=$((failures + 1))
+    fi
+done
 
 if [ "$failures" -ne 0 ]; then
     note "$failures CLI contract check(s) failed"
