@@ -30,9 +30,7 @@ HeteroSystem::HeteroSystem(const SystemConfig &config)
                                             bh_affinity);
     iommu_->setDriver(ssr_driver_);
 
-    SignalQueueParams sq_params;
-    signal_queue_ = std::make_unique<SignalQueue>(ctx_, *kernel_,
-                                                  sq_params);
+    signal_queue_ = std::make_unique<SignalQueue>(ctx_, *kernel_);
     signal_driver_ = &kernel_->attachSsrSource("gpu_signal_drv",
                                                *signal_queue_,
                                                config.ssr_driver);

@@ -61,8 +61,6 @@ FaultInjector::pprOverflow(std::size_t depth)
         || depth < plan_.ppr_queue_capacity)
         return false;
     ++pprs_overflowed_;
-    trace("ppr overflow at depth %zu (cap %zu)", depth,
-          plan_.ppr_queue_capacity);
     return true;
 }
 
@@ -73,19 +71,14 @@ FaultInjector::irqFate()
     fate.dropped = rng().withProbability(plan_.irq_drop_prob);
     if (fate.dropped) {
         ++irqs_dropped_;
-        trace("irq delivery dropped");
         return fate;
     }
     fate.duplicated = rng().withProbability(plan_.irq_dup_prob);
-    if (fate.duplicated) {
+    if (fate.duplicated)
         ++irqs_duplicated_;
-        trace("irq delivery duplicated");
-    }
     if (rng().withProbability(plan_.irq_delay_prob)) {
         fate.extra_delay = plan_.irq_delay;
         ++irqs_delayed_;
-        trace("irq delivery delayed %llu ticks",
-              static_cast<unsigned long long>(fate.extra_delay));
     }
     return fate;
 }
@@ -96,8 +89,6 @@ FaultInjector::ipiDelay()
     if (!rng().withProbability(plan_.ipi_delay_prob))
         return 0;
     ++ipis_delayed_;
-    trace("ipi delayed %llu ticks",
-          static_cast<unsigned long long>(plan_.ipi_delay));
     return plan_.ipi_delay;
 }
 
@@ -107,8 +98,6 @@ FaultInjector::kworkerStall()
     if (!rng().withProbability(plan_.kworker_stall_prob))
         return 0;
     ++kworker_stalls_;
-    trace("kworker stall %llu ticks",
-          static_cast<unsigned long long>(plan_.kworker_stall));
     return plan_.kworker_stall;
 }
 
@@ -118,7 +107,6 @@ FaultInjector::loseSignal()
     if (!rng().withProbability(plan_.signal_loss_prob))
         return false;
     ++signals_lost_;
-    trace("gpu completion signal lost");
     return true;
 }
 

@@ -259,9 +259,6 @@ Gpu::onTranslateResult(int w, TranslateResult result, bool count_fault)
         const BackoffPolicy policy{plan.retry_backoff_initial,
                                    plan.retry_backoff_max};
         wf.backoff = policy.next(wf.backoff);
-        trace("wavefront %d retry %d after INVALID, backoff %llu", w,
-              wf.retries,
-              static_cast<unsigned long long>(wf.backoff));
         scheduleAfter(wf.backoff, [this, w] { beginTranslate(w); },
                       EventPriority::Device,
                       {{"gpu.retry",
@@ -277,7 +274,6 @@ Gpu::abortWavefront(int w)
 {
     Wavefront &wf = wavefronts_[static_cast<std::size_t>(w)];
     ++aborted_wavefronts_;
-    trace("wavefront %d aborted (retries %d)", w, wf.retries);
     wf.busy = false;
     wf.retries = 0;
     wf.backoff = 0;

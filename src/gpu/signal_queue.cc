@@ -6,12 +6,9 @@
 
 namespace hiss {
 
-SignalQueue::SignalQueue(SimContext &ctx, Kernel &kernel,
-                         const SignalQueueParams &params)
-    : SimObject(ctx, "gpu_signal_queue"), kernel_(kernel), params_(params)
+SignalQueue::SignalQueue(SimContext &ctx, Kernel &kernel)
+    : SimObject(ctx, "gpu_signal_queue"), kernel_(kernel)
 {
-    if (params.steer_core >= kernel.numCores())
-        fatal("SignalQueue: steer_core %d out of range", params.steer_core);
     if (FaultInjector *faults = faultInjector())
         faults->registerSource(
             name(), static_cast<const RequestSource *>(this));
@@ -61,8 +58,6 @@ SignalQueue::sendSignal(std::function<void(CpuCore &)> on_delivered,
             checks->onSsrIssued(source, id);
             checks->onSsrInjectedLoss(source, id);
         }
-        trace("signal %llu lost in queue",
-              static_cast<unsigned long long>(id));
         if (faults->plan().signal_resend > 0) {
             scheduleAfter(faults->plan().signal_resend,
                           [this, cb = std::move(on_delivered),
@@ -99,11 +94,8 @@ SignalQueue::sendSignal(std::function<void(CpuCore &)> on_delivered,
 int
 SignalQueue::pickTarget()
 {
-    int target = params_.steer_core;
-    if (target < 0) {
-        target = rr_next_core_;
-        rr_next_core_ = (rr_next_core_ + 1) % kernel_.numCores();
-    }
+    const int target = rr_next_core_;
+    rr_next_core_ = (rr_next_core_ + 1) % kernel_.numCores();
     return target;
 }
 
@@ -115,7 +107,7 @@ SignalQueue::considerRaise()
     if (driver_ == nullptr)
         panic("SignalQueue: no driver attached");
     irq_inflight_ = true;
-    Tick latency = params_.msi_latency;
+    Tick latency = kMsiLatency;
     if (FaultInjector *faults = faultInjector()) {
         const IrqFate fate = faults->irqFate();
         if (fate.dropped) {
@@ -132,7 +124,7 @@ SignalQueue::considerRaise()
         }
         latency += fate.extra_delay;
         if (fate.duplicated) {
-            scheduleAfter(latency + params_.msi_latency, [this] {
+            scheduleAfter(latency + kMsiLatency, [this] {
                 kernel_.deliverIrq(pickTarget(),
                                    driver_->makeInterrupt());
             }, EventPriority::Device, {{"sig.irqdup"}, {}});

@@ -21,21 +21,14 @@
 
 namespace hiss {
 
-/** Configuration for the signal delivery path. */
-struct SignalQueueParams
-{
-    /** Interrupt delivery latency. */
-    Tick msi_latency = 150;
-    /** Core selection: -1 = round-robin spread, else fixed core. */
-    int steer_core = -1;
-};
-
-/** A device-side queue of signal SSRs. */
+/**
+ * A device-side queue of signal SSRs. Its interrupts go round robin
+ * over the cores.
+ */
 class SignalQueue : public SimObject, public RequestSource
 {
   public:
-    SignalQueue(SimContext &ctx, Kernel &kernel,
-                const SignalQueueParams &params);
+    SignalQueue(SimContext &ctx, Kernel &kernel);
 
     /** Driver whose interrupt this queue raises. */
     void setDriver(SsrDriver *driver) { driver_ = driver; }
@@ -84,13 +77,13 @@ class SignalQueue : public SimObject, public RequestSource
     /// @}
 
   private:
+    /** Interrupt delivery latency. */
+    static constexpr Tick kMsiLatency = 150;
+
     void considerRaise();
     int pickTarget();
 
     Kernel &kernel_;
-    // HISS_STATE_EXEMPT(params_): construction config, covered by the
-    // snapshot config fingerprint
-    SignalQueueParams params_;
     // HISS_STATE_EXEMPT(driver_): wiring; borrowed driver pointer
     // re-attached via setDriver during system construction
     SsrDriver *driver_ = nullptr;

@@ -39,7 +39,7 @@ Kernel::Kernel(SimContext &ctx, int num_cores,
     // bound workqueue, as amd_iommu_v2 allocates).
     for (int i = 0; i < num_cores; ++i) {
         worker_models_.push_back(std::make_unique<WorkerModel>(
-            *work_queue_, i, qos_governor_.get(), ctx.faults));
+            *this, *work_queue_, i, qos_governor_.get(), ctx.faults));
         Thread *worker =
             createThread("kworker/" + std::to_string(i), kPrioWorker,
                          worker_models_.back().get(), i);
@@ -121,6 +121,18 @@ Kernel::attachSsrSource(const std::string &name, RequestSource &source,
         driver.setBottomHalfThread(bh);
     }
     return driver;
+}
+
+void
+Kernel::completeWork(const WorkItem &item, CpuCore &core)
+{
+    services_->complete(item);
+    const SsrRequest &request = item.request;
+    if (request.driver_wrapped
+        && !drivers_.at(request.driver_index)->completeRequest(request.id))
+        return;
+    if (request.on_service_complete)
+        request.on_service_complete(core);
 }
 
 void
@@ -286,35 +298,7 @@ Kernel::snapRestore(snap::Reader &r, const RequestRebuild &rebuild)
     scheduler_->snapRestore(r,
                             [this](int id) { return threadById(id); });
     services_->snapRestore(r);
-
-    // Rebuilds an in-flight WorkItem: reconstruct the originating
-    // request, let the device resolver fill its callbacks, re-apply
-    // the driver's completion wrapper if it had one, and rebuild the
-    // item without drawing from the services RNG.
-    const WorkItemRebuild item_rebuild =
-        [this, &rebuild](const WorkItemSnap &s, Tick duration,
-                         Tick service_start_at, Tick enqueued_at) {
-            SsrRequest request;
-            request.id = s.id;
-            request.kind = static_cast<ServiceKind>(s.kind);
-            request.pasid = s.pasid;
-            request.vpn = s.vpn;
-            request.issued_at = s.issued_at;
-            request.drained_at = s.drained_at;
-            request.queued_at = s.queued_at;
-            request.origin = s.origin;
-            request.driver_wrapped = s.driver_wrapped;
-            request.driver_index = s.driver_index;
-            rebuild(request);
-            if (s.driver_wrapped)
-                drivers_.at(s.driver_index)->rewrapCompletion(request);
-            return services_->rebuildWorkItem(std::move(request),
-                                              duration,
-                                              service_start_at,
-                                              enqueued_at);
-        };
-
-    work_queue_->snapRestore(r, item_rebuild);
+    work_queue_->snapRestore(r, rebuild);
     const bool had_qos = r.b();
     if (had_qos != (qos_governor_ != nullptr))
         throw snap::SnapshotError("QoS governor presence mismatch");
@@ -323,7 +307,7 @@ Kernel::snapRestore(snap::Reader &r, const RequestRebuild &rebuild)
     if (r.u64() != worker_models_.size())
         throw snap::SnapshotError("worker model count mismatch");
     for (const auto &worker : worker_models_)
-        worker->snapRestore(r, item_rebuild);
+        worker->snapRestore(r, rebuild);
     if (r.u64() != drivers_.size())
         throw snap::SnapshotError("driver count mismatch");
     for (const auto &driver : drivers_)

@@ -87,6 +87,14 @@ class Kernel : public SimObject, public CoreListener
                                int bh_affinity = kAffinityAny);
 
     /**
+     * Finish a work item its kworker has serviced on @p core: the
+     * service's effects and stats, then the driver that tracks the
+     * request (it may suppress a zombie completion), then the device
+     * callback.
+     */
+    void completeWork(const WorkItem &item, CpuCore &core);
+
+    /**
      * Deliver a device interrupt to a core, recording it in the
      * /proc/interrupts mirror.
      */

@@ -1,6 +1,5 @@
 #include "os/services.h"
 
-#include <memory>
 #include <utility>
 
 #include "sim/logging.h"
@@ -113,88 +112,53 @@ SystemServices::applyEffects(const SsrRequest &request)
 WorkItem
 SystemServices::makeWorkItem(SsrRequest request)
 {
-    const Tick duration = sampleCost(request.kind);
-    return buildItem(std::move(request), duration,
-                     std::make_shared<Tick>(0));
-}
-
-WorkItem
-SystemServices::rebuildWorkItem(SsrRequest request, Tick duration,
-                                Tick service_start_at, Tick enqueued_at)
-{
-    WorkItem item = buildItem(std::move(request), duration,
-                              std::make_shared<Tick>(service_start_at));
-    item.enqueued_at = enqueued_at;
+    WorkItem item;
+    item.duration = sampleCost(request.kind);
+    item.request = std::move(request);
     return item;
 }
 
-WorkItem
-SystemServices::buildItem(SsrRequest request, Tick duration,
-                          std::shared_ptr<Tick> service_start)
+void
+SystemServices::complete(const WorkItem &item)
 {
-    WorkItem item;
-    item.duration = duration;
-    item.ssr = true;
-    item.service_start = service_start;
-    item.snap.valid = true;
-    item.snap.id = request.id;
-    item.snap.kind = static_cast<std::uint32_t>(request.kind);
-    item.snap.pasid = request.pasid;
-    item.snap.vpn = request.vpn;
-    item.snap.issued_at = request.issued_at;
-    item.snap.drained_at = request.drained_at;
-    item.snap.queued_at = request.queued_at;
-    item.snap.origin = request.origin;
-    item.snap.driver_wrapped = request.driver_wrapped;
-    item.snap.driver_index = request.driver_index;
-    switch (request.kind) {
-      case ServiceKind::Signal:
-        item.footprint_accesses = 48;
-        item.footprint_branches = 400;
-        break;
+    const SsrRequest &request = item.request;
+    applyEffects(request);
+    ++serviced_by_kind_[static_cast<int>(request.kind)];
+    ++total_serviced_;
+    const Tick done = now();
+    if (done >= request.issued_at)
+        latency_.sample(static_cast<double>(done - request.issued_at));
+    // Stage decomposition (only when every stamp was recorded).
+    const Tick start = item.service_start;
+    if (request.issued_at > 0 && request.drained_at >= request.issued_at
+        && request.queued_at >= request.drained_at
+        && start >= request.queued_at && done >= start) {
+        stages_.issue_to_drain->sample(static_cast<double>(
+            request.drained_at - request.issued_at));
+        stages_.drain_to_queue->sample(static_cast<double>(
+            request.queued_at - request.drained_at));
+        stages_.queue_to_service->sample(
+            static_cast<double>(start - request.queued_at));
+        stages_.service_to_done->sample(
+            static_cast<double>(done - start));
+        stages_.total->sample(
+            static_cast<double>(done - request.issued_at));
+    }
+}
+
+ServiceFootprint
+serviceFootprint(ServiceKind kind)
+{
+    switch (kind) {
+      case ServiceKind::Signal: return {48, 400};
       case ServiceKind::PageFault:
       case ServiceKind::MemAlloc:
         // Page zeroing / allocator metadata: larger footprint.
-        item.footprint_accesses = 160;
-        item.footprint_branches = 900;
-        break;
+        return {160, 900};
       case ServiceKind::FileRead:
-      case ServiceKind::PageMigration:
-        item.footprint_accesses = 320;
-        item.footprint_branches = 2000;
-        break;
+      case ServiceKind::PageMigration: return {320, 2000};
     }
-    item.on_service_start = [service_start](Tick at) {
-        *service_start = at;
-    };
-    item.on_complete = [this, service_start,
-                        request = std::move(request)](CpuCore &core) {
-        applyEffects(request);
-        ++serviced_by_kind_[static_cast<int>(request.kind)];
-        ++total_serviced_;
-        const Tick done = now();
-        if (done >= request.issued_at)
-            latency_.sample(static_cast<double>(done - request.issued_at));
-        // Stage decomposition (only when every stamp was recorded).
-        if (request.issued_at > 0 && request.drained_at >= request.issued_at
-            && request.queued_at >= request.drained_at
-            && *service_start >= request.queued_at
-            && done >= *service_start) {
-            stages_.issue_to_drain->sample(static_cast<double>(
-                request.drained_at - request.issued_at));
-            stages_.drain_to_queue->sample(static_cast<double>(
-                request.queued_at - request.drained_at));
-            stages_.queue_to_service->sample(static_cast<double>(
-                *service_start - request.queued_at));
-            stages_.service_to_done->sample(
-                static_cast<double>(done - *service_start));
-            stages_.total->sample(
-                static_cast<double>(done - request.issued_at));
-        }
-        if (request.on_service_complete)
-            request.on_service_complete(core);
-    };
-    return item;
+    panic("unknown service kind");
 }
 
 std::uint64_t
@@ -238,6 +202,26 @@ snapRestoreRequest(snap::Reader &r, const RequestRebuild &rebuild)
     request.driver_index = r.u64();
     rebuild(request);
     return request;
+}
+
+void
+snapSaveWorkItem(snap::Writer &w, const WorkItem &item)
+{
+    snapSaveRequest(w, item.request);
+    w.u64(item.duration);
+    w.u64(item.service_start);
+    w.u64(item.enqueued_at);
+}
+
+WorkItem
+snapRestoreWorkItem(snap::Reader &r, const RequestRebuild &rebuild)
+{
+    WorkItem item;
+    item.request = snapRestoreRequest(r, rebuild);
+    item.duration = r.u64();
+    item.service_start = r.u64();
+    item.enqueued_at = r.u64();
+    return item;
 }
 
 void

@@ -14,16 +14,16 @@
 #define HISS_OS_SERVICES_H_
 
 #include <functional>
-#include <memory>
 #include <string>
 
 #include "mem/address_space_dir.h"
 #include "mem/frame_allocator.h"
 #include "mem/page_table.h"
-#include "os/workqueue.h"
 #include "sim/sim_object.h"
 
 namespace hiss {
+
+class CpuCore;
 
 /** The kinds of system services an accelerator can request. */
 enum class ServiceKind {
@@ -71,11 +71,41 @@ struct SsrRequest
      * requests can be live across a snapshot must set it.
      */
     snap::Tag origin;
-    /** Set by SsrDriver when it wraps on_service_complete, so a
-     *  restore can re-apply the wrapper (drivers()[driver_index]). */
+    /** Set by SsrDriver when it tracks the request (watchdog or armed
+     *  checks): Kernel::completeWork then routes the completion
+     *  through drivers()[driver_index] before the device callback. */
     bool driver_wrapped = false;
     std::uint64_t driver_index = 0;
 };
+
+/**
+ * One deferred unit of kernel work: the request it services plus the
+ * stamps the work queue and its kworker add on the way.
+ */
+struct WorkItem
+{
+    SsrRequest request;
+    /** CPU time needed to service the item. */
+    Tick duration = 0;
+    /** Set by the queue on push; used for latency stats. */
+    Tick enqueued_at = 0;
+    /** Set when a kworker picks the item up (stage latency). */
+    Tick service_start = 0;
+};
+
+/**
+ * Kernel footprint of servicing one request, driven through the
+ * servicing core's L1D/BP: distinct lines touched and dynamic
+ * branches executed.
+ */
+struct ServiceFootprint
+{
+    std::uint32_t accesses;
+    std::uint32_t branches;
+};
+
+/** The footprint of servicing a request of @p kind. */
+ServiceFootprint serviceFootprint(ServiceKind kind);
 
 /** Serialize a request's plain fields and origin tag (callbacks are
  *  identity-only: they travel as the tag). */
@@ -87,6 +117,13 @@ using RequestRebuild = std::function<void(SsrRequest &)>;
 /** Read back a request saved by snapSaveRequest. */
 SsrRequest snapRestoreRequest(snap::Reader &r,
                               const RequestRebuild &rebuild);
+
+/** Serialize one item: its request, then its three stamps. */
+void snapSaveWorkItem(snap::Writer &w, const WorkItem &item);
+
+/** Read back an item saved by snapSaveWorkItem. */
+WorkItem snapRestoreWorkItem(snap::Reader &r,
+                             const RequestRebuild &rebuild);
 
 /**
  * Per-stage latency decomposition of the SSR pipeline — a
@@ -123,7 +160,7 @@ struct ServiceCostParams
     double jitter = 0.15;
 };
 
-/** Builds WorkItems that perform system services. */
+/** Builds and completes the WorkItems that perform system services. */
 class SystemServices : public SimObject
 {
   public:
@@ -136,21 +173,17 @@ class SystemServices : public SimObject
                    FrameAllocator &frames,
                    const ServiceCostParams &costs = {});
 
-    /**
-     * Create the deferred work that services @p request. The item's
-     * completion applies the service's side effects and then invokes
-     * the request's device callback.
-     */
+    /** Create the deferred work that services @p request (draws its
+     *  jittered duration). */
     WorkItem makeWorkItem(SsrRequest request);
 
     /**
-     * Rebuild a WorkItem from snapshot state: same shape as
-     * makeWorkItem but with the already-jittered duration and the
-     * recorded stamps — performs no RNG draw, so restoring in-flight
-     * items leaves the services stream exactly where it was saved.
+     * Perform a serviced item's side effects and account it: the
+     * per-kind and total counters, the request latency and the stage
+     * samples. Kernel::completeWork calls this before it notifies
+     * the driver and the device.
      */
-    WorkItem rebuildWorkItem(SsrRequest request, Tick duration,
-                             Tick service_start_at, Tick enqueued_at);
+    void complete(const WorkItem &item);
 
     /// @name Snapshot support (counters + rng; stats live in the
     /// registry section).
@@ -171,8 +204,6 @@ class SystemServices : public SimObject
   private:
     Tick sampleCost(ServiceKind kind);
     void applyEffects(const SsrRequest &request);
-    WorkItem buildItem(SsrRequest request, Tick duration,
-                       std::shared_ptr<Tick> service_start);
 
     AddressSpaceDirectory &spaces_;
     FrameAllocator &frames_;

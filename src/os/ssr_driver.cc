@@ -80,8 +80,6 @@ SsrDriver::onWatchdog(std::uint64_t id)
     }
     it->second.aborted = true;
     ++requests_aborted_;
-    trace("request %llu aborted by watchdog",
-          static_cast<unsigned long long>(id));
     if (CheckHooks *checks = checkHooks())
         checks->onSsrAborted(&source_, id);
     // The device abort handler may re-enter the driver (e.g. the GPU
@@ -91,10 +89,8 @@ SsrDriver::onWatchdog(std::uint64_t id)
         on_abort();
 }
 
-void
-SsrDriver::completeRequest(CheckHooks *checks, std::uint64_t id,
-                           const std::function<void(CpuCore &)> &inner,
-                           CpuCore &core)
+bool
+SsrDriver::completeRequest(std::uint64_t id)
 {
     bool aborted = false;
     const auto it = tracked_.find(id);
@@ -104,17 +100,16 @@ SsrDriver::completeRequest(CheckHooks *checks, std::uint64_t id,
         aborted = it->second.aborted;
         tracked_.erase(it);
     }
-    if (checks != nullptr)
+    if (CheckHooks *checks = checkHooks())
         checks->onSsrCompleted(&source_, id);
     if (aborted) {
         // Zombie completion: the watchdog already aborted this
         // request and told the device. The kworker's CPU time was
         // genuinely spent, but the device callback is suppressed.
         ++completions_suppressed_;
-        return;
+        return false;
     }
-    if (inner)
-        inner(core);
+    return true;
 }
 
 void
@@ -136,17 +131,11 @@ SsrDriver::queueToWorker(SsrRequest request, CpuCore &core)
     if (checks != nullptr)
         checks->onSsrWorkQueued(&source_, request.id);
     if (checks != nullptr || tracked_it != tracked_.end()) {
-        // Wrap the completion callback so the checker sees the
-        // request leave the pipeline and the recovery layer can
-        // suppress zombie completions. Only paid when armed.
-        auto inner = std::move(request.on_service_complete);
-        const std::uint64_t id = request.id;
+        // Route the completion back through completeRequest, so the
+        // checker sees the request leave the pipeline and the
+        // recovery layer can suppress zombie completions.
         request.driver_wrapped = true;
         request.driver_index = snap_index_;
-        request.on_service_complete =
-            [this, checks, id, inner = std::move(inner)](CpuCore &c) {
-                completeRequest(checks, id, inner, c);
-            };
     }
     work_queue_.push(services_.makeWorkItem(std::move(request)), &core);
 }
@@ -206,17 +195,6 @@ SsrDriver::makeInterrupt()
         }
     };
     return irq;
-}
-
-void
-SsrDriver::rewrapCompletion(SsrRequest &request)
-{
-    auto inner = std::move(request.on_service_complete);
-    const std::uint64_t id = request.id;
-    request.on_service_complete =
-        [this, id, inner = std::move(inner)](CpuCore &c) {
-            completeRequest(checkHooks(), id, inner, c);
-        };
 }
 
 void

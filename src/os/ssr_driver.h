@@ -108,16 +108,20 @@ class SsrDriver : public SimObject
         return completions_suppressed_;
     }
 
+    /**
+     * A request this driver tracks (SsrRequest::driver_wrapped) has
+     * been serviced: cancel its watchdog, retire its tracking entry
+     * and tell armed checks. Kernel::completeWork calls this.
+     * @return false for a zombie the watchdog already aborted, whose
+     *         device callback must be suppressed.
+     */
+    bool completeRequest(std::uint64_t id);
+
     /// @name Snapshot support.
     /// @{
     /** Position in Kernel::drivers(), used in event/irq tags. */
     void setSnapIndex(std::uint64_t index) { snap_index_ = index; }
     std::uint64_t snapIndex() const { return snap_index_; }
-
-    /** Re-apply the completion wrapper to a restored request that
-     *  carried one when saved (checks are never armed across a
-     *  snapshot, so only watchdog tracking needs re-wrapping). */
-    void rewrapCompletion(SsrRequest &request);
 
     void snapSave(snap::Writer &w) const;
     void snapRestore(snap::Reader &r, const RequestRebuild &rebuild);
@@ -148,9 +152,9 @@ class SsrDriver : public SimObject
     /**
      * Recovery state for one drained request (created only when a
      * fault injector with a request_timeout is armed). The watchdog
-     * aborts requests stuck past the bottom half; the completion
-     * wrapper suppresses the device callback of aborted (zombie)
-     * requests and retires their tracking entry.
+     * aborts requests stuck past the bottom half; completeRequest
+     * suppresses the device callback of aborted (zombie) requests
+     * and retires their tracking entry.
      */
     struct Tracked
     {
@@ -163,9 +167,6 @@ class SsrDriver : public SimObject
     };
 
     void queueToWorker(SsrRequest request, CpuCore &core);
-    void completeRequest(CheckHooks *checks, std::uint64_t id,
-                         const std::function<void(CpuCore &)> &inner,
-                         CpuCore &core);
     bool trackingEnabled() const;
     void armWatchdog(std::uint64_t id);
     void onWatchdog(std::uint64_t id);

@@ -1,54 +1,12 @@
 #include "os/workqueue.h"
 
 #include "fault/fault_injector.h"
+#include "os/kernel.h"
 #include "os/qos_governor.h"
 #include "sim/logging.h"
 #include "snap/snap.h"
 
 namespace hiss {
-
-void
-snapSaveWorkItem(snap::Writer &w, const WorkItem &item)
-{
-    if (!item.snap.valid)
-        throw snap::SnapshotError(
-            "live work item has no snapshot identity (not built by "
-            "SystemServices)");
-    w.u64(item.snap.id);
-    w.u32(item.snap.kind);
-    w.u32(item.snap.pasid);
-    w.u64(item.snap.vpn);
-    w.u64(item.snap.issued_at);
-    w.u64(item.snap.drained_at);
-    w.u64(item.snap.queued_at);
-    w.tag(item.snap.origin);
-    w.b(item.snap.driver_wrapped);
-    w.u64(item.snap.driver_index);
-    w.u64(item.duration);
-    w.u64(item.service_start != nullptr ? *item.service_start : 0);
-    w.u64(item.enqueued_at);
-}
-
-WorkItem
-snapRestoreWorkItem(snap::Reader &r, const WorkItemRebuild &rebuild)
-{
-    WorkItemSnap s;
-    s.valid = true;
-    s.id = r.u64();
-    s.kind = r.u32();
-    s.pasid = r.u32();
-    s.vpn = r.u64();
-    s.issued_at = r.u64();
-    s.drained_at = r.u64();
-    s.queued_at = r.u64();
-    s.origin = r.tag();
-    s.driver_wrapped = r.b();
-    s.driver_index = r.u64();
-    const Tick duration = r.u64();
-    const Tick service_start_at = r.u64();
-    const Tick enqueued_at = r.u64();
-    return rebuild(s, duration, service_start_at, enqueued_at);
-}
 
 WorkQueue::WorkQueue(SimContext &ctx, const std::string &name,
                      Scheduler &scheduler, int num_cores)
@@ -128,7 +86,7 @@ WorkQueue::snapSave(snap::Writer &w) const
 }
 
 void
-WorkQueue::snapRestore(snap::Reader &r, const WorkItemRebuild &rebuild)
+WorkQueue::snapRestore(snap::Reader &r, const RequestRebuild &rebuild)
 {
     if (r.u64() != queues_.size())
         throw snap::SnapshotError("work queue core-count mismatch");
@@ -143,9 +101,10 @@ WorkQueue::snapRestore(snap::Reader &r, const WorkItemRebuild &rebuild)
     in_service_ = r.u64();
 }
 
-WorkerModel::WorkerModel(WorkQueue &queue, int core, QosGovernor *governor,
-                         FaultInjector *faults)
-    : queue_(queue), core_(core), governor_(governor), faults_(faults)
+WorkerModel::WorkerModel(Kernel &kernel, WorkQueue &queue, int core,
+                         QosGovernor *governor, FaultInjector *faults)
+    : kernel_(kernel), queue_(queue), core_(core), governor_(governor),
+      faults_(faults)
 {
 }
 
@@ -160,7 +119,7 @@ WorkerModel::snapSave(snap::Writer &w) const
 }
 
 void
-WorkerModel::snapRestore(snap::Reader &r, const WorkItemRebuild &rebuild)
+WorkerModel::snapRestore(snap::Reader &r, const RequestRebuild &rebuild)
 {
     current_.reset();
     if (r.b())
@@ -208,16 +167,17 @@ WorkerModel::nextBurst(CpuCore &core)
         queue_.sampleLatency(at > current_->enqueued_at
                                  ? at - current_->enqueued_at
                                  : 0);
-        if (current_->on_service_start)
-            current_->on_service_start(at);
+        current_->service_start = at;
     }
+    const ServiceFootprint footprint =
+        serviceFootprint(current_->request.kind);
     BurstRequest br;
     br.kind = BurstRequest::Kind::Run;
     br.duration = remaining_;
     br.kernel_mode = true;
-    br.ssr_work = current_->ssr;
-    br.mem_accesses = current_->footprint_accesses;
-    br.branches = current_->footprint_branches;
+    br.ssr_work = true;
+    br.mem_accesses = footprint.accesses;
+    br.branches = footprint.branches;
     return br;
 }
 
@@ -229,12 +189,12 @@ WorkerModel::onBurstDone(CpuCore &core, Tick ran,
     if (!current_.has_value())
         panic("WorkerModel: burst completion without an item");
     if (completed) {
-        WorkItem item = std::move(*current_);
+        // Moved out first: completing can queue new work.
+        const WorkItem item = std::move(*current_);
         current_.reset();
         remaining_ = 0;
         queue_.noteCompleted();
-        if (item.on_complete)
-            item.on_complete(core);
+        kernel_.completeWork(item, core);
     } else {
         remaining_ = ran >= remaining_ ? 1 : remaining_ - ran;
     }

@@ -18,12 +18,11 @@
 #define HISS_OS_WORKQUEUE_H_
 
 #include <deque>
-#include <functional>
-#include <memory>
 #include <optional>
 #include <vector>
 
 #include "os/scheduler.h"
+#include "os/services.h"
 #include "os/thread.h"
 #include "sim/logging.h"
 #include "sim/sim_object.h"
@@ -32,86 +31,7 @@ namespace hiss {
 
 class QosGovernor;
 class FaultInjector;
-
-/**
- * Snapshot identity of a WorkItem: the plain fields of the service
- * request it performs (workqueue.h cannot name SsrRequest — services
- * includes this header — so the request travels flattened). Filled
- * by SystemServices when it builds the item; an item without one
- * (valid == false) cannot cross a snapshot.
- */
-struct WorkItemSnap
-{
-    bool valid = false;
-    std::uint64_t id = 0;
-    std::uint32_t kind = 0; ///< ServiceKind as an integer.
-    std::uint32_t pasid = 0;
-    std::uint64_t vpn = 0;
-    Tick issued_at = 0;
-    Tick drained_at = 0;
-    Tick queued_at = 0;
-    /** Device-callback identity (SsrRequest::origin). */
-    snap::Tag origin;
-    bool driver_wrapped = false;
-    std::uint64_t driver_index = 0;
-};
-
-/** One deferred unit of kernel work. */
-struct WorkItem
-{
-    /** CPU time needed to service the item. */
-    Tick duration = 0;
-    /** Invoked on the servicing core when the item completes. */
-    // HISS_STATE_EXEMPT(on_complete, save restore): callback; rebuilt
-    // by SystemServices::rebuildWorkItem from the snap identity
-    std::function<void(CpuCore &)> on_complete;
-    /** Invoked when a kworker picks the item up (stage latency). */
-    // HISS_STATE_EXEMPT(on_service_start, save restore): callback;
-    // rebuilt by SystemServices::rebuildWorkItem from the snap identity
-    std::function<void(Tick)> on_service_start;
-    /**
-     * Kernel footprint driven through the servicing core's L1D/BP:
-     * distinct lines touched and dynamic branches executed.
-     */
-    // HISS_STATE_EXEMPT(footprint_accesses, save restore): derived;
-    // recomputed by rebuildWorkItem from the snap identity
-    std::uint32_t footprint_accesses = 96;
-    // HISS_STATE_EXEMPT(footprint_branches, save restore): derived;
-    // recomputed by rebuildWorkItem from the snap identity
-    std::uint32_t footprint_branches = 700;
-    /** True if this item is SSR work (QoS accounting + throttling). */
-    // HISS_STATE_EXEMPT(ssr, save restore): derived; recomputed by
-    // rebuildWorkItem from the snap identity
-    bool ssr = true;
-    /** Set by the queue on push; used for latency stats. */
-    Tick enqueued_at = 0;
-    /** Kworker pickup stamp shared with on_complete, so a snapshot
-     *  can read it back out (null for hand-built test items). */
-    // HISS_STATE_EXEMPT(service_start, restore): the saved stamp is
-    // fed through rebuildWorkItem, which re-creates the shared cell
-    std::shared_ptr<Tick> service_start;
-    /** Snapshot identity (see WorkItemSnap). */
-    // HISS_STATE_EXEMPT(snap, restore): reassembled into the
-    // WorkItemSnap aggregate that rebuildWorkItem consumes
-    WorkItemSnap snap;
-};
-
-/** Serialize one item; throws SnapshotError if it carries no
- *  snapshot identity. */
-void snapSaveWorkItem(snap::Writer &w, const WorkItem &item);
-
-/**
- * Rebuilds a live WorkItem from its snapshot identity plus the saved
- * jittered duration and stage stamps (Kernel supplies this; it routes
- * through SystemServices::rebuildWorkItem so no RNG is drawn).
- */
-using WorkItemRebuild = std::function<WorkItem(
-    const WorkItemSnap &, Tick duration, Tick service_start_at,
-    Tick enqueued_at)>;
-
-/** Read back an item saved by snapSaveWorkItem. */
-WorkItem snapRestoreWorkItem(snap::Reader &r,
-                             const WorkItemRebuild &rebuild);
+class Kernel;
 
 /** A per-CPU bound work queue drained by per-core kworkers. */
 class WorkQueue : public SimObject
@@ -172,7 +92,7 @@ class WorkQueue : public SimObject
     /// @name Snapshot support (queued items + conservation counters).
     /// @{
     void snapSave(snap::Writer &w) const;
-    void snapRestore(snap::Reader &r, const WorkItemRebuild &rebuild);
+    void snapRestore(snap::Reader &r, const RequestRebuild &rebuild);
     /// @}
 
   private:
@@ -191,13 +111,14 @@ class WorkQueue : public SimObject
 /**
  * Execution model of a per-core kworker: pops items off its core's
  * sub-queue, applies QoS backpressure delays when the governor says
- * SSR time is over budget, and services each item as a kernel-mode
- * burst.
+ * SSR time is over budget, services each item as a kernel-mode burst
+ * and hands it to Kernel::completeWork when the burst is done.
  */
 class WorkerModel : public ExecutionModel
 {
   public:
     /**
+     * @param kernel   the kernel that completes serviced items.
      * @param queue    the queue this worker serves.
      * @param core     the core this worker is bound to.
      * @param governor optional QoS governor consulted before each
@@ -205,7 +126,7 @@ class WorkerModel : public ExecutionModel
      * @param faults   optional fault injector that can stall this
      *                 worker before it takes an item (nullptr = none).
      */
-    WorkerModel(WorkQueue &queue, int core,
+    WorkerModel(Kernel &kernel, WorkQueue &queue, int core,
                 QosGovernor *governor = nullptr,
                 FaultInjector *faults = nullptr);
 
@@ -220,10 +141,11 @@ class WorkerModel : public ExecutionModel
     /// @name Snapshot support (in-service item + backoff state).
     /// @{
     void snapSave(snap::Writer &w) const;
-    void snapRestore(snap::Reader &r, const WorkItemRebuild &rebuild);
+    void snapRestore(snap::Reader &r, const RequestRebuild &rebuild);
     /// @}
 
   private:
+    Kernel &kernel_;
     WorkQueue &queue_;
     // HISS_STATE_EXEMPT(core_): identity; one worker model per core,
     // fixed at construction

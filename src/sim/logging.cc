@@ -3,22 +3,14 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <mutex>
-#include <set>
 #include <vector>
 
 namespace hiss {
 namespace {
 
-// Logging configuration is process-global and may be consulted from
-// every ExperimentBatch worker thread concurrently. The level and the
-// all-categories flag are atomics (the common traceEnabled() path
-// reads only g_level); the category set takes a mutex, reached only
-// when the level is Trace.
+// The level is process-global and may be consulted from every
+// ExperimentBatch worker thread concurrently.
 std::atomic<logging::Level> g_level{logging::Level::Warn};
-std::mutex g_trace_mutex;
-std::set<std::string> g_trace_categories;
-std::atomic<bool> g_trace_all{false};
 
 std::string
 vformat(const char *fmt, va_list ap)
@@ -46,36 +38,6 @@ setLevel(Level level)
 
 Level level() { return g_level.load(std::memory_order_relaxed); }
 
-void
-enableTrace(const std::string &category)
-{
-    if (category.empty()) {
-        g_trace_all.store(true, std::memory_order_relaxed);
-    } else {
-        std::lock_guard<std::mutex> lock(g_trace_mutex);
-        g_trace_categories.insert(category);
-    }
-}
-
-void
-clearTrace()
-{
-    g_trace_all.store(false, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lock(g_trace_mutex);
-    g_trace_categories.clear();
-}
-
-bool
-traceEnabled(const std::string &category)
-{
-    if (level() != Level::Trace)
-        return false;
-    if (g_trace_all.load(std::memory_order_relaxed))
-        return true;
-    std::lock_guard<std::mutex> lock(g_trace_mutex);
-    return g_trace_categories.count(category) > 0;
-}
-
 } // namespace logging
 
 void
@@ -88,33 +50,6 @@ warn(const char *fmt, ...)
     const std::string msg = vformat(fmt, ap);
     va_end(ap);
     std::fprintf(stderr, "warn: %s\n", msg.c_str());
-}
-
-void
-inform(const char *fmt, ...)
-{
-    if (g_level < logging::Level::Inform)
-        return;
-    va_list ap;
-    va_start(ap, fmt);
-    const std::string msg = vformat(fmt, ap);
-    va_end(ap);
-    std::fprintf(stderr, "info: %s\n", msg.c_str());
-}
-
-void
-tracef(const std::string &category, std::uint64_t when_ns,
-       const char *fmt, ...)
-{
-    if (!logging::traceEnabled(category))
-        return;
-    va_list ap;
-    va_start(ap, fmt);
-    const std::string msg = vformat(fmt, ap);
-    va_end(ap);
-    std::fprintf(stderr, "%12llu: [%s] %s\n",
-                 static_cast<unsigned long long>(when_ns),
-                 category.c_str(), msg.c_str());
 }
 
 void

@@ -5,8 +5,8 @@
  * Follows the gem5 convention: panic() for internal invariant
  * violations (simulator bugs; aborts), FatalError for conditions the
  * user can cause (bad configuration; thrown so callers and tests can
- * handle them), warn()/inform() for status messages, and a lightweight
- * trace facility gated by named categories.
+ * handle them), and warn() for status messages. The one trace is the
+ * chrome://tracing timeline (sim/tracing.h).
  */
 
 #ifndef HISS_SIM_LOGGING_H_
@@ -30,7 +30,7 @@ class FatalError : public std::runtime_error
 namespace logging {
 
 /** Verbosity levels for status messages. */
-enum class Level { Silent, Warn, Inform, Trace };
+enum class Level { Silent, Warn };
 
 /** Set the global verbosity; defaults to Warn. */
 void setLevel(Level level);
@@ -38,34 +38,10 @@ void setLevel(Level level);
 /** Current global verbosity. */
 Level level();
 
-/**
- * Enable a trace category (e.g. "iommu", "sched"). Trace lines are
- * only printed when the global level is Trace and their category is
- * enabled. An empty category string enables all categories.
- */
-void enableTrace(const std::string &category);
-
-/** Disable all trace categories. */
-void clearTrace();
-
-/** @return true if trace lines in @p category would be printed. */
-bool traceEnabled(const std::string &category);
-
 } // namespace logging
 
 /** Print a warning (printf formatting). */
 void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Print an informational message (printf formatting). */
-void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/**
- * Emit a trace line in @p category at simulated time @p when_ns.
- * No-op unless tracing for the category is enabled.
- */
-void tracef(const std::string &category, std::uint64_t when_ns,
-            const char *fmt, ...)
-    __attribute__((format(printf, 3, 4)));
 
 /** Report an unrecoverable internal error and abort. */
 [[noreturn]] void panic(const char *fmt, ...)

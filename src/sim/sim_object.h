@@ -81,10 +81,6 @@ class SimObject
                                          tag);
     }
 
-    /** Emit a trace line tagged with this object's name. */
-    void trace(const char *fmt, ...) const
-        __attribute__((format(printf, 2, 3)));
-
   private:
     SimContext &ctx_;
     std::string name_;

@@ -151,8 +151,8 @@ TEST_F(KernelTest, WorkQueueServicesItemsAcrossSubmittingCores)
     int serviced_on_core = -1;
     WorkItem item;
     item.duration = usToTicks(2);
-    item.ssr = true;
-    item.on_complete = [&](CpuCore &core) {
+    item.request.kind = ServiceKind::Signal;
+    item.request.on_service_complete = [&](CpuCore &core) {
         ++completions;
         serviced_on_core = core.index();
     };

@@ -1,4 +1,4 @@
-/** @file Unit tests for logging, tracing, and error reporting. */
+/** @file Unit tests for logging and error reporting. */
 
 #include <gtest/gtest.h>
 
@@ -10,11 +10,7 @@ namespace {
 class LoggingTest : public ::testing::Test
 {
   protected:
-    void TearDown() override
-    {
-        logging::setLevel(logging::Level::Warn);
-        logging::clearTrace();
-    }
+    void TearDown() override { logging::setLevel(logging::Level::Warn); }
 };
 
 TEST_F(LoggingTest, DefaultLevelIsWarn)
@@ -26,33 +22,8 @@ TEST_F(LoggingTest, SetLevelRoundTrips)
 {
     logging::setLevel(logging::Level::Silent);
     EXPECT_EQ(logging::level(), logging::Level::Silent);
-    logging::setLevel(logging::Level::Trace);
-    EXPECT_EQ(logging::level(), logging::Level::Trace);
-}
-
-TEST_F(LoggingTest, TraceRequiresTraceLevelAndCategory)
-{
-    EXPECT_FALSE(logging::traceEnabled("iommu"));
-    logging::enableTrace("iommu");
-    EXPECT_FALSE(logging::traceEnabled("iommu")); // Level still Warn.
-    logging::setLevel(logging::Level::Trace);
-    EXPECT_TRUE(logging::traceEnabled("iommu"));
-    EXPECT_FALSE(logging::traceEnabled("sched"));
-}
-
-TEST_F(LoggingTest, EmptyCategoryEnablesAll)
-{
-    logging::setLevel(logging::Level::Trace);
-    logging::enableTrace("");
-    EXPECT_TRUE(logging::traceEnabled("anything"));
-}
-
-TEST_F(LoggingTest, ClearTraceDisables)
-{
-    logging::setLevel(logging::Level::Trace);
-    logging::enableTrace("x");
-    logging::clearTrace();
-    EXPECT_FALSE(logging::traceEnabled("x"));
+    logging::setLevel(logging::Level::Warn);
+    EXPECT_EQ(logging::level(), logging::Level::Warn);
 }
 
 TEST_F(LoggingTest, FatalThrowsWithFormattedMessage)
@@ -69,8 +40,6 @@ TEST_F(LoggingTest, WarnAndInformDoNotThrow)
 {
     logging::setLevel(logging::Level::Silent);
     warn("warning %d", 1);
-    inform("info %s", "msg");
-    tracef("cat", 0, "trace %d", 2);
 }
 
 TEST(LoggingDeath, PanicAborts)

@@ -32,8 +32,9 @@ class WorkQueueTest : public ::testing::Test
     makeItem(Tick duration, std::function<void(CpuCore &)> done)
     {
         WorkItem item;
+        item.request.kind = ServiceKind::Signal;
+        item.request.on_service_complete = std::move(done);
         item.duration = duration;
-        item.on_complete = std::move(done);
         return item;
     }
 

@@ -25,6 +25,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -286,6 +287,10 @@ run(const Options &opt)
         config.num_cores = opt.cores;
     if (opt.check)
         config.check_invariants = true;
+    // Snapshots refuse an armed invariant monitor (parseArgs refuses
+    // --check with them), so stand down a HISS_CHECK=ON default.
+    if (!opt.snapshot_save.empty() || !opt.snapshot_load.empty())
+        config.check_invariants = false;
     config.fault = opt.fault;
     MitigationConfig mitigation;
     mitigation.steer_to_single_core = opt.steer;
@@ -453,9 +458,11 @@ main(int argc, char **argv)
         if (!parseArgs(argc, argv, opt))
             return 0;
         return run(opt);
-    } catch (const FatalError &e) {
-        // Always name the active seed so a failing run — invariant
-        // violation or fatal() — can be reproduced verbatim.
+    } catch (const std::runtime_error &e) {
+        // FatalError or snap::SnapshotError. Always name the active
+        // seed so a failing run — invariant violation, fatal() or a
+        // snapshot that cannot be read or written — can be reproduced
+        // verbatim.
         std::fprintf(stderr, "hiss_sim: %s (seed %llu)\n", e.what(),
                      static_cast<unsigned long long>(opt.seed));
         return 1;

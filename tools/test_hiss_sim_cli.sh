@@ -3,8 +3,9 @@
 # "hiss_sim:" diagnostic and exit code 1 (not a crash), --help/--list
 # must exit 0, the removed --reps/--jobs averaged mode must be refused,
 # a --snapshot-at past the end of the run must be refused rather than
-# stretch it, and a tiny checked run must succeed. Registered in ctest
-# as hiss_sim_cli.
+# stretch it, a snapshot that cannot be read, matched or written must
+# exit 1 naming the seed, and a tiny checked run and a snapshot round
+# trip must succeed. Registered in ctest as hiss_sim_cli.
 set -u
 
 sim="$1"
@@ -85,6 +86,40 @@ expect_clean_error "negative --fault-timeout" \
     "$sim" --gpu ubench --fault-timeout -5
 expect_clean_error "missing --fault-retries value" \
     "$sim" --gpu ubench --fault-retries
+
+# Exit 1 with a "hiss_sim:" diagnostic that names seed $1.
+expect_seeded_error() {
+    seed="$1"; desc="$2"; shift 2
+    out=$("$@" 2>&1); code=$?
+    if [ "$code" -eq 1 ] \
+        && printf '%s' "$out" | grep -q "hiss_sim: .*(seed $seed)"; then
+        note "ok: $desc"
+    else
+        note "FAIL: $desc (exit $code): $out"
+        failures=$((failures + 1))
+    fi
+}
+
+# Snapshots: a save-then-load round trip works on every build (the
+# snapshot flags stand a HISS_CHECK=ON monitor down), and a file that
+# cannot be read, belongs to another seed, or cannot be written is a
+# clean error, not an uncaught exception.
+expect_exit0 "--snapshot-save at 0.5 ms" \
+    "$sim" --gpu ubench --duration 1 --seed 3 --snapshot-at 0.5 \
+    --snapshot-save "$tmp/rt.hsnap"
+expect_exit0 "--snapshot-load of that file" \
+    "$sim" --gpu ubench --duration 1 --seed 3 \
+    --snapshot-load "$tmp/rt.hsnap"
+expect_seeded_error 4 "--snapshot-load under another seed" \
+    "$sim" --gpu ubench --duration 1 --seed 4 \
+    --snapshot-load "$tmp/rt.hsnap"
+printf 'not a snapshot' > "$tmp/corrupt.hsnap"
+expect_seeded_error 3 "corrupt --snapshot-load file" \
+    "$sim" --gpu ubench --duration 1 --seed 3 \
+    --snapshot-load "$tmp/corrupt.hsnap"
+expect_seeded_error 3 "--snapshot-save into a missing directory" \
+    "$sim" --gpu ubench --duration 1 --seed 3 --snapshot-at 0.5 \
+    --snapshot-save "$tmp/no_such_dir/x.hsnap"
 
 # --snapshot-at must not stretch the run: past the --duration cap it is
 # refused before simulating; once every CPU app has finished (x264
