@@ -19,7 +19,7 @@
 
 namespace hiss::bench {
 
-/** The baselines' config: the GPU uses pinned memory, so no SSRs. */
+/** The GPU-alone baselines' config: pinned memory, so no SSRs. */
 inline ExperimentConfig
 pinnedConfig()
 {
@@ -54,14 +54,15 @@ struct FigureArgs
     }
 
     /**
-     * The no-SSR CPU baseline: @p cpu_app beside ubench on pinned
-     * memory (without SSRs the GPU app's identity is irrelevant).
+     * The no-SSR CPU baseline: @p cpu_app alone. A GPU on pinned
+     * memory raises no SSR and shares no resource with the CPUs, so
+     * it cannot change the CPU app's run; ExperimentRunner's
+     * PinnedGpuBaselineEqualsCpuOnly test guards that.
      */
     ExperimentCell
     cpuBaseline(const std::string &cpu_app) const
     {
-        return cell(cpu_app, "ubench", MeasureMode::CpuPrimary,
-                    pinnedConfig());
+        return cell(cpu_app, "", MeasureMode::CpuOnly);
     }
 
     /** @p gpu_app alone on idle CPUs. */

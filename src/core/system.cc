@@ -19,18 +19,18 @@ HeteroSystem::HeteroSystem(const SystemConfig &config)
     kernel_ = std::make_unique<Kernel>(ctx_, config.num_cores,
                                        config.core, config.kernel);
     iommu_ = std::make_unique<Iommu>(ctx_, *kernel_, config.iommu);
-    // When MSI steering pins interrupts to one core, the bottom-half
-    // kthread is pinned there too (paper Section V-E: steps 3 and 4
+    // MSI steering pins the driver's interrupts to one core, and its
+    // bottom-half kthread with them (paper Section V-E: steps 3 and 4
     // run on the same core).
-    const int bh_affinity =
+    const int irq_affinity =
         config.iommu.steering == MsiSteering::SingleCore
             ? config.iommu.steer_core : kAffinityAny;
     ssr_driver_ = &kernel_->attachSsrSource("iommu_drv", *iommu_,
                                             config.ssr_driver,
-                                            bh_affinity);
+                                            irq_affinity);
     iommu_->setDriver(ssr_driver_);
 
-    signal_queue_ = std::make_unique<SignalQueue>(ctx_, *kernel_);
+    signal_queue_ = std::make_unique<SignalQueue>(ctx_);
     signal_driver_ = &kernel_->attachSsrSource("gpu_signal_drv",
                                                *signal_queue_,
                                                config.ssr_driver);

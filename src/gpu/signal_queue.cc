@@ -2,12 +2,11 @@
 
 #include "fault/fault_injector.h"
 #include "sim/check_hooks.h"
-#include "sim/logging.h"
 
 namespace hiss {
 
-SignalQueue::SignalQueue(SimContext &ctx, Kernel &kernel)
-    : SimObject(ctx, "gpu_signal_queue"), kernel_(kernel)
+SignalQueue::SignalQueue(SimContext &ctx)
+    : SimObject(ctx, "gpu_signal_queue")
 {
     if (FaultInjector *faults = faultInjector())
         faults->registerSource(
@@ -91,50 +90,11 @@ SignalQueue::sendSignal(std::function<void(CpuCore &)> on_delivered,
     considerRaise();
 }
 
-int
-SignalQueue::pickTarget()
-{
-    const int target = rr_next_core_;
-    rr_next_core_ = (rr_next_core_ + 1) % kernel_.numCores();
-    return target;
-}
-
 void
 SignalQueue::considerRaise()
 {
-    if (queue_.empty() || irq_inflight_)
-        return;
-    if (driver_ == nullptr)
-        panic("SignalQueue: no driver attached");
-    irq_inflight_ = true;
-    Tick latency = kMsiLatency;
-    if (FaultInjector *faults = faultInjector()) {
-        const IrqFate fate = faults->irqFate();
-        if (fate.dropped) {
-            // Same watchdog recovery as the IOMMU MSI path: the
-            // queued signals stay put until the re-raise.
-            scheduleAfter(faults->plan().irq_watchdog, [this] {
-                if (irq_inflight_) {
-                    irq_inflight_ = false;
-                    ++irq_recoveries_;
-                    considerRaise();
-                }
-            }, EventPriority::Device, {{"sig.irqwd"}, {}});
-            return;
-        }
-        latency += fate.extra_delay;
-        if (fate.duplicated) {
-            scheduleAfter(latency + kMsiLatency, [this] {
-                kernel_.deliverIrq(pickTarget(),
-                                   driver_->makeInterrupt());
-            }, EventPriority::Device, {{"sig.irqdup"}, {}});
-        }
-    }
-    const int target = pickTarget();
-    scheduleAfter(latency, [this, target] {
-        kernel_.deliverIrq(target, driver_->makeInterrupt());
-    }, EventPriority::Device,
-    {{"sig.irq", static_cast<std::uint64_t>(target)}, {}});
+    if (!queue_.empty() && !driver_->irqInFlight())
+        driver_->raiseIrq(kMsiLatency);
 }
 
 std::vector<SsrRequest>
@@ -152,7 +112,6 @@ SignalQueue::drain()
 void
 SignalQueue::ack()
 {
-    irq_inflight_ = false;
     considerRaise();
 }
 
@@ -186,26 +145,6 @@ SignalQueue::rebuildEvent(const snap::Tag &tag)
             sendSignal(nullptr);
         };
     }
-    if (t.is("sig.irqwd")) {
-        return [this] {
-            if (irq_inflight_) {
-                irq_inflight_ = false;
-                ++irq_recoveries_;
-                considerRaise();
-            }
-        };
-    }
-    if (t.is("sig.irqdup")) {
-        return [this] {
-            kernel_.deliverIrq(pickTarget(), driver_->makeInterrupt());
-        };
-    }
-    if (t.is("sig.irq")) {
-        const int target = static_cast<int>(t.a);
-        return [this, target] {
-            kernel_.deliverIrq(target, driver_->makeInterrupt());
-        };
-    }
     throw snap::SnapshotError(
         std::string("unknown signal-queue event tag '")
         + (t.kind != nullptr ? t.kind : "") + "'");
@@ -218,14 +157,11 @@ SignalQueue::snapSave(snap::Writer &w) const
     w.u64(queue_.size());
     for (const SsrRequest &request : queue_)
         snapSaveRequest(w, request);
-    w.b(irq_inflight_);
-    w.u64(static_cast<std::uint64_t>(rr_next_core_));
     w.u64(next_id_);
     w.u64(signals_sent_);
     w.u64(signals_delivered_);
     w.u64(signals_resent_);
     w.u64(signals_aborted_);
-    w.u64(irq_recoveries_);
 }
 
 void
@@ -240,14 +176,11 @@ SignalQueue::snapRestore(snap::Reader &r)
                 rebuildRequestCallbacks(request);
             }));
     }
-    irq_inflight_ = r.b();
-    rr_next_core_ = static_cast<int>(r.u64());
     next_id_ = r.u64();
     signals_sent_ = r.u64();
     signals_delivered_ = r.u64();
     signals_resent_ = r.u64();
     signals_aborted_ = r.u64();
-    irq_recoveries_ = r.u64();
 }
 
 } // namespace hiss

@@ -14,7 +14,6 @@
 #include <deque>
 #include <functional>
 
-#include "os/kernel.h"
 #include "os/ssr_driver.h"
 #include "sim/sim_object.h"
 #include "snap/snap.h"
@@ -22,13 +21,14 @@
 namespace hiss {
 
 /**
- * A device-side queue of signal SSRs. Its interrupts go round robin
- * over the cores.
+ * A device-side queue of signal SSRs. It raises its driver's
+ * interrupt line whenever signals wait and the line is free; the
+ * interrupts go round robin over every core.
  */
 class SignalQueue : public SimObject, public RequestSource
 {
   public:
-    SignalQueue(SimContext &ctx, Kernel &kernel);
+    explicit SignalQueue(SimContext &ctx);
 
     /** Driver whose interrupt this queue raises. */
     void setDriver(SsrDriver *driver) { driver_ = driver; }
@@ -58,8 +58,6 @@ class SignalQueue : public SimObject, public RequestSource
     std::uint64_t signalsResent() const { return signals_resent_; }
     /** Signals whose request the driver watchdog aborted. */
     std::uint64_t signalsAborted() const { return signals_aborted_; }
-    /** Dropped IRQs re-raised by the device watchdog. */
-    std::uint64_t irqRecoveries() const { return irq_recoveries_; }
 
     /** Signals written but not yet drained (invariant audit). */
     std::size_t queueDepth() const { return queue_.size(); }
@@ -81,21 +79,16 @@ class SignalQueue : public SimObject, public RequestSource
     static constexpr Tick kMsiLatency = 150;
 
     void considerRaise();
-    int pickTarget();
 
-    Kernel &kernel_;
     // HISS_STATE_EXEMPT(driver_): wiring; borrowed driver pointer
     // re-attached via setDriver during system construction
     SsrDriver *driver_ = nullptr;
     std::deque<SsrRequest> queue_;
-    bool irq_inflight_ = false;
-    int rr_next_core_ = 0;
     std::uint64_t next_id_ = 1;
     std::uint64_t signals_sent_ = 0;
     std::uint64_t signals_delivered_ = 0;
     std::uint64_t signals_resent_ = 0;
     std::uint64_t signals_aborted_ = 0;
-    std::uint64_t irq_recoveries_ = 0;
 };
 
 } // namespace hiss

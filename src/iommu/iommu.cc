@@ -40,7 +40,7 @@ Iommu::Iommu(SimContext &ctx, Kernel &kernel, const IommuParams &params)
                        });
     stats().addFormula("iommu.msis", "MSIs raised",
                        [this] {
-                           return static_cast<double>(msis_raised_);
+                           return static_cast<double>(msisRaised());
                        });
     stats().addFormula("iommu.iotlb_hits", "IOTLB hits",
                        [this] {
@@ -66,7 +66,7 @@ Iommu::Iommu(SimContext &ctx, Kernel &kernel, const IommuParams &params)
         stats().addFormula("iommu.msi_recoveries",
                            "dropped MSIs re-raised by the watchdog",
                            [this] {
-                               return static_cast<double>(msi_recoveries_);
+                               return static_cast<double>(msiRecoveries());
                            });
     }
 }
@@ -368,94 +368,34 @@ Iommu::effectiveWindow() const
 void
 Iommu::considerRaiseMsi()
 {
-    if (ppr_queue_.empty() || msi_inflight_)
+    if (ppr_queue_.empty() || driver_->irqInFlight())
         return;
     if (!params_.coalescing) {
-        raiseMsi();
+        driver_->raiseIrq(params_.msi_latency);
         return;
     }
     if (ppr_queue_.size() >= params_.coalesce_burst) {
         if (coalesce_event_ != kInvalidEventId)
             events().cancel(coalesce_event_);
         coalesce_event_ = kInvalidEventId;
-        raiseMsi();
+        driver_->raiseIrq(params_.msi_latency);
         return;
     }
     if (coalesce_event_ == kInvalidEventId
         || !events().pending(coalesce_event_)) {
-        coalesce_event_ = scheduleAfter(effectiveWindow(), [this] {
-            coalesce_event_ = kInvalidEventId;
-            if (!ppr_queue_.empty() && !msi_inflight_)
-                raiseMsi();
-        }, EventPriority::Device, {{"iommu.coalesce"}, {}});
+        coalesce_event_ = scheduleAfter(effectiveWindow(),
+                                        [this] { closeCoalesceWindow(); },
+                                        EventPriority::Device,
+                                        {{"iommu.coalesce"}, {}});
     }
 }
 
 void
-Iommu::raiseMsi()
+Iommu::closeCoalesceWindow()
 {
-    if (driver_ == nullptr)
-        panic("Iommu: raiseMsi with no driver attached");
-    msi_inflight_ = true;
-    ++msis_raised_;
-    Tick latency = params_.msi_latency;
-    if (FaultInjector *faults = faultInjector()) {
-        const IrqFate fate = faults->irqFate();
-        if (fate.dropped) {
-            // The delivery vanishes. A device watchdog notices the
-            // never-acked interrupt and re-raises; the queued PPRs
-            // stay put, so nothing is lost — only delayed.
-            scheduleAfter(faults->plan().irq_watchdog, [this] {
-                if (msi_inflight_) {
-                    msi_inflight_ = false;
-                    ++msi_recoveries_;
-                    considerRaiseMsi();
-                }
-            }, EventPriority::Device, {{"iommu.msiwd"}, {}});
-            return;
-        }
-        latency += fate.extra_delay;
-        if (fate.duplicated) {
-            // A second, spurious delivery lands one MSI latency
-            // after the real one; it drains whatever is queued then
-            // (usually nothing) and its stray ack is harmless.
-            scheduleAfter(latency + params_.msi_latency, [this] {
-                kernel_.deliverIrq(pickTargetCore(),
-                                   driver_->makeInterrupt());
-            }, EventPriority::Device, {{"iommu.msidup"}, {}});
-        }
-    }
-    const int target = pickTargetCore();
-    scheduleAfter(latency, [this, target] {
-        kernel_.deliverIrq(target, driver_->makeInterrupt());
-    }, EventPriority::Device,
-    {{"iommu.msi", static_cast<std::uint64_t>(target)}, {}});
-}
-
-int
-Iommu::pickTargetCore()
-{
-    switch (params_.steering) {
-      case MsiSteering::SingleCore:
-        return params_.steer_core;
-      case MsiSteering::SpreadRoundRobin: {
-        // Lowest-priority-style arbitration: round-robin, but skip
-        // cores in deep idle when an awake core exists (hardware
-        // avoids waking CC6 cores for interrupt delivery when it
-        // can). Distribution stays even across the awake set.
-        const int n = kernel_.numCores();
-        for (int tried = 0; tried < n; ++tried) {
-            const int candidate = rr_next_core_;
-            rr_next_core_ = (rr_next_core_ + 1) % n;
-            if (!kernel_.core(candidate).asleepOrWaking())
-                return candidate;
-        }
-        const int target = rr_next_core_;
-        rr_next_core_ = (rr_next_core_ + 1) % n;
-        return target;
-      }
-    }
-    panic("Iommu: unknown steering policy");
+    coalesce_event_ = kInvalidEventId;
+    if (!ppr_queue_.empty() && !driver_->irqInFlight())
+        driver_->raiseIrq(params_.msi_latency);
 }
 
 std::vector<SsrRequest>
@@ -473,8 +413,7 @@ Iommu::drain()
 void
 Iommu::ack()
 {
-    msi_inflight_ = false;
-    // PPRs that arrived while the interrupt was being handled need a
+    // PPRs that arrived while the interrupt was in flight need a
     // fresh MSI.
     considerRaiseMsi();
 }
@@ -501,34 +440,8 @@ Iommu::rebuildEvent(const snap::Tag &tag, const CallbackResolver &resolver)
         const int select = static_cast<int>(t.b);
         return [this, id, select] { runBatchOps(id, select); };
     }
-    if (t.is("iommu.coalesce")) {
-        return [this] {
-            coalesce_event_ = kInvalidEventId;
-            if (!ppr_queue_.empty() && !msi_inflight_)
-                raiseMsi();
-        };
-    }
-    if (t.is("iommu.msiwd")) {
-        return [this] {
-            if (msi_inflight_) {
-                msi_inflight_ = false;
-                ++msi_recoveries_;
-                considerRaiseMsi();
-            }
-        };
-    }
-    if (t.is("iommu.msidup")) {
-        return [this] {
-            kernel_.deliverIrq(pickTargetCore(),
-                               driver_->makeInterrupt());
-        };
-    }
-    if (t.is("iommu.msi")) {
-        const int target = static_cast<int>(t.a);
-        return [this, target] {
-            kernel_.deliverIrq(target, driver_->makeInterrupt());
-        };
-    }
+    if (t.is("iommu.coalesce"))
+        return [this] { closeCoalesceWindow(); };
     throw snap::SnapshotError(
         std::string("unknown iommu event tag '")
         + (t.kind != nullptr ? t.kind : "") + "'");
@@ -553,9 +466,7 @@ Iommu::snapSave(snap::Writer &w) const
         snapSaveRequest(w, request);
     w.u64(last_ppr_at_);
     w.u64(ppr_gap_ema_);
-    w.b(msi_inflight_);
     w.u64(coalesce_event_);
-    w.u64(static_cast<std::uint64_t>(rr_next_core_));
     w.u64(next_request_id_);
     w.u64(batches_.size());
     for (const auto &[id, batch] : batches_) {
@@ -572,13 +483,11 @@ Iommu::snapSave(snap::Writer &w) const
     }
     w.u64(next_batch_id_);
     w.u64(pprs_issued_);
-    w.u64(msis_raised_);
     w.u64(iotlb_hits_);
     w.u64(iotlb_misses_);
     w.u64(faults_resolved_);
     w.u64(pprs_rejected_);
     w.u64(faults_aborted_);
-    w.u64(msi_recoveries_);
 }
 
 void
@@ -605,9 +514,7 @@ Iommu::snapRestore(snap::Reader &r, const CallbackResolver &resolver)
     }
     last_ppr_at_ = r.u64();
     ppr_gap_ema_ = r.u64();
-    msi_inflight_ = r.b();
     coalesce_event_ = r.u64();
-    rr_next_core_ = static_cast<int>(r.u64());
     next_request_id_ = r.u64();
     batches_.clear();
     const std::uint64_t nbatches = r.u64();
@@ -627,13 +534,11 @@ Iommu::snapRestore(snap::Reader &r, const CallbackResolver &resolver)
     }
     next_batch_id_ = r.u64();
     pprs_issued_ = r.u64();
-    msis_raised_ = r.u64();
     iotlb_hits_ = r.u64();
     iotlb_misses_ = r.u64();
     faults_resolved_ = r.u64();
     pprs_rejected_ = r.u64();
     faults_aborted_ = r.u64();
-    msi_recoveries_ = r.u64();
 }
 
 } // namespace hiss

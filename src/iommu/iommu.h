@@ -4,11 +4,13 @@
  *
  * Translates GPU virtual addresses: IOTLB hit, page-table walk, or —
  * for unmapped pages — a peripheral page request (PPR) queued for the
- * host driver, followed by an MSI to a CPU core. Implements the two
- * hardware-side mitigations from the paper:
+ * host driver, followed by an MSI that the driver's interrupt line
+ * delivers to a CPU core. Configures the two hardware-side
+ * mitigations from the paper:
  *
  *  - MSI steering (Section V-A): deliver all SSR interrupts to one
- *    core instead of spreading them round-robin across all cores;
+ *    core instead of spreading them round-robin across all cores
+ *    (the system pins the driver's interrupt line there);
  *  - interrupt coalescing (Section V-B): wait up to 13 us (the
  *    analog of PCIe register D0F2xF4_x93) accumulating PPRs before
  *    raising the interrupt.
@@ -145,6 +147,7 @@ class Iommu : public SimObject, public RequestSource
     /// @{
     std::vector<SsrRequest> drain() override;
     void ack() override;
+    bool spreadSkipsSleepingCores() const override { return true; }
     /// @}
 
     /** Driver whose interrupt this IOMMU raises (set after
@@ -152,7 +155,8 @@ class Iommu : public SimObject, public RequestSource
     void setDriver(SsrDriver *driver) { driver_ = driver; }
 
     std::uint64_t pprsIssued() const { return pprs_issued_; }
-    std::uint64_t msisRaised() const { return msis_raised_; }
+    /** MSIs raised through the driver, dropped ones included. */
+    std::uint64_t msisRaised() const { return driver_->irqsRaised(); }
     std::uint64_t iotlbHits() const { return iotlb_hits_; }
     std::uint64_t iotlbMisses() const { return iotlb_misses_; }
     std::uint64_t faultsResolved() const { return faults_resolved_; }
@@ -161,8 +165,8 @@ class Iommu : public SimObject, public RequestSource
     std::uint64_t pprsRejected() const { return pprs_rejected_; }
     /** PPRs whose request the driver watchdog aborted. */
     std::uint64_t faultsAborted() const { return faults_aborted_; }
-    /** Dropped MSIs re-raised by the device watchdog. */
-    std::uint64_t msiRecoveries() const { return msi_recoveries_; }
+    /** Dropped MSIs the driver's watchdog recovered. */
+    std::uint64_t msiRecoveries() const { return driver_->irqRecoveries(); }
 
     /** Current depth of the unsent-PPR queue (tests). */
     std::size_t pprQueueDepth() const { return ppr_queue_.size(); }
@@ -170,7 +174,7 @@ class Iommu : public SimObject, public RequestSource
     /// @name Snapshot support.
     /// @{
     /** Serialize the IOTLB (verbatim layout), unsent PPR queue,
-     *  coalescing/MSI state, in-flight batch ledger, and counters. */
+     *  coalescing state, in-flight batch ledger, and counters. */
     void snapSave(snap::Writer &w) const;
     /** Mirror of snapSave; @p resolver rebuilds device callbacks. */
     void snapRestore(snap::Reader &r, const CallbackResolver &resolver);
@@ -214,8 +218,7 @@ class Iommu : public SimObject, public RequestSource
     void runBatchOps(std::uint64_t id, int select);
     Tick effectiveWindow() const;
     void considerRaiseMsi();
-    void raiseMsi();
-    int pickTargetCore();
+    void closeCoalesceWindow();
 
     Kernel &kernel_;
     AddressSpaceDirectory &spaces_;
@@ -244,9 +247,7 @@ class Iommu : public SimObject, public RequestSource
     std::deque<SsrRequest> ppr_queue_;
     Tick last_ppr_at_ = 0;
     Tick ppr_gap_ema_ = usToTicks(20);
-    bool msi_inflight_ = false;
     EventId coalesce_event_ = kInvalidEventId;
-    int rr_next_core_ = 0;
     std::uint64_t next_request_id_ = 1;
 
     /** In-flight fused batches, keyed by id so the pending events
@@ -256,13 +257,11 @@ class Iommu : public SimObject, public RequestSource
     std::uint64_t next_batch_id_ = 1;
 
     std::uint64_t pprs_issued_ = 0;
-    std::uint64_t msis_raised_ = 0;
     std::uint64_t iotlb_hits_ = 0;
     std::uint64_t iotlb_misses_ = 0;
     std::uint64_t faults_resolved_ = 0;
     std::uint64_t pprs_rejected_ = 0;
     std::uint64_t faults_aborted_ = 0;
-    std::uint64_t msi_recoveries_ = 0;
     Distribution &fault_latency_;
 };
 

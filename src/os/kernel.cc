@@ -105,11 +105,10 @@ Kernel::threadYielded(CpuCore &core, Thread &thread,
 SsrDriver &
 Kernel::attachSsrSource(const std::string &name, RequestSource &source,
                         const SsrDriverParams &driver_params,
-                        int bh_affinity)
+                        int irq_affinity)
 {
     drivers_.push_back(std::make_unique<SsrDriver>(
-        ctx(), name, driver_params, source, *services_, *work_queue_,
-        *scheduler_));
+        ctx(), name, driver_params, source, *this, irq_affinity));
     SsrDriver &driver = *drivers_.back();
     driver.setSnapIndex(drivers_.size() - 1);
     if (!driver_params.monolithic_bottom_half) {
@@ -117,7 +116,7 @@ Kernel::attachSsrSource(const std::string &name, RequestSource &source,
         // a normal-priority kworker whose wakeup contends with user
         // threads — the latency the monolithic mitigation removes.
         Thread *bh = createThread(name + "_bh", kPrioWorker,
-                                  &driver.bottomHalfModel(), bh_affinity);
+                                  &driver.bottomHalfModel(), irq_affinity);
         driver.setBottomHalfThread(bh);
     }
     return driver;
@@ -237,7 +236,8 @@ Kernel::rebuildEvent(const snap::Tag &tag)
         return scheduler_->rebuildEvent(
             tag, [this](int id) { return threadById(id); });
     }
-    if (t.is("drv.wd"))
+    if (t.is("drv.wd") || t.is("drv.irq") || t.is("drv.irqdup")
+        || t.is("drv.irqwd"))
         return drivers_.at(t.a)->rebuildEvent(tag);
     if (t.is("core.grace") || t.is("core.burst") || t.is("core.irq")
         || t.is("core.wake")) {

@@ -77,14 +77,16 @@ class Kernel : public SimObject, public CoreListener
      * @param name            driver name ("iommu_drv").
      * @param source          the device queue to drain.
      * @param driver_params   split-handler timing/config.
-     * @param bh_affinity     pin the bottom-half kthread to a core
-     *                        (kAffinityAny = unpinned; the interrupt
-     *                        steering mitigation pins it).
+     * @param irq_affinity    the core that takes every interrupt and
+     *                        runs the bottom-half kthread (the
+     *                        steering mitigation); kAffinityAny
+     *                        spreads the interrupts and leaves the
+     *                        kthread unpinned.
      */
     SsrDriver &attachSsrSource(const std::string &name,
                                RequestSource &source,
                                const SsrDriverParams &driver_params,
-                               int bh_affinity = kAffinityAny);
+                               int irq_affinity = kAffinityAny);
 
     /**
      * Finish a work item its kworker has serviced on @p core: the

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "fault/fault_injector.h"
+#include "os/kernel.h"
 #include "sim/check_hooks.h"
 #include "sim/logging.h"
 #include "snap/access.h"
@@ -11,14 +12,12 @@ namespace hiss {
 
 SsrDriver::SsrDriver(SimContext &ctx, const std::string &name,
                      const SsrDriverParams &params, RequestSource &source,
-                     SystemServices &services, WorkQueue &work_queue,
-                     Scheduler &scheduler)
+                     Kernel &kernel, int irq_affinity)
     : SimObject(ctx, name),
       params_(params),
       source_(source),
-      services_(services),
-      work_queue_(work_queue),
-      scheduler_(scheduler),
+      kernel_(kernel),
+      irq_affinity_(irq_affinity),
       bh_model_(*this)
 {
     stats().addFormula(name + ".interrupts", "SSR interrupts handled",
@@ -137,7 +136,8 @@ SsrDriver::queueToWorker(SsrRequest request, CpuCore &core)
         request.driver_wrapped = true;
         request.driver_index = snap_index_;
     }
-    work_queue_.push(services_.makeWorkItem(std::move(request)), &core);
+    kernel_.workQueue().push(
+        kernel_.services().makeWorkItem(std::move(request)), &core);
 }
 
 Irq
@@ -178,6 +178,7 @@ SsrDriver::makeInterrupt()
         return duration;
     };
     irq.on_complete = [this](CpuCore &core) {
+        irq_inflight_ = false;
         source_.ack();
         if (pending_.empty())
             return;
@@ -191,10 +192,80 @@ SsrDriver::makeInterrupt()
             if (bh_thread_ == nullptr)
                 panic("%s: no bottom-half thread configured",
                       name().c_str());
-            scheduler_.wake(bh_thread_, &core);
+            kernel_.scheduler().wake(bh_thread_, &core);
         }
     };
     return irq;
+}
+
+void
+SsrDriver::raiseIrq(Tick latency)
+{
+    irq_inflight_ = true;
+    ++irqs_raised_;
+    Tick delay = latency;
+    if (FaultInjector *faults = faultInjector()) {
+        const IrqFate fate = faults->irqFate();
+        if (fate.dropped) {
+            // The delivery vanishes. The watchdog notices the
+            // never-acked interrupt and frees the line; the device's
+            // queued requests stay put, so nothing is lost, only
+            // delayed.
+            scheduleAfter(faults->plan().irq_watchdog,
+                          [this] { onIrqWatchdog(); },
+                          EventPriority::Device,
+                          {{"drv.irqwd", snap_index_}, {}});
+            return;
+        }
+        delay += fate.extra_delay;
+        if (fate.duplicated) {
+            // A second, spurious delivery lands one latency after the
+            // real one, on a core picked then; it drains whatever is
+            // queued (usually nothing) and its stray ack is harmless.
+            scheduleAfter(delay + latency, [this] {
+                kernel_.deliverIrq(pickIrqTarget(), makeInterrupt());
+            }, EventPriority::Device, {{"drv.irqdup", snap_index_}, {}});
+        }
+    }
+    const int target = pickIrqTarget();
+    scheduleAfter(delay, [this, target] {
+        kernel_.deliverIrq(target, makeInterrupt());
+    }, EventPriority::Device,
+    {{"drv.irq", snap_index_, static_cast<std::uint64_t>(target)}, {}});
+}
+
+int
+SsrDriver::pickIrqTarget()
+{
+    if (irq_affinity_ != kAffinityAny)
+        return irq_affinity_;
+    const int n = kernel_.numCores();
+    if (source_.spreadSkipsSleepingCores()) {
+        // Lowest-priority-style arbitration: round robin, but skip
+        // cores in deep idle when an awake core exists (hardware
+        // avoids waking CC6 cores for interrupt delivery when it
+        // can). The spread stays even across the awake set.
+        for (int tried = 0; tried < n; ++tried) {
+            const int candidate = rr_next_core_;
+            rr_next_core_ = (rr_next_core_ + 1) % n;
+            if (!kernel_.core(candidate).asleepOrWaking())
+                return candidate;
+        }
+    }
+    const int target = rr_next_core_;
+    rr_next_core_ = (rr_next_core_ + 1) % n;
+    return target;
+}
+
+void
+SsrDriver::onIrqWatchdog()
+{
+    // A duplicate's stray ack may have freed the line already.
+    if (!irq_inflight_)
+        return;
+    irq_inflight_ = false;
+    ++irq_recoveries_;
+    source_.ack();
 }
 
 void
@@ -226,6 +297,10 @@ SsrDriver::snapSave(snap::Writer &w) const
     w.u64(requests_drained_);
     w.u64(requests_aborted_);
     w.u64(completions_suppressed_);
+    w.b(irq_inflight_);
+    w.u64(static_cast<std::uint64_t>(rr_next_core_));
+    w.u64(irqs_raised_);
+    w.u64(irq_recoveries_);
 }
 
 void
@@ -264,15 +339,33 @@ SsrDriver::snapRestore(snap::Reader &r, const RequestRebuild &rebuild)
     requests_drained_ = r.u64();
     requests_aborted_ = r.u64();
     completions_suppressed_ = r.u64();
+    irq_inflight_ = r.b();
+    rr_next_core_ = static_cast<int>(r.u64());
+    irqs_raised_ = r.u64();
+    irq_recoveries_ = r.u64();
 }
 
 EventQueue::Callback
 SsrDriver::rebuildEvent(const snap::Tag &tag)
 {
-    if (tag.self.is("drv.wd")) {
-        const std::uint64_t id = tag.self.b;
+    const snap::Token &t = tag.self;
+    if (t.is("drv.wd")) {
+        const std::uint64_t id = t.b;
         return [this, id] { onWatchdog(id); };
     }
+    if (t.is("drv.irq")) {
+        const int target = static_cast<int>(t.b);
+        return [this, target] {
+            kernel_.deliverIrq(target, makeInterrupt());
+        };
+    }
+    if (t.is("drv.irqdup")) {
+        return [this] {
+            kernel_.deliverIrq(pickIrqTarget(), makeInterrupt());
+        };
+    }
+    if (t.is("drv.irqwd"))
+        return [this] { onIrqWatchdog(); };
     throw snap::SnapshotError("unknown driver event tag");
 }
 

@@ -4,6 +4,8 @@
  *
  * Models the amd_iommu_v2-style split interrupt handling chain:
  *
+ *   interrupt line      — the device raises it (2); the driver picks
+ *                         the target core and delivers the hardirq;
  *   top half (hardirq)  — drains the device request queue, schedules
  *                         the bottom half (IPI if remote), acks (3a/3b);
  *   bottom half kthread — pre-processes each request and queues the
@@ -23,13 +25,14 @@
 #include <unordered_map>
 #include <vector>
 
-#include "os/scheduler.h"
+#include "cpu/core.h"
 #include "os/services.h"
 #include "os/thread.h"
-#include "os/workqueue.h"
 #include "sim/sim_object.h"
 
 namespace hiss {
+
+class Kernel;
 
 /** A device-side queue of service requests drained by the driver. */
 class RequestSource
@@ -40,8 +43,17 @@ class RequestSource
     /** Remove and return all pending requests (top-half queue read). */
     virtual std::vector<SsrRequest> drain() = 0;
 
-    /** Top-half acknowledgement (step 3b): re-enables device irqs. */
+    /**
+     * The driver's interrupt line is free again (step 3b, or a
+     * dropped delivery recovered): raise it if requests wait.
+     */
     virtual void ack() = 0;
+
+    /**
+     * True if an unpinned interrupt skips cores in deep idle while
+     * one is awake; false spreads it over every core in turn.
+     */
+    virtual bool spreadSkipsSleepingCores() const { return false; }
 };
 
 /** Driver timing/configuration parameters. */
@@ -61,14 +73,22 @@ struct SsrDriverParams
     std::uint32_t bh_footprint_branches = 700;
 };
 
-/** The split-handler SSR driver. */
+/**
+ * The split-handler SSR driver. It owns its device's interrupt line:
+ * the in-flight flag, the target pick and the recovery of dropped
+ * deliveries.
+ */
 class SsrDriver : public SimObject
 {
   public:
+    /**
+     * @param irq_affinity core that takes every interrupt, or
+     *        kAffinityAny to spread them (see
+     *        RequestSource::spreadSkipsSleepingCores).
+     */
     SsrDriver(SimContext &ctx, const std::string &name,
               const SsrDriverParams &params, RequestSource &source,
-              SystemServices &services, WorkQueue &work_queue,
-              Scheduler &scheduler);
+              Kernel &kernel, int irq_affinity);
 
     /**
      * Set the bottom-half kthread (created by the kernel with
@@ -82,11 +102,24 @@ class SsrDriver : public SimObject
     /** The execution model to give the bottom-half kthread. */
     ExecutionModel &bottomHalfModel() { return bh_model_; }
 
-    /**
-     * Build the hardirq the device posts to a core when it raises
-     * its service interrupt.
-     */
+    /** Build the hardirq each raiseIrq() delivers to a core. */
     Irq makeInterrupt();
+
+    /**
+     * Raise the device's interrupt (paper Fig. 1, step 2): the line
+     * is busy and makeInterrupt() reaches a core @p latency later.
+     * The line frees when the top half finishes, or when the
+     * watchdog recovers a dropped delivery; both call
+     * RequestSource::ack().
+     */
+    void raiseIrq(Tick latency);
+
+    /** True from raiseIrq() until the line frees. */
+    bool irqInFlight() const { return irq_inflight_; }
+    /** Interrupts raised, dropped ones included. */
+    std::uint64_t irqsRaised() const { return irqs_raised_; }
+    /** Dropped interrupts the watchdog recovered. */
+    std::uint64_t irqRecoveries() const { return irq_recoveries_; }
 
     const SsrDriverParams &params() const { return params_; }
 
@@ -125,7 +158,8 @@ class SsrDriver : public SimObject
 
     void snapSave(snap::Writer &w) const;
     void snapRestore(snap::Reader &r, const RequestRebuild &rebuild);
-    /** Rebuild the callback of a "drv.wd" watchdog event. */
+    /** Rebuild the callback of a drv.* event: a request watchdog,
+     *  an interrupt delivery, its duplicate or its watchdog. */
     EventQueue::Callback rebuildEvent(const snap::Tag &tag);
     /// @}
 
@@ -170,14 +204,17 @@ class SsrDriver : public SimObject
     bool trackingEnabled() const;
     void armWatchdog(std::uint64_t id);
     void onWatchdog(std::uint64_t id);
+    int pickIrqTarget();
+    void onIrqWatchdog();
 
     // HISS_STATE_EXEMPT(params_): construction config, covered by the
     // snapshot config fingerprint
     SsrDriverParams params_;
     RequestSource &source_;
-    SystemServices &services_;
-    WorkQueue &work_queue_;
-    Scheduler &scheduler_;
+    Kernel &kernel_;
+    // HISS_STATE_EXEMPT(irq_affinity_): construction config, covered
+    // by the snapshot config fingerprint
+    int irq_affinity_;
     // HISS_STATE_EXEMPT(bh_thread_): wiring; the bottom-half thread is
     // owned and serialized by the kernel thread table, re-attached via
     // setBottomHalfThread at construction
@@ -190,6 +227,10 @@ class SsrDriver : public SimObject
     std::uint64_t requests_drained_ = 0;
     std::uint64_t requests_aborted_ = 0;
     std::uint64_t completions_suppressed_ = 0;
+    bool irq_inflight_ = false;
+    int rr_next_core_ = 0;
+    std::uint64_t irqs_raised_ = 0;
+    std::uint64_t irq_recoveries_ = 0;
     // HISS_STATE_EXEMPT(snap_index_): identity; assigned once when the
     // kernel attaches the driver, reassigned identically on rebuild
     std::uint64_t snap_index_ = 0;

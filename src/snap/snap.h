@@ -45,7 +45,7 @@ class SnapshotError : public std::runtime_error
 };
 
 /** Snapshot format version; bump on any layout change. */
-inline constexpr std::uint32_t kFormatVersion = 1;
+inline constexpr std::uint32_t kFormatVersion = 2;
 
 /** File magic ("HISSNAP" + format epoch). */
 inline constexpr char kMagic[8] = {'H', 'I', 'S', 'S', 'N', 'A', 'P', '1'};

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/experiment.h"
 #include "sim/logging.h"
 
@@ -47,6 +49,50 @@ TEST(ExperimentRunner, PinnedBaselineHasNoSsrs)
     EXPECT_EQ(r.faults_resolved, 0u);
     EXPECT_EQ(r.ssr_interrupts, 0u);
     EXPECT_DOUBLE_EQ(r.ssr_cpu_fraction, 0.0);
+}
+
+/**
+ * The figures' no-SSR CPU baselines (FigureArgs::cpuBaseline in
+ * bench/harness.h) run the CPU app alone. That holds only while a GPU
+ * on pinned memory cannot reach the CPUs: it raises no SSR, and the
+ * model has no shared cache or DRAM contention. Pin it field by
+ * field, under the config the figures use.
+ */
+TEST(ExperimentRunner, PinnedGpuBaselineEqualsCpuOnly)
+{
+    ExperimentConfig pinned;
+    pinned.gpu_demand_paging = false;
+    for (const char *app : {"swaptions", "blackscholes"}) {
+        const RunResult with_gpu = ExperimentRunner::run(
+            app, "ubench", pinned, MeasureMode::CpuPrimary);
+        const RunResult alone = ExperimentRunner::run(
+            app, "", ExperimentConfig{}, MeasureMode::CpuOnly);
+        const std::string why = std::string(app)
+            + ": a shared resource now couples the pinned GPU to the "
+              "CPUs; put the GPU back into FigureArgs::cpuBaseline";
+        EXPECT_EQ(with_gpu.hit_time_cap, alone.hit_time_cap) << why;
+        EXPECT_EQ(with_gpu.elapsed_ms, alone.elapsed_ms) << why;
+        EXPECT_EQ(with_gpu.cpu_runtime_ms, alone.cpu_runtime_ms) << why;
+        EXPECT_EQ(with_gpu.gpu_runtime_ms, alone.gpu_runtime_ms) << why;
+        EXPECT_EQ(with_gpu.gpu_ssr_rate, alone.gpu_ssr_rate) << why;
+        EXPECT_EQ(with_gpu.cc6_fraction, alone.cc6_fraction) << why;
+        EXPECT_EQ(with_gpu.user_l1d_miss_rate, alone.user_l1d_miss_rate)
+            << why;
+        EXPECT_EQ(with_gpu.user_branch_miss_rate,
+                  alone.user_branch_miss_rate)
+            << why;
+        EXPECT_EQ(with_gpu.ssr_cpu_fraction, alone.ssr_cpu_fraction)
+            << why;
+        EXPECT_EQ(with_gpu.total_irqs, alone.total_irqs) << why;
+        EXPECT_EQ(with_gpu.total_ipis, alone.total_ipis) << why;
+        EXPECT_EQ(with_gpu.ssr_interrupts, alone.ssr_interrupts) << why;
+        EXPECT_EQ(with_gpu.faults_resolved, alone.faults_resolved) << why;
+        EXPECT_EQ(with_gpu.msis_raised, alone.msis_raised) << why;
+        EXPECT_EQ(with_gpu.aborted_wavefronts, alone.aborted_wavefronts)
+            << why;
+        EXPECT_EQ(with_gpu.ssr_irqs_per_core, alone.ssr_irqs_per_core)
+            << why;
+    }
 }
 
 TEST(ExperimentRunner, SsrsSlowTheCpuApp)

@@ -97,6 +97,33 @@ TEST(FaultInjector, DroppedMsisAreReRaisedByTheDeviceWatchdog)
     EXPECT_GT(sys.gpu().faultsResolved(), 0u);
 }
 
+TEST(FaultInjector, DroppedSignalIrqsAreReRaisedByTheDriverWatchdog)
+{
+    SystemConfig config;
+    config.seed = 11;
+    config.check_invariants = true;
+    config.fault.irq_drop_prob = 0.2;
+    HeteroSystem sys(config);
+    SignalQueue &signals = sys.signalQueue();
+    // Spread over time: a burst at t=0 would batch into one or two
+    // interrupts.
+    for (int i = 0; i < 200; ++i) {
+        signals.sendSignal(nullptr);
+        sys.runUntil(sys.now() + usToTicks(20));
+    }
+    EXPECT_TRUE(sys.runUntilCondition(
+        [&] { return signals.signalsDelivered() == signals.signalsSent(); },
+        sys.now() + msToTicks(5)));
+    // Let any watchdog still pending fire.
+    sys.runUntil(sys.now() + config.fault.irq_watchdog);
+    sys.finalizeStats();
+
+    const FaultInjector &faults = *sys.faultInjector();
+    EXPECT_GT(faults.irqsDropped(), 0u);
+    EXPECT_EQ(sys.signalDriver().irqRecoveries(), faults.irqsDropped());
+    EXPECT_EQ(signals.signalsDelivered(), signals.signalsSent());
+}
+
 TEST(FaultInjector, PprOverflowRejectsAndGpuRetries)
 {
     SystemConfig config;

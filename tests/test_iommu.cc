@@ -27,8 +27,13 @@ class IommuTest : public ::testing::Test
         kernel = std::make_unique<Kernel>(ctx, cores, CpuCoreParams{},
                                           kparams);
         iommu = std::make_unique<Iommu>(ctx, *kernel, params);
+        // Wired as HeteroSystem wires it: steering pins the driver's
+        // interrupt line to the steered core.
+        const int irq_affinity =
+            params.steering == MsiSteering::SingleCore ? params.steer_core
+                                                       : kAffinityAny;
         driver = &kernel->attachSsrSource("iommu_drv", *iommu,
-                                          SsrDriverParams{});
+                                          SsrDriverParams{}, irq_affinity);
         iommu->setDriver(driver);
     }
 

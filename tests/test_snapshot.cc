@@ -13,11 +13,13 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
 
 #include "core/hiss.h"
+#include "fault/fault_injector.h"
 #include "snap/snap.h"
 
 namespace hiss {
@@ -78,6 +80,36 @@ statsDump(HeteroSystem &sys)
     return os.str();
 }
 
+using SystemBuilder = std::function<std::unique_ptr<HeteroSystem>()>;
+
+/** Snapshot @p original where it stands, restore into a twin from
+ *  @p build, and require the twin to shadow the original exactly
+ *  until @p end. */
+void
+expectTwinShadows(HeteroSystem &original, const SystemBuilder &build,
+                  Tick end, const std::string &label)
+{
+    const Tick cut = original.now();
+    const std::string blob = original.snapshotBytes();
+    const std::uint64_t hash_at_cut = original.stateHash();
+
+    const std::unique_ptr<HeteroSystem> twin = build();
+    twin->restoreSnapshotBytes(blob);
+    EXPECT_EQ(twin->now(), cut) << label;
+    EXPECT_EQ(twin->stateHash(), hash_at_cut)
+        << label << ": restore is not state-identical";
+
+    // A re-snapshot of the restored twin must be byte-identical: the
+    // round trip loses nothing.
+    EXPECT_EQ(twin->snapshotBytes(), blob) << label;
+
+    original.runUntil(end);
+    twin->runUntil(end);
+    EXPECT_EQ(twin->stateHash(), original.stateHash())
+        << label << ": restored run diverged after the cut";
+    EXPECT_EQ(statsDump(*twin), statsDump(original)) << label;
+}
+
 /** Cut a run at @p cut, restore into a twin, and require the twin to
  *  shadow the original exactly until @p end. */
 void
@@ -85,24 +117,75 @@ expectRoundTrip(std::uint64_t seed, bool faults, Tick cut, Tick end)
 {
     Rig original = buildRig(seed, faults);
     original.sys->runUntil(cut);
-    const std::string blob = original.sys->snapshotBytes();
-    const std::uint64_t hash_at_cut = original.sys->stateHash();
+    expectTwinShadows(*original.sys,
+                      [&] { return buildRig(seed, faults).sys; },
+                      end, "seed " + std::to_string(seed));
+}
 
-    Rig twin = buildRig(seed, faults);
-    twin.sys->restoreSnapshotBytes(blob);
-    EXPECT_EQ(twin.sys->now(), cut);
-    EXPECT_EQ(twin.sys->stateHash(), hash_at_cut)
-        << "seed " << seed << ": restore is not state-identical";
+/**
+ * A faults-armed system on which one device alone raises interrupts:
+ * the GPU signal queue (fed by driveUntil) or, with @p iommu, the
+ * IOMMU under a demand-paging ubench.
+ */
+std::unique_ptr<HeteroSystem>
+buildLineRig(std::uint64_t seed, bool iommu)
+{
+    SystemConfig config;
+    config.seed = seed;
+    config.check_invariants = false;
+    config.fault = armedPlan();
+    // armedPlan()'s 150 us request watchdog aborts every ubench
+    // wavefront within 1 ms, after which the IOMMU raises nothing.
+    config.fault.request_timeout = FaultPlan{}.request_timeout;
+    auto sys = std::make_unique<HeteroSystem>(config);
+    if (iommu)
+        sys->launchGpu(gpu_suite::params("ubench"), true, true);
+    return sys;
+}
 
-    // A re-snapshot of the restored twin must be byte-identical: the
-    // round trip loses nothing.
-    EXPECT_EQ(twin.sys->snapshotBytes(), blob);
+/**
+ * Step @p sys event by event until @p reached holds, sending one
+ * callback-free signal every 20 us when @p send (a burst at t=0 would
+ * batch into one or two interrupts). Signals go from here because a
+ * scheduled lambda has no tag and cannot cross a snapshot. False if
+ * @p horizon passes first.
+ */
+bool
+driveUntil(HeteroSystem &sys, const std::function<bool()> &reached,
+           bool send, Tick horizon)
+{
+    while (sys.now() < horizon) {
+        if (send)
+            sys.signalQueue().sendSignal(nullptr);
+        if (sys.runUntilCondition(reached, sys.now() + usToTicks(20)))
+            return true;
+    }
+    return false;
+}
 
-    original.sys->runUntil(end);
-    twin.sys->runUntil(end);
-    EXPECT_EQ(twin.sys->stateHash(), original.sys->stateHash())
-        << "seed " << seed << ": restored run diverged after the cut";
-    EXPECT_EQ(statsDump(*twin.sys), statsDump(*original.sys));
+/** Cut each line rig the moment @p moved (a fault counter) first
+ *  moves, and require the round trip to be exact. */
+void
+expectExactAtFirst(std::uint64_t (FaultInjector::*moved)() const,
+                   const char *what)
+{
+    for (const bool iommu : {false, true}) {
+        for (const std::uint64_t seed : {1ULL, 7ULL, 23ULL, 42ULL}) {
+            const std::string label = std::string(what) + " on the "
+                + (iommu ? "IOMMU" : "signal queue") + ", seed "
+                + std::to_string(seed);
+            const std::unique_ptr<HeteroSystem> original =
+                buildLineRig(seed, iommu);
+            const FaultInjector &faults = *original->faultInjector();
+            ASSERT_TRUE(driveUntil(
+                *original, [&] { return (faults.*moved)() > 0; }, !iommu,
+                msToTicks(10)))
+                << label << ": not reached within 10 ms";
+            expectTwinShadows(
+                *original, [&] { return buildLineRig(seed, iommu); },
+                original->now() + msToTicks(2), label);
+        }
+    }
 }
 
 TEST(Snapshot, RoundTripIsExactAcrossSeeds)
@@ -115,6 +198,57 @@ TEST(Snapshot, RoundTripIsExactWithFaultsArmed)
 {
     for (const std::uint64_t seed : {1ULL, 7ULL, 23ULL})
         expectRoundTrip(seed, true, msToTicks(5), msToTicks(12));
+}
+
+TEST(Snapshot, RoundTripCarriesSignalsWithFaultsArmed)
+{
+    for (const std::uint64_t seed : {1ULL, 7ULL, 23ULL}) {
+        Rig original = buildRig(seed, true);
+        // Signals spread up to the cut; armedPlan() loses some, so the
+        // injector's loss ledger crosses the cut as well.
+        driveUntil(*original.sys, [] { return false; }, true,
+                   msToTicks(5));
+        const SignalQueue &signals = original.sys->signalQueue();
+        ASSERT_GT(original.sys->faultInjector()->signalsLost(), 0u)
+            << "seed " << seed;
+        ASSERT_GT(signals.signalsSent(), signals.signalsDelivered())
+            << "seed " << seed << ": no signal in flight at the cut";
+        expectTwinShadows(
+            *original.sys, [&] { return buildRig(seed, true).sys; },
+            msToTicks(12), "seed " + std::to_string(seed));
+    }
+}
+
+TEST(Snapshot, CutWithPendingIrqWatchdogIsExact)
+{
+    // A dropped delivery leaves the driver's line in flight until its
+    // watchdog fires; the restored watchdog must free it.
+    expectExactAtFirst(&FaultInjector::irqsDropped, "dropped interrupt");
+}
+
+TEST(Snapshot, CutWithPendingDuplicateIrqIsExact)
+{
+    expectExactAtFirst(&FaultInjector::irqsDuplicated,
+                       "duplicated interrupt");
+}
+
+TEST(Snapshot, CutWithTrackedWorkItemsIsExact)
+{
+    // With faults armed the driver tracks every request it queues, so
+    // each work item queued or in service at the cut must restore
+    // with its driver routing.
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        Rig original = buildRig(seed, true);
+        const WorkQueue &wq = original.sys->kernel().workQueue();
+        ASSERT_TRUE(original.sys->runUntilCondition(
+            [&] { return wq.totalDepth() + wq.inService() >= 4; },
+            msToTicks(10)))
+            << "seed " << seed << ": four work items never in flight";
+        expectTwinShadows(
+            *original.sys, [&] { return buildRig(seed, true).sys; },
+            original.sys->now() + msToTicks(5),
+            "seed " + std::to_string(seed));
+    }
 }
 
 TEST(Snapshot, StateHashDetectsDivergence)

@@ -255,8 +255,10 @@ fi
 # run restored from a mid-warmup snapshot must produce byte-identical
 # stats/CSV dumps and stdout (modulo wall-clock and snapshot progress
 # lines) to the cold run that never stopped. Exercised twice: clean,
-# and with the full fault-injection schedule armed (watchdogs, loss
-# ledger, RNG-driven IRQ fates all cross the snapshot boundary).
+# and with the full fault-injection schedule armed (watchdogs and
+# RNG-driven IRQ fates cross the snapshot boundary). hiss_sim sends
+# no GPU signal, so the signal queue and the injector's loss ledger
+# stay empty here; tests/test_snapshot.cc carries them across a cut.
 run_snapshot() {
     cmake --preset default
     cmake --build --preset default -j "$jobs" \
