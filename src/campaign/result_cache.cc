@@ -17,53 +17,26 @@ constexpr const char *kSection = "campaign.record";
 /** Bump on any record-payload layout change. */
 constexpr std::uint32_t kRecordVersion = 1;
 
+/** Walk a cached result's fields: written on store, read on lookup. */
 void
-writeResult(snap::Writer &w, const RunResult &r)
+snapIoResult(snap::Io &io, RunResult &result)
 {
-    w.b(r.hit_time_cap);
-    w.f64(r.elapsed_ms);
-    w.f64(r.cpu_runtime_ms);
-    w.f64(r.gpu_runtime_ms);
-    w.f64(r.gpu_ssr_rate);
-    w.f64(r.cc6_fraction);
-    w.f64(r.user_l1d_miss_rate);
-    w.f64(r.user_branch_miss_rate);
-    w.f64(r.ssr_cpu_fraction);
-    w.u64(r.total_irqs);
-    w.u64(r.total_ipis);
-    w.u64(r.ssr_interrupts);
-    w.u64(r.faults_resolved);
-    w.u64(r.msis_raised);
-    w.u64(r.aborted_wavefronts);
-    w.u64(r.ssr_irqs_per_core.size());
-    for (const std::uint64_t v : r.ssr_irqs_per_core)
-        w.u64(v);
-}
-
-RunResult
-readResult(snap::Reader &r)
-{
-    RunResult out;
-    out.hit_time_cap = r.b();
-    out.elapsed_ms = r.f64();
-    out.cpu_runtime_ms = r.f64();
-    out.gpu_runtime_ms = r.f64();
-    out.gpu_ssr_rate = r.f64();
-    out.cc6_fraction = r.f64();
-    out.user_l1d_miss_rate = r.f64();
-    out.user_branch_miss_rate = r.f64();
-    out.ssr_cpu_fraction = r.f64();
-    out.total_irqs = r.u64();
-    out.total_ipis = r.u64();
-    out.ssr_interrupts = r.u64();
-    out.faults_resolved = r.u64();
-    out.msis_raised = r.u64();
-    out.aborted_wavefronts = r.u64();
-    const std::uint64_t cores = r.u64();
-    out.ssr_irqs_per_core.reserve(cores);
-    for (std::uint64_t i = 0; i < cores; ++i)
-        out.ssr_irqs_per_core.push_back(r.u64());
-    return out;
+    io.b(result.hit_time_cap);
+    io.f64(result.elapsed_ms);
+    io.f64(result.cpu_runtime_ms);
+    io.f64(result.gpu_runtime_ms);
+    io.f64(result.gpu_ssr_rate);
+    io.f64(result.cc6_fraction);
+    io.f64(result.user_l1d_miss_rate);
+    io.f64(result.user_branch_miss_rate);
+    io.f64(result.ssr_cpu_fraction);
+    io.u64(result.total_irqs);
+    io.u64(result.total_ipis);
+    io.u64(result.ssr_interrupts);
+    io.u64(result.faults_resolved);
+    io.u64(result.msis_raised);
+    io.u64(result.aborted_wavefronts);
+    io.seq(result.ssr_irqs_per_core, [&io](std::uint64_t &v) { io.u64(v); });
 }
 
 } // namespace
@@ -93,7 +66,9 @@ ResultCache::encode(const std::string &canonical,
     w.str(canonical);
     w.b(outcome.ok);
     if (outcome.ok) {
-        writeResult(w, outcome.result);
+        RunResult result = outcome.result;
+        snap::Io io(w);
+        snapIoResult(io, result);
     } else {
         w.str(outcome.error);
         w.str(outcome.repro);
@@ -116,7 +91,8 @@ ResultCache::decode(const std::string &blob, std::string &canonical_out)
     CellOutcome outcome;
     outcome.ok = r.b();
     if (outcome.ok) {
-        outcome.result = readResult(r);
+        snap::Io io(r);
+        snapIoResult(io, outcome.result);
     } else {
         outcome.error = r.str();
         outcome.repro = r.str();

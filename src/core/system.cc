@@ -124,66 +124,57 @@ HeteroSystem::configFingerprint() const
 void
 HeteroSystem::saveSnapshot(snap::Writer &w) const
 {
-    if (monitor_ != nullptr)
-        throw snap::SnapshotError(
-            "snapshots with the invariant monitor armed are "
-            "unsupported (build the system with check_invariants "
-            "= false)");
-    w.section("system");
-    w.u64(configFingerprint());
-    if (faults_ != nullptr)
-        faults_->snapSave(w);
-    kernel_->snapSave(w);
-    iommu_->snapSave(w);
-    signal_queue_->snapSave(w);
-    gpu_->snapSave(w);
-    w.u64(extra_gpus_.size());
-    for (const auto &gpu : extra_gpus_)
-        gpu->snapSave(w);
-    w.u64(apps_.size());
-    for (const auto &app : apps_)
-        app->snapSave(w);
-    snap::Access::save(w, stats_);
-    // The event queue goes last: restoring it re-arms callbacks that
-    // capture component state, so the components must already be in
-    // their snapshot state when the tags are resolved.
-    events_.saveState(w);
+    snap::Io io(w);
+    // The walk only reads the system's state on save.
+    const_cast<HeteroSystem *>(this)->snapIo(io);
 }
 
 void
 HeteroSystem::restoreSnapshot(snap::Reader &r)
+{
+    snap::Io io(r);
+    snapIo(io);
+}
+
+void
+HeteroSystem::snapIo(snap::Io &io)
 {
     if (monitor_ != nullptr)
         throw snap::SnapshotError(
             "snapshots with the invariant monitor armed are "
             "unsupported (build the system with check_invariants "
             "= false)");
-    r.section("system");
-    if (r.u64() != configFingerprint())
-        throw snap::SnapshotError(
-            "snapshot config fingerprint mismatch (different config, "
-            "workload, or seed)");
+    io.section("system");
+    io.expect(configFingerprint(),
+              "snapshot config fingerprint mismatch (different config, "
+              "workload, or seed)");
     if (faults_ != nullptr)
-        faults_->snapRestore(r);
-    kernel_->snapRestore(r, requestRebuild());
-    iommu_->snapRestore(r, callbackResolver());
-    signal_queue_->snapRestore(r);
-    gpu_->snapRestore(r);
-    if (r.u64() != extra_gpus_.size())
-        throw snap::SnapshotError(
-            "accelerator count mismatch (addAccelerator() not "
-            "replayed before restore?)");
+        faults_->snapIo(io);
+    const RequestRebuild rebuild = requestRebuild();
+    kernel_->snapIo(io, rebuild);
+    iommu_->snapIo(io, rebuild, callbackResolver());
+    signal_queue_->snapIo(io, rebuild);
+    gpu_->snapIo(io);
+    io.expect(extra_gpus_.size(),
+              "accelerator count mismatch (addAccelerator() not "
+              "replayed before restore?)");
     for (const auto &gpu : extra_gpus_)
-        gpu->snapRestore(r);
-    if (r.u64() != apps_.size())
-        throw snap::SnapshotError(
-            "application count mismatch (addCpuApp() not replayed "
-            "before restore?)");
+        gpu->snapIo(io);
+    io.expect(apps_.size(),
+              "application count mismatch (addCpuApp() not replayed "
+              "before restore?)");
     for (const auto &app : apps_)
-        app->snapRestore(r);
-    snap::Access::restore(r, stats_);
-    events_.restoreState(
-        r, [this](const snap::Tag &tag) { return resolveTag(tag); });
+        app->snapIo(io);
+    snap::Access::io(io, stats_);
+    // The event queue goes last: restoring it re-arms callbacks that
+    // capture component state, so the components must already be in
+    // their snapshot state when the tags are resolved.
+    if (io.saving())
+        events_.saveState(io.writer());
+    else
+        events_.restoreState(io.reader(), [this](const snap::Tag &tag) {
+            return resolveTag(tag);
+        });
 }
 
 std::string
@@ -230,15 +221,8 @@ HeteroSystem::stateHash() const
 Gpu &
 HeteroSystem::gpuByDevice(std::uint64_t id)
 {
-    if (id == 0)
-        return *gpu_;
-    if (id - 1 >= extra_gpus_.size())
-        throw snap::SnapshotError(
-            "snapshot references accelerator device id "
-            + std::to_string(id) + " but only "
-            + std::to_string(extra_gpus_.size())
-            + " extra accelerators exist");
-    return *extra_gpus_[id - 1];
+    snap::checkIndex(id, extra_gpus_.size() + 1, "accelerator device id");
+    return id == 0 ? *gpu_ : *extra_gpus_[id - 1];
 }
 
 Iommu::CallbackResolver
@@ -261,6 +245,9 @@ RequestRebuild
 HeteroSystem::requestRebuild()
 {
     return [this](SsrRequest &request) {
+        if (request.driver_wrapped)
+            snap::checkIndex(request.driver_index, kernel_->drivers().size(),
+                             "request driver");
         const snap::Token &origin = request.origin.self;
         if (origin.is("iommu.ppr")) {
             iommu_->rebuildRequestCallbacks(request, callbackResolver());

@@ -155,6 +155,8 @@ class HeteroSystem
   private:
     /** The GPU with device id @p id (0 = primary). */
     Gpu &gpuByDevice(std::uint64_t id);
+    /** The one state walk behind saveSnapshot / restoreSnapshot. */
+    void snapIo(snap::Io &io);
     /** Resolver handed to the IOMMU for device callback rebuild. */
     Iommu::CallbackResolver callbackResolver();
     /** Rebuilds SsrRequest callbacks from the request's origin tag. */

@@ -573,164 +573,98 @@ CpuCore::finalizeStats()
 namespace {
 
 void
-saveBurst(snap::Writer &w, const BurstRequest &b)
+ioBurst(snap::Io &io, BurstRequest &b)
 {
-    w.u32(static_cast<std::uint32_t>(b.kind));
-    w.u64(b.instructions);
-    w.u64(b.duration);
-    w.b(b.kernel_mode);
-    w.b(b.ssr_work);
-    w.u32(b.mem_accesses);
-    w.u32(b.branches);
-    w.f64(b.base_cpi);
+    io.as32(b.kind);
+    io.u64(b.instructions);
+    io.u64(b.duration);
+    io.b(b.kernel_mode);
+    io.b(b.ssr_work);
+    io.u32(b.mem_accesses);
+    io.u32(b.branches);
+    io.f64(b.base_cpi);
+    if (!io.saving()) {
+        // Stream pointers are only read inside beginRunBurst, before
+        // the stored copy is overwritten; a restored in-flight burst
+        // never dereferences them again.
+        b.astream = nullptr;
+        b.bstream = nullptr;
+    }
 }
 
-BurstRequest
-restoreBurst(snap::Reader &r)
-{
-    BurstRequest b;
-    b.kind = static_cast<BurstRequest::Kind>(r.u32());
-    b.instructions = r.u64();
-    b.duration = r.u64();
-    b.kernel_mode = r.b();
-    b.ssr_work = r.b();
-    b.mem_accesses = r.u32();
-    b.branches = r.u32();
-    b.base_cpi = r.f64();
-    // Stream pointers are only read inside beginRunBurst, before the
-    // stored copy is overwritten; a restored in-flight burst never
-    // dereferences them again.
-    b.astream = nullptr;
-    b.bstream = nullptr;
-    return b;
-}
-
+/** A queued irq travels as its producer token; restore rebuilds it
+ *  through @p irqs. */
 void
-saveIrq(snap::Writer &w, const Irq &irq)
+ioIrq(snap::Io &io, Irq &irq, const CpuCore::IrqRebuild &irqs)
 {
-    if (irq.token.empty())
+    if (io.saving() && irq.token.empty())
         throw snap::SnapshotError("cannot snapshot: queued irq '" +
                                   irq.label + "' has no producer token");
-    w.token(irq.token);
+    io.token(irq.token);
+    if (!io.saving())
+        irq = irqs(irq.token);
 }
 
 } // namespace
 
 void
-CpuCore::snapSave(snap::Writer &w) const
+CpuCore::snapIo(snap::Io &io, const IrqRebuild &irqs,
+                const std::function<Thread *(int)> &threadById)
 {
-    w.section(name().c_str());
-    snap::Access::save(w, rng());
-    snap::Access::save(w, l1d_);
-    snap::Access::save(w, bp_);
-    snap::Access::save(w, kernel_astream_);
-    snap::Access::save(w, kernel_bstream_);
-    w.u32(pending_kfp_accesses_);
-    w.u32(pending_kfp_branches_);
+    io.section(name().c_str());
+    snap::Access::io(io, rng());
+    snap::Access::io(io, l1d_);
+    snap::Access::io(io, bp_);
+    snap::Access::io(io, kernel_astream_);
+    snap::Access::io(io, kernel_bstream_);
+    io.u32(pending_kfp_accesses_);
+    io.u32(pending_kfp_branches_);
 
-    w.u32(static_cast<std::uint32_t>(state_));
-    w.i64(current_ != nullptr ? current_->id() : -1);
+    io.as32(state_);
+    std::int64_t current_id = current_ != nullptr ? current_->id() : -1;
+    io.i64(current_id);
+    if (!io.saving())
+        current_ = current_id >= 0
+                       ? threadById(static_cast<int>(current_id))
+                       : nullptr;
 
-    w.u64(pending_overhead_);
-    w.u64(burst_overhead_);
-    w.b(burst_active_);
-    saveBurst(w, burst_);
-    w.u64(burst_start_);
-    w.u64(burst_duration_);
-    w.u64(burst_instructions_);
-    w.u64(burst_event_);
+    io.u64(pending_overhead_);
+    io.u64(burst_overhead_);
+    io.b(burst_active_);
+    ioBurst(io, burst_);
+    io.u64(burst_start_);
+    io.u64(burst_duration_);
+    io.u64(burst_instructions_);
+    io.u64(burst_event_);
 
-    w.u64(pending_irqs_.size());
-    for (const Irq &irq : pending_irqs_)
-        saveIrq(w, irq);
-    w.b(active_irq_.has_value());
-    if (active_irq_.has_value())
-        saveIrq(w, *active_irq_);
-    w.u64(irq_start_);
-    w.u64(irq_duration_);
-    w.u64(irq_event_);
+    const auto irq = [&io, &irqs](Irq &queued) { ioIrq(io, queued, irqs); };
+    io.seq(pending_irqs_, irq);
+    io.optional(active_irq_, irq);
+    io.u64(irq_start_);
+    io.u64(irq_duration_);
+    io.u64(irq_event_);
 
-    w.u64(grace_event_);
-    w.u64(wake_event_);
-    w.u64(sleep_entered_);
-    w.u64(cc6_ticks_);
-    w.u64(last_irq_time_);
-    w.u64(irq_gap_ema_);
-    w.b(last_mode_kernel_);
+    io.u64(grace_event_);
+    io.u64(wake_event_);
+    io.u64(sleep_entered_);
+    io.u64(cc6_ticks_);
+    io.u64(last_irq_time_);
+    io.u64(irq_gap_ema_);
+    io.b(last_mode_kernel_);
 
-    w.u64(user_ticks_);
-    w.u64(kernel_ticks_);
-    w.u64(ssr_ticks_);
-    w.u64(irq_count_);
-    w.u64(ipi_count_);
-    w.u64(wakeups_);
-    w.u64(mode_switches_);
-    w.u64(ctx_switches_);
-    w.u64(user_instructions_);
-    w.u64(user_l1d_accesses_);
-    w.u64(user_l1d_misses_);
-    w.u64(user_branches_);
-    w.u64(user_branch_misses_);
-}
-
-void
-CpuCore::snapRestore(snap::Reader &r, const IrqRebuild &irqs,
-                     const std::function<Thread *(int)> &threadById)
-{
-    r.section(name().c_str());
-    snap::Access::restore(r, rng());
-    snap::Access::restore(r, l1d_);
-    snap::Access::restore(r, bp_);
-    snap::Access::restore(r, kernel_astream_);
-    snap::Access::restore(r, kernel_bstream_);
-    pending_kfp_accesses_ = r.u32();
-    pending_kfp_branches_ = r.u32();
-
-    state_ = static_cast<CoreState>(r.u32());
-    const auto current_id = static_cast<int>(r.i64());
-    current_ = current_id >= 0 ? threadById(current_id) : nullptr;
-
-    pending_overhead_ = r.u64();
-    burst_overhead_ = r.u64();
-    burst_active_ = r.b();
-    burst_ = restoreBurst(r);
-    burst_start_ = r.u64();
-    burst_duration_ = r.u64();
-    burst_instructions_ = r.u64();
-    burst_event_ = r.u64();
-
-    pending_irqs_.clear();
-    const std::uint64_t n_irqs = r.u64();
-    for (std::uint64_t i = 0; i < n_irqs; ++i)
-        pending_irqs_.push_back(irqs(r.token()));
-    active_irq_.reset();
-    if (r.b())
-        active_irq_ = irqs(r.token());
-    irq_start_ = r.u64();
-    irq_duration_ = r.u64();
-    irq_event_ = r.u64();
-
-    grace_event_ = r.u64();
-    wake_event_ = r.u64();
-    sleep_entered_ = r.u64();
-    cc6_ticks_ = r.u64();
-    last_irq_time_ = r.u64();
-    irq_gap_ema_ = r.u64();
-    last_mode_kernel_ = r.b();
-
-    user_ticks_ = r.u64();
-    kernel_ticks_ = r.u64();
-    ssr_ticks_ = r.u64();
-    irq_count_ = r.u64();
-    ipi_count_ = r.u64();
-    wakeups_ = r.u64();
-    mode_switches_ = r.u64();
-    ctx_switches_ = r.u64();
-    user_instructions_ = r.u64();
-    user_l1d_accesses_ = r.u64();
-    user_l1d_misses_ = r.u64();
-    user_branches_ = r.u64();
-    user_branch_misses_ = r.u64();
+    io.u64(user_ticks_);
+    io.u64(kernel_ticks_);
+    io.u64(ssr_ticks_);
+    io.u64(irq_count_);
+    io.u64(ipi_count_);
+    io.u64(wakeups_);
+    io.u64(mode_switches_);
+    io.u64(ctx_switches_);
+    io.u64(user_instructions_);
+    io.u64(user_l1d_accesses_);
+    io.u64(user_l1d_misses_);
+    io.u64(user_branches_);
+    io.u64(user_branch_misses_);
 }
 
 EventQueue::Callback

@@ -270,16 +270,14 @@ class CpuCore : public SimObject
     /** Rebuilds a queued Irq from its producer token on restore. */
     using IrqRebuild = std::function<Irq(const snap::Token &)>;
 
-    /** Serialize all dynamic core state (substrate, burst, irqs). */
-    void snapSave(snap::Writer &w) const;
-
     /**
-     * Restore state saved by snapSave() into this freshly built core.
-     * @param irqs       rebuilds queued interrupts from their tokens.
-     * @param threadById resolves the attached thread, if any.
+     * Walk all dynamic core state (substrate, burst, irqs).
+     * @param irqs       rebuilds queued interrupts from their tokens
+     *                   on restore.
+     * @param threadById resolves the attached thread on restore.
      */
-    void snapRestore(snap::Reader &r, const IrqRebuild &irqs,
-                     const std::function<Thread *(int)> &threadById);
+    void snapIo(snap::Io &io, const IrqRebuild &irqs,
+                const std::function<Thread *(int)> &threadById);
 
     /** Rebuild a pending event callback from its tag ("core.*"). */
     EventQueue::Callback rebuildEvent(const snap::Tag &tag);

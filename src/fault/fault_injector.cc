@@ -155,20 +155,29 @@ FaultInjector::totalInjected() const
 }
 
 void
-FaultInjector::snapSave(snap::Writer &w) const
+FaultInjector::snapIo(snap::Io &io)
 {
-    w.section("faults");
-    snap::Access::save(w, rng());
-    w.u64(pprs_overflowed_);
-    w.u64(irqs_dropped_);
-    w.u64(irqs_duplicated_);
-    w.u64(irqs_delayed_);
-    w.u64(ipis_delayed_);
-    w.u64(kworker_stalls_);
-    w.u64(signals_lost_);
-    w.u32(static_cast<std::uint32_t>(unledgered_drops_left_));
-    // Ledger, keyed by registered source name (name order for
-    // determinism; ids sorted within each source).
+    io.section("faults");
+    snap::Access::io(io, rng());
+    io.u64(pprs_overflowed_);
+    io.u64(irqs_dropped_);
+    io.u64(irqs_duplicated_);
+    io.u64(irqs_delayed_);
+    io.u64(ipis_delayed_);
+    io.u64(kworker_stalls_);
+    io.u64(signals_lost_);
+    io.as32(unledgered_drops_left_);
+    // Keyed by source pointer: written by name, looked up on restore.
+    if (io.saving())
+        snapSaveLedger(io.writer());
+    else
+        snapRestoreLedger(io.reader());
+}
+
+void
+FaultInjector::snapSaveLedger(snap::Writer &w) const
+{
+    // Name order for determinism; ids sorted within each source.
     std::uint64_t named = 0;
     for (const auto &[source, ids] : loss_ledger_) {
         if (ids.empty())
@@ -194,20 +203,10 @@ FaultInjector::snapSave(snap::Writer &w) const
 }
 
 void
-FaultInjector::snapRestore(snap::Reader &r)
+FaultInjector::snapRestoreLedger(snap::Reader &r)
 {
-    r.section("faults");
-    snap::Access::restore(r, rng());
-    pprs_overflowed_ = r.u64();
-    irqs_dropped_ = r.u64();
-    irqs_duplicated_ = r.u64();
-    irqs_delayed_ = r.u64();
-    ipis_delayed_ = r.u64();
-    kworker_stalls_ = r.u64();
-    signals_lost_ = r.u64();
-    unledgered_drops_left_ = static_cast<int>(r.u32());
     loss_ledger_.clear();
-    const std::uint64_t named = r.u64();
+    const std::uint64_t named = r.count(16);
     for (std::uint64_t i = 0; i < named; ++i) {
         const std::string name = r.str();
         const auto it = sources_by_name_.find(name);
@@ -215,7 +214,7 @@ FaultInjector::snapRestore(snap::Reader &r)
             throw snap::SnapshotError("loss ledger names unknown source '"
                                       + name + "'");
         auto &ids = loss_ledger_[it->second];
-        const std::uint64_t count = r.u64();
+        const std::uint64_t count = r.count(8);
         for (std::uint64_t j = 0; j < count; ++j)
             ids.insert(r.u64());
     }

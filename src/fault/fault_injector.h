@@ -107,11 +107,13 @@ class FaultInjector : public SimObject
 
     /// @name Snapshot support (rng stream, counters, loss ledger).
     /// @{
-    void snapSave(snap::Writer &w) const;
-    void snapRestore(snap::Reader &r);
+    void snapIo(snap::Io &io);
     /// @}
 
   private:
+    void snapSaveLedger(snap::Writer &w) const;
+    void snapRestoreLedger(snap::Reader &r);
+
     // HISS_STATE_EXEMPT(plan_): construction config (the fault plan),
     // fingerprinted alongside the experiment config
     FaultPlan plan_;

@@ -227,6 +227,7 @@ Gpu::rebuildTranslateCallback(const snap::Token &token)
         throw snap::SnapshotError(
             std::string("unknown gpu callback token '")
             + (token.kind != nullptr ? token.kind : "") + "'");
+    snap::checkIndex(token.b, wavefronts_.size(), "translating wavefront");
     const int w = static_cast<int>(token.b);
     const bool count_fault = token.c != 0;
     return [this, w, count_fault](TranslateResult result) {
@@ -363,6 +364,7 @@ EventQueue::Callback
 Gpu::rebuildEvent(const snap::Tag &tag)
 {
     const snap::Token &t = tag.self;
+    snap::checkIndex(t.b, wavefronts_.size(), "gpu event wavefront");
     const int w = static_cast<int>(t.b);
     if (t.is("gpu.retry"))
         return [this, w] { beginTranslate(w); };
@@ -381,87 +383,47 @@ Gpu::rebuildEvent(const snap::Tag &tag)
 }
 
 void
-Gpu::snapSave(snap::Writer &w) const
+Gpu::snapIo(snap::Io &io)
 {
-    w.section(name().c_str());
+    io.section(name().c_str());
     // batching_ is only true synchronously inside resetForLaunch, so
     // it can never be set at an event boundary where saves happen.
-    snap::Access::save(w, rng());
-    w.b(demand_paging_);
-    w.b(loop_);
-    w.u32(static_cast<std::uint32_t>(phase_));
-    w.u64(wavefronts_.size());
-    for (const Wavefront &wf : wavefronts_) {
-        w.b(wf.busy);
-        w.u64(wf.work.vpn);
-        w.u64(wf.work.chunks);
-        w.b(wf.work.fresh);
-        w.b(wf.work.valid);
-        w.u64(wf.stall_start);
-        w.u32(static_cast<std::uint32_t>(wf.retries));
-        w.u64(wf.backoff);
-    }
-    w.u64(slot_waiters_.size());
-    for (const int waiter : slot_waiters_)
-        w.u32(static_cast<std::uint32_t>(waiter));
-    w.u32(outstanding_);
-    w.u64(next_new_vpn_);
-    w.u64(touched_pages_);
-    w.u64(preload_pages_left_);
-    w.u64(main_visits_left_);
-    w.u64(generation_);
-    w.u64(kernels_completed_);
-    w.u64(first_completion_);
-    w.u64(launch_time_);
-    w.u64(chunks_completed_);
-    w.u64(faults_issued_);
-    w.u64(faults_resolved_);
-    w.u64(aborted_wavefronts_);
-    w.u64(translate_retries_);
-    w.u64(stall_ticks_);
-}
-
-void
-Gpu::snapRestore(snap::Reader &r)
-{
-    r.section(name().c_str());
-    snap::Access::restore(r, rng());
-    demand_paging_ = r.b();
-    loop_ = r.b();
-    phase_ = static_cast<Phase>(r.u32());
-    if (r.u64() != wavefronts_.size())
-        throw snap::SnapshotError(
-            name() + ": wavefront count mismatch (launch() not "
-                     "replayed with the snapshot's workload?)");
+    snap::Access::io(io, rng());
+    io.b(demand_paging_);
+    io.b(loop_);
+    io.as32(phase_);
+    io.expect(wavefronts_.size(),
+              name() + ": wavefront count mismatch (launch() not "
+                       "replayed with the snapshot's workload?)");
     for (Wavefront &wf : wavefronts_) {
-        wf.busy = r.b();
-        wf.work.vpn = r.u64();
-        wf.work.chunks = r.u64();
-        wf.work.fresh = r.b();
-        wf.work.valid = r.b();
-        wf.stall_start = r.u64();
-        wf.retries = static_cast<int>(r.u32());
-        wf.backoff = r.u64();
+        io.b(wf.busy);
+        io.u64(wf.work.vpn);
+        io.u64(wf.work.chunks);
+        io.b(wf.work.fresh);
+        io.b(wf.work.valid);
+        io.u64(wf.stall_start);
+        io.as32(wf.retries);
+        io.u64(wf.backoff);
     }
-    slot_waiters_.clear();
-    const std::uint64_t waiters = r.u64();
-    for (std::uint64_t i = 0; i < waiters; ++i)
-        slot_waiters_.push_back(static_cast<int>(r.u32()));
-    outstanding_ = r.u32();
-    next_new_vpn_ = r.u64();
-    touched_pages_ = r.u64();
-    preload_pages_left_ = r.u64();
-    main_visits_left_ = r.u64();
-    generation_ = r.u64();
-    kernels_completed_ = r.u64();
-    first_completion_ = r.u64();
-    launch_time_ = r.u64();
-    chunks_completed_ = r.u64();
-    faults_issued_ = r.u64();
-    faults_resolved_ = r.u64();
-    aborted_wavefronts_ = r.u64();
-    translate_retries_ = r.u64();
-    stall_ticks_ = r.u64();
+    io.seq(slot_waiters_, [this, &io](int &waiter) {
+        io.as32(waiter);
+        snap::checkIndex(waiter, wavefronts_.size(), "slot-waiting wavefront");
+    });
+    io.u32(outstanding_);
+    io.u64(next_new_vpn_);
+    io.u64(touched_pages_);
+    io.u64(preload_pages_left_);
+    io.u64(main_visits_left_);
+    io.u64(generation_);
+    io.u64(kernels_completed_);
+    io.u64(first_completion_);
+    io.u64(launch_time_);
+    io.u64(chunks_completed_);
+    io.u64(faults_issued_);
+    io.u64(faults_resolved_);
+    io.u64(aborted_wavefronts_);
+    io.u64(translate_retries_);
+    io.u64(stall_ticks_);
 }
 
 } // namespace hiss

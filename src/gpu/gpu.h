@@ -137,11 +137,10 @@ class Gpu : public SimObject
 
     /// @name Snapshot support.
     /// @{
-    /** Serialize workload progress, wavefront states, and counters.
+    /** Walk workload progress, wavefront states, and counters.
      *  Structure (wavefront count, workload params) comes from the
      *  launch() replayed on the restore target. */
-    void snapSave(snap::Writer &w) const;
-    void snapRestore(snap::Reader &r);
+    void snapIo(snap::Io &io);
     /** Rebuild an in-flight translate callback from its token
      *  ("gpu.xlate", device, wavefront, count_fault). */
     Iommu::TranslateCallback

@@ -151,36 +151,17 @@ SignalQueue::rebuildEvent(const snap::Tag &tag)
 }
 
 void
-SignalQueue::snapSave(snap::Writer &w) const
+SignalQueue::snapIo(snap::Io &io, const RequestRebuild &rebuild)
 {
-    w.section("sigq");
-    w.u64(queue_.size());
-    for (const SsrRequest &request : queue_)
-        snapSaveRequest(w, request);
-    w.u64(next_id_);
-    w.u64(signals_sent_);
-    w.u64(signals_delivered_);
-    w.u64(signals_resent_);
-    w.u64(signals_aborted_);
-}
-
-void
-SignalQueue::snapRestore(snap::Reader &r)
-{
-    r.section("sigq");
-    queue_.clear();
-    const std::uint64_t queued = r.u64();
-    for (std::uint64_t i = 0; i < queued; ++i) {
-        queue_.push_back(snapRestoreRequest(
-            r, [this](SsrRequest &request) {
-                rebuildRequestCallbacks(request);
-            }));
-    }
-    next_id_ = r.u64();
-    signals_sent_ = r.u64();
-    signals_delivered_ = r.u64();
-    signals_resent_ = r.u64();
-    signals_aborted_ = r.u64();
+    io.section("sigq");
+    io.seq(queue_, [&io, &rebuild](SsrRequest &request) {
+        snapIoRequest(io, request, rebuild);
+    });
+    io.u64(next_id_);
+    io.u64(signals_sent_);
+    io.u64(signals_delivered_);
+    io.u64(signals_resent_);
+    io.u64(signals_aborted_);
 }
 
 } // namespace hiss

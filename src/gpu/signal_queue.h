@@ -64,8 +64,9 @@ class SignalQueue : public SimObject, public RequestSource
 
     /// @name Snapshot support.
     /// @{
-    void snapSave(snap::Writer &w) const;
-    void snapRestore(snap::Reader &r);
+    /** Walk the undrained signals and the counters; @p rebuild
+     *  re-attaches restored requests' callbacks. */
+    void snapIo(snap::Io &io, const RequestRebuild &rebuild);
     /** Re-attach delivery bookkeeping to a restored signal request.
      *  Throws if the live request carried a caller callback (those
      *  cannot be rebuilt; see sendSignal). */

@@ -437,6 +437,10 @@ Iommu::rebuildEvent(const snap::Tag &tag, const CallbackResolver &resolver)
     }
     if (t.is("iommu.batch")) {
         const std::uint64_t id = t.a;
+        if (batches_.count(id) == 0)
+            throw snap::SnapshotError(
+                "snapshot corrupt: batch event names unknown batch "
+                + std::to_string(id));
         const int select = static_cast<int>(t.b);
         return [this, id, select] { runBatchOps(id, select); };
     }
@@ -448,97 +452,50 @@ Iommu::rebuildEvent(const snap::Tag &tag, const CallbackResolver &resolver)
 }
 
 void
-Iommu::snapSave(snap::Writer &w) const
+Iommu::snapIo(snap::Io &io, const RequestRebuild &rebuild,
+              const CallbackResolver &resolver)
 {
-    w.section("iommu");
+    io.section("iommu");
     // The probe table layout depends on insertion order, so the
-    // IOTLB arrays are written verbatim rather than re-inserted.
-    w.u64(iotlb_slots_.size());
-    for (const Vpn v : iotlb_slots_)
-        w.u64(v);
-    w.u64(iotlb_ring_.size());
-    for (const Vpn v : iotlb_ring_)
-        w.u64(v);
-    w.u32(iotlb_head_);
-    w.u32(iotlb_size_);
-    w.u64(ppr_queue_.size());
-    for (const SsrRequest &request : ppr_queue_)
-        snapSaveRequest(w, request);
-    w.u64(last_ppr_at_);
-    w.u64(ppr_gap_ema_);
-    w.u64(coalesce_event_);
-    w.u64(next_request_id_);
-    w.u64(batches_.size());
-    for (const auto &[id, batch] : batches_) {
-        w.u64(id);
-        w.u32(static_cast<std::uint32_t>(batch.events_left));
-        w.b(batch.allow_fault);
-        w.u32(batch.pasid);
-        w.u64(batch.ops.size());
-        for (const BatchOp &op : batch.ops) {
-            w.b(op.hit);
-            w.u64(op.vpn);
-            w.token(op.token);
-        }
-    }
-    w.u64(next_batch_id_);
-    w.u64(pprs_issued_);
-    w.u64(iotlb_hits_);
-    w.u64(iotlb_misses_);
-    w.u64(faults_resolved_);
-    w.u64(pprs_rejected_);
-    w.u64(faults_aborted_);
-}
-
-void
-Iommu::snapRestore(snap::Reader &r, const CallbackResolver &resolver)
-{
-    r.section("iommu");
-    if (r.u64() != iotlb_slots_.size())
-        throw snap::SnapshotError("IOTLB probe-table size mismatch");
+    // IOTLB arrays are walked verbatim rather than re-inserted.
+    io.expect(iotlb_slots_.size(), "IOTLB probe-table size mismatch");
     for (Vpn &v : iotlb_slots_)
-        v = r.u64();
-    if (r.u64() != iotlb_ring_.size())
-        throw snap::SnapshotError("IOTLB capacity mismatch");
+        io.u64(v);
+    io.expect(iotlb_ring_.size(), "IOTLB capacity mismatch");
     for (Vpn &v : iotlb_ring_)
-        v = r.u64();
-    iotlb_head_ = r.u32();
-    iotlb_size_ = r.u32();
-    ppr_queue_.clear();
-    const std::uint64_t queued = r.u64();
-    for (std::uint64_t i = 0; i < queued; ++i) {
-        ppr_queue_.push_back(snapRestoreRequest(
-            r, [this, &resolver](SsrRequest &request) {
-                rebuildRequestCallbacks(request, resolver);
-            }));
-    }
-    last_ppr_at_ = r.u64();
-    ppr_gap_ema_ = r.u64();
-    coalesce_event_ = r.u64();
-    next_request_id_ = r.u64();
-    batches_.clear();
-    const std::uint64_t nbatches = r.u64();
-    for (std::uint64_t i = 0; i < nbatches; ++i) {
-        const std::uint64_t id = r.u64();
-        Batch &batch = batches_[id];
-        batch.events_left = static_cast<int>(r.u32());
-        batch.allow_fault = r.b();
-        batch.pasid = r.u32();
-        batch.ops.resize(r.u64());
-        for (BatchOp &op : batch.ops) {
-            op.hit = r.b();
-            op.vpn = r.u64();
-            op.token = r.token();
-            op.on_complete = resolver(op.token);
-        }
-    }
-    next_batch_id_ = r.u64();
-    pprs_issued_ = r.u64();
-    iotlb_hits_ = r.u64();
-    iotlb_misses_ = r.u64();
-    faults_resolved_ = r.u64();
-    pprs_rejected_ = r.u64();
-    faults_aborted_ = r.u64();
+        io.u64(v);
+    io.u32(iotlb_head_);
+    snap::checkIndex(iotlb_head_, iotlb_ring_.size(), "IOTLB head");
+    io.u32(iotlb_size_);
+    snap::checkIndex(iotlb_size_, iotlb_ring_.size() + 1,
+                     "IOTLB occupancy");
+    io.seq(ppr_queue_, [&io, &rebuild](SsrRequest &request) {
+        snapIoRequest(io, request, rebuild);
+    });
+    io.u64(last_ppr_at_);
+    io.u64(ppr_gap_ema_);
+    io.u64(coalesce_event_);
+    io.u64(next_request_id_);
+    io.keyed(batches_, [&io, &resolver](std::uint64_t &id, Batch &batch) {
+        io.u64(id);
+        io.as32(batch.events_left);
+        io.b(batch.allow_fault);
+        io.u32(batch.pasid);
+        io.seq(batch.ops, [&io, &resolver](BatchOp &op) {
+            io.b(op.hit);
+            io.u64(op.vpn);
+            io.token(op.token);
+            if (!io.saving())
+                op.on_complete = resolver(op.token);
+        });
+    });
+    io.u64(next_batch_id_);
+    io.u64(pprs_issued_);
+    io.u64(iotlb_hits_);
+    io.u64(iotlb_misses_);
+    io.u64(faults_resolved_);
+    io.u64(pprs_rejected_);
+    io.u64(faults_aborted_);
 }
 
 } // namespace hiss

@@ -173,11 +173,11 @@ class Iommu : public SimObject, public RequestSource
 
     /// @name Snapshot support.
     /// @{
-    /** Serialize the IOTLB (verbatim layout), unsent PPR queue,
-     *  coalescing state, in-flight batch ledger, and counters. */
-    void snapSave(snap::Writer &w) const;
-    /** Mirror of snapSave; @p resolver rebuilds device callbacks. */
-    void snapRestore(snap::Reader &r, const CallbackResolver &resolver);
+    /** Walk the IOTLB (verbatim layout), unsent PPR queue,
+     *  coalescing state, in-flight batch ledger, and counters;
+     *  @p rebuild and @p resolver rebuild callbacks on restore. */
+    void snapIo(snap::Io &io, const RequestRebuild &rebuild,
+                const CallbackResolver &resolver);
     /** Re-attach this IOMMU's service callbacks to a restored PPR. */
     void rebuildRequestCallbacks(SsrRequest &request,
                                  const CallbackResolver &resolver);

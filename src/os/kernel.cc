@@ -206,7 +206,8 @@ Kernel::threadById(int id) const
     for (const auto &thread : threads_)
         if (thread->id() == id)
             return thread.get();
-    return nullptr;
+    throw snap::SnapshotError("snapshot names unknown thread id "
+                              + std::to_string(id));
 }
 
 Irq
@@ -214,10 +215,14 @@ Kernel::rebuildIrq(const snap::Token &token)
 {
     if (token.is("irq.timer"))
         return makeHousekeepingIrq();
-    if (token.is("irq.resched"))
+    if (token.is("irq.resched")) {
+        snap::checkIndex(token.a, cores_.size(), "resched IPI core");
         return scheduler_->makeReschedIrq(static_cast<int>(token.a));
-    if (token.is("irq.drv"))
-        return drivers_.at(token.a)->makeInterrupt();
+    }
+    if (token.is("irq.drv")) {
+        snap::checkIndex(token.a, drivers_.size(), "irq driver");
+        return drivers_[token.a]->makeInterrupt();
+    }
     throw snap::SnapshotError(
         std::string("unknown irq token '")
         + (token.kind != nullptr ? token.kind : "") + "'");
@@ -228,6 +233,7 @@ Kernel::rebuildEvent(const snap::Tag &tag)
 {
     const snap::Token &t = tag.self;
     if (t.is("kernel.hk")) {
+        snap::checkIndex(t.a, cores_.size(), "housekeeping core");
         const int core_index = static_cast<int>(t.a);
         return [this, core_index] { fireHousekeeping(core_index); };
     }
@@ -237,11 +243,14 @@ Kernel::rebuildEvent(const snap::Tag &tag)
             tag, [this](int id) { return threadById(id); });
     }
     if (t.is("drv.wd") || t.is("drv.irq") || t.is("drv.irqdup")
-        || t.is("drv.irqwd"))
-        return drivers_.at(t.a)->rebuildEvent(tag);
+        || t.is("drv.irqwd")) {
+        snap::checkIndex(t.a, drivers_.size(), "driver event driver");
+        return drivers_[t.a]->rebuildEvent(tag);
+    }
     if (t.is("core.grace") || t.is("core.burst") || t.is("core.irq")
         || t.is("core.wake")) {
-        return core(static_cast<int>(t.a)).rebuildEvent(tag);
+        snap::checkIndex(t.a, cores_.size(), "core event core");
+        return cores_[t.a]->rebuildEvent(tag);
     }
     throw snap::SnapshotError(
         std::string("unknown kernel event tag '")
@@ -249,76 +258,46 @@ Kernel::rebuildEvent(const snap::Tag &tag)
 }
 
 void
-Kernel::snapSave(snap::Writer &w) const
+Kernel::snapIo(snap::Io &io, const RequestRebuild &rebuild)
 {
-    w.section("kernel");
-    snap::Access::save(w, rng());
-    w.i64(next_thread_id_);
-    w.u64(threads_.size());
+    io.section("kernel");
+    snap::Access::io(io, rng());
+    io.asI64(next_thread_id_);
+    io.expect(threads_.size(),
+              "thread count mismatch (different workload config?)");
     for (const auto &thread : threads_) {
-        w.i64(thread->id());
-        snap::Access::save(w, *thread);
+        io.expect(static_cast<std::uint64_t>(thread->id()),
+                  "thread id order mismatch");
+        snap::Access::io(io, *thread);
+        snap::checkIndex(thread->lastCore() + 1, cores_.size() + 1,
+                         "thread last core + 1");
     }
-    snap::Access::save(w, proc_stats_);
-    snap::Access::save(w, frames_);
-    snap::Access::save(w, spaces_);
-    scheduler_->snapSave(w);
-    services_->snapSave(w);
-    work_queue_->snapSave(w);
-    w.b(qos_governor_ != nullptr);
-    if (qos_governor_ != nullptr)
-        qos_governor_->snapSave(w);
-    w.u64(worker_models_.size());
-    for (const auto &worker : worker_models_)
-        worker->snapSave(w);
-    w.u64(drivers_.size());
-    for (const auto &driver : drivers_)
-        driver->snapSave(w);
-    for (const auto &core : cores_)
-        core->snapSave(w);
-}
-
-void
-Kernel::snapRestore(snap::Reader &r, const RequestRebuild &rebuild)
-{
-    r.section("kernel");
-    snap::Access::restore(r, rng());
-    next_thread_id_ = static_cast<int>(r.i64());
-    if (r.u64() != threads_.size())
-        throw snap::SnapshotError(
-            "thread count mismatch (different workload config?)");
-    for (const auto &thread : threads_) {
-        if (static_cast<int>(r.i64()) != thread->id())
-            throw snap::SnapshotError("thread id order mismatch");
-        snap::Access::restore(r, *thread);
-    }
-    snap::Access::restore(r, proc_stats_);
-    snap::Access::restore(r, frames_);
-    snap::Access::restore(r, spaces_);
-    scheduler_->snapRestore(r,
-                            [this](int id) { return threadById(id); });
-    services_->snapRestore(r);
-    work_queue_->snapRestore(r, rebuild);
-    const bool had_qos = r.b();
+    snap::Access::io(io, proc_stats_);
+    snap::Access::io(io, frames_);
+    snap::Access::io(io, spaces_);
+    const std::function<Thread *(int)> lookup = [this](int id) {
+        return threadById(id);
+    };
+    scheduler_->snapIo(io, lookup);
+    services_->snapIo(io);
+    work_queue_->snapIo(io, rebuild);
+    bool had_qos = qos_governor_ != nullptr;
+    io.b(had_qos);
     if (had_qos != (qos_governor_ != nullptr))
         throw snap::SnapshotError("QoS governor presence mismatch");
     if (qos_governor_ != nullptr)
-        qos_governor_->snapRestore(r);
-    if (r.u64() != worker_models_.size())
-        throw snap::SnapshotError("worker model count mismatch");
+        qos_governor_->snapIo(io);
+    io.expect(worker_models_.size(), "worker model count mismatch");
     for (const auto &worker : worker_models_)
-        worker->snapRestore(r, rebuild);
-    if (r.u64() != drivers_.size())
-        throw snap::SnapshotError("driver count mismatch");
+        worker->snapIo(io, rebuild);
+    io.expect(drivers_.size(), "driver count mismatch");
     for (const auto &driver : drivers_)
-        driver->snapRestore(r, rebuild);
-    for (const auto &core : cores_) {
-        core->snapRestore(
-            r, [this](const snap::Token &token) {
-                return rebuildIrq(token);
-            },
-            [this](int id) { return threadById(id); });
-    }
+        driver->snapIo(io, rebuild);
+    const CpuCore::IrqRebuild irqs = [this](const snap::Token &token) {
+        return rebuildIrq(token);
+    };
+    for (const auto &core : cores_)
+        core->snapIo(io, irqs, lookup);
 }
 
 } // namespace hiss

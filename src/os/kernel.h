@@ -150,21 +150,20 @@ class Kernel : public SimObject, public CoreListener
 
     /// @name Snapshot support.
     /// @{
-    /** Serialize the whole OS: kernel bookkeeping, threads, memory
-     *  management, scheduler, services, queues, drivers, then every
-     *  core (each in its own section). */
-    void snapSave(snap::Writer &w) const;
     /**
-     * Mirror of snapSave against a same-config kernel.
+     * Walk the whole OS: kernel bookkeeping, threads, memory
+     * management, scheduler, services, queues, drivers, then every
+     * core (each in its own section), against a same-config kernel.
      * @param rebuild fills device-side callbacks of restored service
      *        requests from their origin tags (System provides it).
      */
-    void snapRestore(snap::Reader &r, const RequestRebuild &rebuild);
+    void snapIo(snap::Io &io, const RequestRebuild &rebuild);
     /** Rebuild the callback of any kernel./sched./drv./core. event. */
     EventQueue::Callback rebuildEvent(const snap::Tag &tag);
     /** Re-materialize an in-flight Irq from its producer token. */
     Irq rebuildIrq(const snap::Token &token);
-    /** Lookup a kernel-owned thread by id (nullptr if unknown). */
+    /** The kernel-owned thread a snapshot names by @p id.
+     *  @throws snap::SnapshotError if there is none. */
     Thread *threadById(int id) const;
     /// @}
 

@@ -155,46 +155,22 @@ QosGovernor::onBurstDone(CpuCore &core, Tick ran,
 }
 
 void
-QosGovernor::snapSave(snap::Writer &w) const
+QosGovernor::snapIo(snap::Io &io)
 {
-    snap::Access::save(w, rng());
-    w.u64(samples_.size());
-    for (const Sample &sample : samples_) {
-        w.u64(sample.when);
-        w.u64(sample.ssr_ticks);
-    }
-    w.b(over_threshold_);
-    w.f64(fraction_);
-    w.b(sleeping_next_);
-    w.i64(bucket_);
-    w.i64(bucket_cap_);
-    w.u64(last_bucket_update_);
-    w.u64(last_ssr_ticks_);
-    w.u64(delays_applied_);
-    w.u64(total_delay_);
-}
-
-void
-QosGovernor::snapRestore(snap::Reader &r)
-{
-    snap::Access::restore(r, rng());
-    samples_.clear();
-    const std::uint64_t n = r.u64();
-    for (std::uint64_t i = 0; i < n; ++i) {
-        Sample sample;
-        sample.when = r.u64();
-        sample.ssr_ticks = r.u64();
-        samples_.push_back(sample);
-    }
-    over_threshold_ = r.b();
-    fraction_ = r.f64();
-    sleeping_next_ = r.b();
-    bucket_ = r.i64();
-    bucket_cap_ = r.i64();
-    last_bucket_update_ = r.u64();
-    last_ssr_ticks_ = r.u64();
-    delays_applied_ = r.u64();
-    total_delay_ = r.u64();
+    snap::Access::io(io, rng());
+    io.seq(samples_, [&io](Sample &sample) {
+        io.u64(sample.when);
+        io.u64(sample.ssr_ticks);
+    });
+    io.b(over_threshold_);
+    io.f64(fraction_);
+    io.b(sleeping_next_);
+    io.i64(bucket_);
+    io.i64(bucket_cap_);
+    io.u64(last_bucket_update_);
+    io.u64(last_ssr_ticks_);
+    io.u64(delays_applied_);
+    io.u64(total_delay_);
 }
 
 } // namespace hiss

@@ -156,8 +156,7 @@ class QosGovernor : public SimObject, public ExecutionModel
 
     /// @name Snapshot support (rolling window + bucket + counters).
     /// @{
-    void snapSave(snap::Writer &w) const;
-    void snapRestore(snap::Reader &r);
+    void snapIo(snap::Io &io);
     /// @}
 
   private:

@@ -329,45 +329,27 @@ Scheduler::popBest(int core_index)
 }
 
 void
-Scheduler::snapSave(snap::Writer &w) const
+Scheduler::snapIo(snap::Io &io,
+                  const std::function<Thread *(int)> &threadById)
 {
-    snap::Access::save(w, rng());
-    w.u64(queues_.size());
-    for (const auto &queue : queues_) {
-        w.u64(queue.size());
-        for (const Thread *thread : queue)
-            w.i64(thread->id());
-    }
-    for (const bool pending : resched_pending_)
-        w.b(pending);
-    w.u64(ipis_sent_);
-    w.u64(migrations_);
-}
-
-void
-Scheduler::snapRestore(snap::Reader &r,
-                       const std::function<Thread *(int)> &threadById)
-{
-    snap::Access::restore(r, rng());
-    if (r.u64() != queues_.size())
-        throw snap::SnapshotError("scheduler core-count mismatch");
+    snap::Access::io(io, rng());
+    io.expect(queues_.size(), "scheduler core-count mismatch");
     for (auto &queue : queues_) {
-        queue.clear();
-        const std::uint64_t n = r.u64();
-        for (std::uint64_t i = 0; i < n; ++i) {
-            const int id = static_cast<int>(r.i64());
-            Thread *thread = threadById(id);
-            if (thread == nullptr)
-                throw snap::SnapshotError(
-                    "run queue names unknown thread id "
-                    + std::to_string(id));
-            queue.push_back(thread);
-        }
+        io.seq(queue, [&io, &threadById](Thread *&thread) {
+            std::int64_t id = thread != nullptr ? thread->id() : -1;
+            io.i64(id);
+            if (!io.saving())
+                thread = threadById(static_cast<int>(id));
+        });
     }
-    for (std::size_t i = 0; i < resched_pending_.size(); ++i)
-        resched_pending_[i] = r.b();
-    ipis_sent_ = r.u64();
-    migrations_ = r.u64();
+    for (std::size_t i = 0; i < resched_pending_.size(); ++i) {
+        bool pending = resched_pending_[i];
+        io.b(pending);
+        if (!io.saving())
+            resched_pending_[i] = pending;
+    }
+    io.u64(ipis_sent_);
+    io.u64(migrations_);
 }
 
 EventQueue::Callback
@@ -375,25 +357,15 @@ Scheduler::rebuildEvent(const snap::Tag &tag,
                         const std::function<Thread *(int)> &threadById)
 {
     const snap::Token &t = tag.self;
-    if (t.is("sched.preempt")) {
-        CpuCore *target = cores_.at(t.a);
-        Thread *waker = threadById(static_cast<int>(t.b));
-        if (waker == nullptr)
-            throw snap::SnapshotError(
-                "preempt check names unknown thread id "
-                + std::to_string(t.b));
-        return makePreemptCheck(target, waker);
-    }
+    if (t.is("sched.preempt") || t.is("sched.ipi"))
+        snap::checkIndex(t.a, cores_.size(), "scheduler event core");
+    if (t.is("sched.preempt"))
+        return makePreemptCheck(cores_[t.a],
+                                threadById(static_cast<int>(t.b)));
     if (t.is("sched.ipi"))
-        return makeIpiDelivery(cores_.at(t.a));
-    if (t.is("sched.sleep")) {
-        Thread *thread = threadById(static_cast<int>(t.a));
-        if (thread == nullptr)
-            throw snap::SnapshotError(
-                "sleep timeout names unknown thread id "
-                + std::to_string(t.a));
-        return makeSleepTimeout(thread);
-    }
+        return makeIpiDelivery(cores_[t.a]);
+    if (t.is("sched.sleep"))
+        return makeSleepTimeout(threadById(static_cast<int>(t.a)));
     throw snap::SnapshotError("unknown scheduler event tag");
 }
 

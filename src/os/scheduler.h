@@ -100,9 +100,10 @@ class Scheduler : public SimObject
      */
     Irq makeReschedIrq(int core_index);
 
-    void snapSave(snap::Writer &w) const;
-    void snapRestore(snap::Reader &r,
-                     const std::function<Thread *(int)> &threadById);
+    /** Walk the run queues (as thread ids, resolved through
+     *  @p threadById on restore), pending IPIs and counters. */
+    void snapIo(snap::Io &io,
+                const std::function<Thread *(int)> &threadById);
     /** Rebuild the callback of a sched.* tagged event. */
     EventQueue::Callback
     rebuildEvent(const snap::Tag &tag,

@@ -168,78 +168,43 @@ SystemServices::serviced(ServiceKind kind) const
 }
 
 void
-snapSaveRequest(snap::Writer &w, const SsrRequest &request)
+snapIoRequest(snap::Io &io, SsrRequest &request,
+              const RequestRebuild &rebuild)
 {
-    if (request.origin.empty())
+    if (io.saving() && request.origin.empty())
         throw snap::SnapshotError(
             "in-flight service request " + std::to_string(request.id)
             + " has no snapshot origin tag");
-    w.u64(request.id);
-    w.u32(static_cast<std::uint32_t>(request.kind));
-    w.u32(request.pasid);
-    w.u64(request.vpn);
-    w.u64(request.issued_at);
-    w.u64(request.drained_at);
-    w.u64(request.queued_at);
-    w.tag(request.origin);
-    w.b(request.driver_wrapped);
-    w.u64(request.driver_index);
-}
-
-SsrRequest
-snapRestoreRequest(snap::Reader &r, const RequestRebuild &rebuild)
-{
-    SsrRequest request;
-    request.id = r.u64();
-    request.kind = static_cast<ServiceKind>(r.u32());
-    request.pasid = r.u32();
-    request.vpn = r.u64();
-    request.issued_at = r.u64();
-    request.drained_at = r.u64();
-    request.queued_at = r.u64();
-    request.origin = r.tag();
-    request.driver_wrapped = r.b();
-    request.driver_index = r.u64();
-    rebuild(request);
-    return request;
+    io.u64(request.id);
+    io.as32(request.kind);
+    io.u32(request.pasid);
+    io.u64(request.vpn);
+    io.u64(request.issued_at);
+    io.u64(request.drained_at);
+    io.u64(request.queued_at);
+    io.tag(request.origin);
+    io.b(request.driver_wrapped);
+    io.u64(request.driver_index);
+    if (!io.saving())
+        rebuild(request);
 }
 
 void
-snapSaveWorkItem(snap::Writer &w, const WorkItem &item)
+snapIoWorkItem(snap::Io &io, WorkItem &item, const RequestRebuild &rebuild)
 {
-    snapSaveRequest(w, item.request);
-    w.u64(item.duration);
-    w.u64(item.service_start);
-    w.u64(item.enqueued_at);
-}
-
-WorkItem
-snapRestoreWorkItem(snap::Reader &r, const RequestRebuild &rebuild)
-{
-    WorkItem item;
-    item.request = snapRestoreRequest(r, rebuild);
-    item.duration = r.u64();
-    item.service_start = r.u64();
-    item.enqueued_at = r.u64();
-    return item;
+    snapIoRequest(io, item.request, rebuild);
+    io.u64(item.duration);
+    io.u64(item.service_start);
+    io.u64(item.enqueued_at);
 }
 
 void
-SystemServices::snapSave(snap::Writer &w) const
+SystemServices::snapIo(snap::Io &io)
 {
-    snap::Access::save(w, rng());
-    for (const std::uint64_t n : serviced_by_kind_)
-        w.u64(n);
-    w.u64(total_serviced_);
-}
-
-void
-SystemServices::snapRestore(snap::Reader &r)
-{
-    snap::Access::restore(r, rng());
+    snap::Access::io(io, rng());
     for (std::uint64_t &n : serviced_by_kind_)
-        n = r.u64();
-    total_serviced_ = r.u64();
+        io.u64(n);
+    io.u64(total_serviced_);
 }
 
 } // namespace hiss

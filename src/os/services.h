@@ -107,23 +107,18 @@ struct ServiceFootprint
 /** The footprint of servicing a request of @p kind. */
 ServiceFootprint serviceFootprint(ServiceKind kind);
 
-/** Serialize a request's plain fields and origin tag (callbacks are
- *  identity-only: they travel as the tag). */
-void snapSaveRequest(snap::Writer &w, const SsrRequest &request);
-
 /** Fills a restored request's device callbacks from request.origin. */
 using RequestRebuild = std::function<void(SsrRequest &)>;
 
-/** Read back a request saved by snapSaveRequest. */
-SsrRequest snapRestoreRequest(snap::Reader &r,
-                              const RequestRebuild &rebuild);
+/** Walk a request's plain fields and origin tag (callbacks travel
+ *  as the tag: save refuses an untagged request, restore ends with
+ *  @p rebuild). */
+void snapIoRequest(snap::Io &io, SsrRequest &request,
+                   const RequestRebuild &rebuild);
 
-/** Serialize one item: its request, then its three stamps. */
-void snapSaveWorkItem(snap::Writer &w, const WorkItem &item);
-
-/** Read back an item saved by snapSaveWorkItem. */
-WorkItem snapRestoreWorkItem(snap::Reader &r,
-                             const RequestRebuild &rebuild);
+/** Walk one item: its request, then its three stamps. */
+void snapIoWorkItem(snap::Io &io, WorkItem &item,
+                    const RequestRebuild &rebuild);
 
 /**
  * Per-stage latency decomposition of the SSR pipeline — a
@@ -188,8 +183,7 @@ class SystemServices : public SimObject
     /// @name Snapshot support (counters + rng; stats live in the
     /// registry section).
     /// @{
-    void snapSave(snap::Writer &w) const;
-    void snapRestore(snap::Reader &r);
+    void snapIo(snap::Io &io);
     /// @}
 
     /** Mean cost of a service kind (pre-jitter), for benches/tests. */

@@ -268,81 +268,54 @@ SsrDriver::onIrqWatchdog()
     source_.ack();
 }
 
-void
-SsrDriver::snapSave(snap::Writer &w) const
+namespace {
+
+/** The abort callback of tracked request @p id: it was moved off the
+ *  request at drain time, so rebuild the request and take it back. */
+std::function<void()>
+snapRestoreAbort(std::uint64_t id, const snap::Tag &origin,
+                 const RequestRebuild &rebuild)
 {
-    snap::Access::save(w, rng());
-    w.u64(pending_.size());
-    for (const SsrRequest &request : pending_)
-        snapSaveRequest(w, request);
-    std::vector<std::uint64_t> ids;
-    ids.reserve(tracked_.size());
-    for (const auto &[id, entry] : tracked_)
-        ids.push_back(id);
-    std::sort(ids.begin(), ids.end());
-    w.u64(ids.size());
-    for (const std::uint64_t id : ids) {
-        const Tracked &entry = tracked_.at(id);
-        w.u64(id);
-        w.u64(entry.watchdog);
-        w.b(entry.work_queued);
-        w.b(entry.aborted);
-        w.b(static_cast<bool>(entry.on_abort));
-        w.tag(entry.origin);
-    }
-    w.b(bh_model_.fresh_wake_);
-    w.u64(bh_model_.remaining_);
-    w.b(bh_model_.in_entry_);
-    w.u64(interrupts_);
-    w.u64(requests_drained_);
-    w.u64(requests_aborted_);
-    w.u64(completions_suppressed_);
-    w.b(irq_inflight_);
-    w.u64(static_cast<std::uint64_t>(rr_next_core_));
-    w.u64(irqs_raised_);
-    w.u64(irq_recoveries_);
+    SsrRequest origin_request;
+    origin_request.id = id;
+    origin_request.origin = origin;
+    rebuild(origin_request);
+    return std::move(origin_request.on_abort);
 }
 
+} // namespace
+
 void
-SsrDriver::snapRestore(snap::Reader &r, const RequestRebuild &rebuild)
+SsrDriver::snapIo(snap::Io &io, const RequestRebuild &rebuild)
 {
-    snap::Access::restore(r, rng());
-    pending_.clear();
-    const std::uint64_t npending = r.u64();
-    for (std::uint64_t i = 0; i < npending; ++i)
-        pending_.push_back(snapRestoreRequest(r, rebuild));
-    tracked_.clear();
-    const std::uint64_t ntracked = r.u64();
-    for (std::uint64_t i = 0; i < ntracked; ++i) {
-        const std::uint64_t id = r.u64();
-        Tracked entry;
-        entry.watchdog = r.u64();
-        entry.work_queued = r.b();
-        entry.aborted = r.b();
-        const bool had_abort = r.b();
-        entry.origin = r.tag();
-        if (had_abort) {
-            // The abort callback was moved off the request at drain
-            // time; rebuild the request's callbacks and take it back.
-            SsrRequest origin_request;
-            origin_request.id = id;
-            origin_request.origin = entry.origin;
-            rebuild(origin_request);
-            entry.on_abort = std::move(origin_request.on_abort);
-        }
-        tracked_.emplace(id, std::move(entry));
-    }
-    bh_model_.fresh_wake_ = r.b();
-    bh_model_.remaining_ = r.u64();
-    bh_model_.in_entry_ = r.b();
-    interrupts_ = r.u64();
-    requests_drained_ = r.u64();
-    requests_aborted_ = r.u64();
-    completions_suppressed_ = r.u64();
-    irq_inflight_ = r.b();
-    rr_next_core_ = static_cast<int>(r.u64());
-    irqs_raised_ = r.u64();
-    irq_recoveries_ = r.u64();
+    snap::Access::io(io, rng());
+    io.seq(pending_, [&io, &rebuild](SsrRequest &request) {
+        snapIoRequest(io, request, rebuild);
+    });
+    io.keyed(tracked_, [&io, &rebuild](std::uint64_t &id, Tracked &entry) {
+        io.u64(id);
+        io.u64(entry.watchdog);
+        io.b(entry.work_queued);
+        io.b(entry.aborted);
+        bool has_abort = static_cast<bool>(entry.on_abort);
+        io.b(has_abort);
+        io.tag(entry.origin);
+        if (has_abort && !io.saving())
+            entry.on_abort = snapRestoreAbort(id, entry.origin, rebuild);
+    });
+    io.b(bh_model_.fresh_wake_);
+    io.u64(bh_model_.remaining_);
+    io.b(bh_model_.in_entry_);
+    io.u64(interrupts_);
+    io.u64(requests_drained_);
+    io.u64(requests_aborted_);
+    io.u64(completions_suppressed_);
+    io.b(irq_inflight_);
+    io.asI64(rr_next_core_);
+    snap::checkIndex(rr_next_core_, kernel_.numCores(),
+                     "interrupt round-robin core");
+    io.u64(irqs_raised_);
+    io.u64(irq_recoveries_);
 }
 
 EventQueue::Callback
@@ -354,6 +327,7 @@ SsrDriver::rebuildEvent(const snap::Tag &tag)
         return [this, id] { onWatchdog(id); };
     }
     if (t.is("drv.irq")) {
+        snap::checkIndex(t.b, kernel_.numCores(), "interrupt target core");
         const int target = static_cast<int>(t.b);
         return [this, target] {
             kernel_.deliverIrq(target, makeInterrupt());

@@ -156,8 +156,10 @@ class SsrDriver : public SimObject
     void setSnapIndex(std::uint64_t index) { snap_index_ = index; }
     std::uint64_t snapIndex() const { return snap_index_; }
 
-    void snapSave(snap::Writer &w) const;
-    void snapRestore(snap::Reader &r, const RequestRebuild &rebuild);
+    /** Walk the pending and tracked requests, the bottom half, the
+     *  interrupt line and the counters; @p rebuild fills restored
+     *  requests' callbacks. */
+    void snapIo(snap::Io &io, const RequestRebuild &rebuild);
     /** Rebuild the callback of a drv.* event: a request watchdog,
      *  an interrupt delivery, its duplicate or its watchdog. */
     EventQueue::Callback rebuildEvent(const snap::Tag &tag);

@@ -72,33 +72,17 @@ WorkQueue::pop(int core)
 }
 
 void
-WorkQueue::snapSave(snap::Writer &w) const
+WorkQueue::snapIo(snap::Io &io, const RequestRebuild &rebuild)
 {
-    w.u64(queues_.size());
-    for (const auto &queue : queues_) {
-        w.u64(queue.size());
-        for (const WorkItem &item : queue)
-            snapSaveWorkItem(w, item);
-    }
-    w.u64(pushed_);
-    w.u64(completed_);
-    w.u64(in_service_);
-}
-
-void
-WorkQueue::snapRestore(snap::Reader &r, const RequestRebuild &rebuild)
-{
-    if (r.u64() != queues_.size())
-        throw snap::SnapshotError("work queue core-count mismatch");
+    io.expect(queues_.size(), "work queue core-count mismatch");
     for (auto &queue : queues_) {
-        queue.clear();
-        const std::uint64_t n = r.u64();
-        for (std::uint64_t i = 0; i < n; ++i)
-            queue.push_back(snapRestoreWorkItem(r, rebuild));
+        io.seq(queue, [&io, &rebuild](WorkItem &item) {
+            snapIoWorkItem(io, item, rebuild);
+        });
     }
-    pushed_ = r.u64();
-    completed_ = r.u64();
-    in_service_ = r.u64();
+    io.u64(pushed_);
+    io.u64(completed_);
+    io.u64(in_service_);
 }
 
 WorkerModel::WorkerModel(Kernel &kernel, WorkQueue &queue, int core,
@@ -109,23 +93,13 @@ WorkerModel::WorkerModel(Kernel &kernel, WorkQueue &queue, int core,
 }
 
 void
-WorkerModel::snapSave(snap::Writer &w) const
+WorkerModel::snapIo(snap::Io &io, const RequestRebuild &rebuild)
 {
-    w.b(current_.has_value());
-    if (current_.has_value())
-        snapSaveWorkItem(w, *current_);
-    w.u64(remaining_);
-    w.u64(backoff_);
-}
-
-void
-WorkerModel::snapRestore(snap::Reader &r, const RequestRebuild &rebuild)
-{
-    current_.reset();
-    if (r.b())
-        current_ = snapRestoreWorkItem(r, rebuild);
-    remaining_ = r.u64();
-    backoff_ = r.u64();
+    io.optional(current_, [&io, &rebuild](WorkItem &item) {
+        snapIoWorkItem(io, item, rebuild);
+    });
+    io.u64(remaining_);
+    io.u64(backoff_);
 }
 
 BurstRequest

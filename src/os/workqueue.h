@@ -91,8 +91,7 @@ class WorkQueue : public SimObject
 
     /// @name Snapshot support (queued items + conservation counters).
     /// @{
-    void snapSave(snap::Writer &w) const;
-    void snapRestore(snap::Reader &r, const RequestRebuild &rebuild);
+    void snapIo(snap::Io &io, const RequestRebuild &rebuild);
     /// @}
 
   private:
@@ -140,8 +139,7 @@ class WorkerModel : public ExecutionModel
 
     /// @name Snapshot support (in-service item + backoff state).
     /// @{
-    void snapSave(snap::Writer &w) const;
-    void snapRestore(snap::Reader &r, const RequestRebuild &rebuild);
+    void snapIo(snap::Io &io, const RequestRebuild &rebuild);
     /// @}
 
   private:

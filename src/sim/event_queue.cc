@@ -268,14 +268,18 @@ EventQueue::restoreState(snap::Reader &r, const TagResolver &resolve)
     next_seq_ = r.u64();
     executed_ = r.u64();
 
-    slots_.resize(r.u64());
+    slots_.resize(r.count(4));
     for (Slot &s : slots_)
         s.gen = r.u32();
-    free_slots_.resize(r.u64());
-    for (std::uint32_t &slot : free_slots_)
+    free_slots_.resize(r.count(4));
+    for (std::uint32_t &slot : free_slots_) {
         slot = r.u32();
+        snap::checkIndex(slot, slots_.size(), "free event slot");
+    }
 
-    const std::uint64_t live = r.u64();
+    // A live event is at least when, order, slot, gen and two token
+    // codes.
+    const std::uint64_t live = r.count(26);
     heap_.reserve(live);
     for (std::uint64_t i = 0; i < live; ++i) {
         Entry e;
@@ -283,11 +287,7 @@ EventQueue::restoreState(snap::Reader &r, const TagResolver &resolve)
         e.order = r.u64();
         e.slot = r.u32();
         e.gen = r.u32();
-        if (e.slot >= slots_.size())
-            throw snap::SnapshotError(
-                "snapshot corrupt: event references slot " +
-                std::to_string(e.slot) + " beyond table size " +
-                std::to_string(slots_.size()));
+        snap::checkIndex(e.slot, slots_.size(), "event slot");
         const snap::Tag tag = r.tag();
         Slot &s = slots_[e.slot];
         s.tag = tag;

@@ -4,8 +4,10 @@
  *
  * snap::Access is a friend of the low-level state-holding classes
  * (Rng, Cache, BranchPredictor, streams, stats, Thread, allocators)
- * and provides save/restore helpers over their private fields, so
- * those classes don't grow serialization interfaces of their own.
+ * and walks their private fields with one io(Io &, T &) overload per
+ * class, so those classes don't grow serialization interfaces of
+ * their own. The structures whose save and restore are different
+ * algorithms keep a save/restore pair behind the io() fallback.
  * Restore always targets a freshly constructed object built from the
  * same configuration — structural fields (geometry, masks, profiles)
  * are never serialized, only verified implicitly via the snapshot
@@ -37,133 +39,129 @@ struct Access
 {
     // ---- Rng ------------------------------------------------------
     static void
-    save(Writer &w, const Rng &rng)
-    {
-        for (const std::uint64_t s : rng.s_)
-            w.u64(s);
-    }
-
-    static void
-    restore(Reader &r, Rng &rng)
+    io(Io &io, Rng &rng)
     {
         for (std::uint64_t &s : rng.s_)
-            s = r.u64();
+            io.u64(s);
     }
 
     // ---- Cache ----------------------------------------------------
     static void
-    save(Writer &w, const Cache &c)
+    io(Io &io, Cache &c)
     {
-        w.u64(c.tags_.size());
-        for (const Addr t : c.tags_)
-            w.u64(t);
-        for (const std::uint64_t v : c.lru_)
-            w.u64(v);
-        w.u64(c.use_clock_);
-        w.u64(c.accesses_);
-        w.u64(c.misses_);
-        w.u64(c.flushes_);
-    }
-
-    static void
-    restore(Reader &r, Cache &c)
-    {
-        const std::uint64_t n = r.u64();
-        if (n != c.tags_.size())
-            throw SnapshotError("cache geometry mismatch: snapshot has "
-                                + std::to_string(n) + " ways, system "
-                                + std::to_string(c.tags_.size()));
+        io.expect(c.tags_.size(), "cache geometry mismatch (ways)");
         for (Addr &t : c.tags_)
-            t = r.u64();
+            io.u64(t);
         for (std::uint64_t &v : c.lru_)
-            v = r.u64();
-        c.use_clock_ = r.u64();
-        c.accesses_ = r.u64();
-        c.misses_ = r.u64();
-        c.flushes_ = r.u64();
+            io.u64(v);
+        io.u64(c.use_clock_);
+        io.u64(c.accesses_);
+        io.u64(c.misses_);
+        io.u64(c.flushes_);
     }
 
     // ---- BranchPredictor -------------------------------------------
     static void
-    save(Writer &w, const BranchPredictor &bp)
+    io(Io &io, BranchPredictor &bp)
     {
-        w.u32(bp.history_);
-        w.u64(bp.table_.size());
-        for (const std::uint8_t e : bp.table_)
-            w.u8(e);
-        w.u64(bp.lookups_);
-        w.u64(bp.mispredicts_);
-    }
-
-    static void
-    restore(Reader &r, BranchPredictor &bp)
-    {
-        bp.history_ = r.u32();
-        const std::uint64_t n = r.u64();
-        if (n != bp.table_.size())
-            throw SnapshotError("branch predictor geometry mismatch");
+        io.u32(bp.history_);
+        io.expect(bp.table_.size(), "branch predictor geometry mismatch");
         for (std::uint8_t &e : bp.table_)
-            e = r.u8();
-        bp.lookups_ = r.u64();
-        bp.mispredicts_ = r.u64();
+            io.u8(e);
+        io.u64(bp.lookups_);
+        io.u64(bp.mispredicts_);
     }
 
     // ---- AddressStream / BranchStream -------------------------------
     static void
-    save(Writer &w, const AddressStream &s)
+    io(Io &io, AddressStream &s)
     {
-        save(w, s.rng_);
-        w.u64(s.cursor_);
+        Access::io(io, s.rng_);
+        io.u64(s.cursor_);
     }
 
     static void
-    restore(Reader &r, AddressStream &s)
-    {
-        restore(r, s.rng_);
-        s.cursor_ = r.u64();
-    }
-
-    static void
-    save(Writer &w, const BranchStream &s)
+    io(Io &io, BranchStream &s)
     {
         // biases_ is drawn at construction from the same seed and so
         // reproduces identically; only the live rng cursor moves.
-        save(w, s.rng_);
-    }
-
-    static void
-    restore(Reader &r, BranchStream &s)
-    {
-        restore(r, s.rng_);
+        Access::io(io, s.rng_);
     }
 
     // ---- Thread -----------------------------------------------------
     static void
-    save(Writer &w, const Thread &t)
+    io(Io &io, Thread &t)
     {
-        w.u32(static_cast<std::uint32_t>(t.state_));
-        w.i64(t.affinity_);
-        w.i64(t.last_core_);
-        w.u64(t.ran_since_dispatch_);
-        w.u64(t.total_cpu_);
-        w.u64(t.ready_since_);
-        w.u64(t.last_wake_time_);
-        w.u64(t.cpu_at_last_wake_);
-        w.f64(t.recent_share_);
+        io.as32(t.state_);
+        io.asI64(t.affinity_);
+        io.asI64(t.last_core_);
+        io.u64(t.ran_since_dispatch_);
+        io.u64(t.total_cpu_);
+        io.u64(t.ready_since_);
+        io.u64(t.last_wake_time_);
+        io.u64(t.cpu_at_last_wake_);
+        io.f64(t.recent_share_);
     }
 
+    // ---- StatRegistry --------------------------------------------------
+    /**
+     * Every registered stat's dynamic state, in name order, behind a
+     * kind byte that restore checks against the stat it lands in.
+     * Formulas are pure functions of other stats and carry none.
+     * Registration (the name set) is structural: it happens during
+     * system construction and is covered by the config fingerprint.
+     */
     static void
-    restore(Reader &r, Thread &t)
+    io(Io &io, StatRegistry &reg)
     {
-        t.state_ = static_cast<ThreadState>(r.u32());
-        t.affinity_ = static_cast<int>(r.i64());
-        t.last_core_ = static_cast<int>(r.i64());
-        t.ran_since_dispatch_ = r.u64();
-        t.total_cpu_ = r.u64();
-        t.ready_since_ = r.u64();
-        t.last_wake_time_ = r.u64();
-        t.cpu_at_last_wake_ = r.u64();
-        t.recent_share_ = r.f64();
+        io.expect(reg.size(), "stat registry size mismatch (system "
+                              "built from a different config?)");
+        reg.forEach([&io](const Stat &s) {
+            // forEach is const-visitation; the walk is the one place
+            // that mutates through it (on restore).
+            auto &stat = const_cast<Stat &>(s);
+            auto *c = dynamic_cast<Counter *>(&stat);
+            auto *sc = c != nullptr ? nullptr : dynamic_cast<Scalar *>(&stat);
+            auto *d = c != nullptr || sc != nullptr
+                          ? nullptr
+                          : dynamic_cast<Distribution *>(&stat);
+            const std::uint8_t kind = c != nullptr    ? 1
+                                      : sc != nullptr ? 2
+                                      : d != nullptr  ? 3
+                                                      : 4; // Formula
+            std::uint8_t saved = kind;
+            io.u8(saved);
+            if (saved != kind)
+                throw SnapshotError("stat kind mismatch at '" + s.name()
+                                    + "'");
+            if (c != nullptr) {
+                io.u64(c->count_);
+            } else if (sc != nullptr) {
+                io.f64(sc->value_);
+            } else if (d != nullptr) {
+                io.u64(d->n_);
+                io.f64(d->mean_);
+                io.f64(d->m2_);
+                io.f64(d->min_);
+                io.f64(d->max_);
+                io.f64(d->sum_);
+            }
+        });
+    }
+
+    // ---- Two-algorithm parts ------------------------------------------
+    // The structures below write a canonical form (sorted entries, a
+    // sparse in-use set, a labelled map) that their restore rebuilds
+    // differently, so each keeps a save/restore pair and walks reach
+    // it through this one dispatch.
+    template <typename T>
+    static void
+    io(Io &io, T &object)
+    {
+        if (io.saving())
+            save(io.writer(), object);
+        else
+            restore(io.reader(), object);
     }
 
     // ---- PageTable / FrameAllocator / AddressSpaceDirectory ----------
@@ -187,7 +185,7 @@ struct Access
     restore(Reader &r, PageTable &pt)
     {
         pt.clear();
-        const std::uint64_t n = r.u64();
+        const std::uint64_t n = r.count(16);
         for (std::uint64_t i = 0; i < n; ++i) {
             const Vpn vpn = r.u64();
             const Pfn pfn = r.u64();
@@ -204,11 +202,8 @@ struct Access
         w.u64(fa.freelist_.size());
         for (const Pfn pfn : fa.freelist_)
             w.u64(pfn);
-        // in_use_ is derivable only from the page tables plus the
-        // freelist in aggregate; serialize the allocated set as the
-        // frame indices below the bump pointer not on the freelist
-        // would require a scan — the bitmap is cheaper to write as
-        // the set bits (sparse relative to 8M-frame DRAM).
+        // The in-use bitmap is written as its set bits below the bump
+        // pointer (sparse relative to 8M-frame DRAM).
         std::uint64_t set = 0;
         for (std::uint64_t pfn = 0; pfn < fa.next_; ++pfn)
             set += fa.in_use_[pfn] ? 1 : 0;
@@ -226,14 +221,22 @@ struct Access
         if (total != fa.total_)
             throw SnapshotError("frame allocator size mismatch");
         fa.next_ = r.u64();
+        checkIndex(fa.next_, fa.total_ + 1, "frame bump pointer");
         fa.allocated_ = r.u64();
-        fa.freelist_.resize(r.u64());
-        for (Pfn &pfn : fa.freelist_)
-            pfn = r.u64();
+        fa.freelist_.clear();
+        const std::uint64_t free = r.count(8);
+        for (std::uint64_t i = 0; i < free; ++i) {
+            const Pfn pfn = r.u64();
+            checkIndex(pfn, fa.total_, "free frame");
+            fa.freelist_.push_back(pfn);
+        }
         std::fill(fa.in_use_.begin(), fa.in_use_.end(), false);
-        const std::uint64_t set = r.u64();
-        for (std::uint64_t i = 0; i < set; ++i)
-            fa.in_use_[r.u64()] = true;
+        const std::uint64_t set = r.count(8);
+        for (std::uint64_t i = 0; i < set; ++i) {
+            const Pfn pfn = r.u64();
+            checkIndex(pfn, fa.total_, "in-use frame");
+            fa.in_use_[pfn] = true;
+        }
     }
 
     static void
@@ -249,7 +252,7 @@ struct Access
     static void
     restore(Reader &r, AddressSpaceDirectory &dir)
     {
-        const std::uint64_t n = r.u64();
+        const std::uint64_t n = r.count(12);
         for (std::uint64_t i = 0; i < n; ++i) {
             const Pasid pasid = r.u32();
             restore(r, dir.table(pasid));
@@ -273,92 +276,14 @@ struct Access
     restore(Reader &r, ProcStats &ps)
     {
         ps.counts_.clear();
-        const std::uint64_t n = r.u64();
+        const std::uint64_t n = r.count(16);
         for (std::uint64_t i = 0; i < n; ++i) {
             const std::string label = r.str();
-            std::vector<std::uint64_t> counts(r.u64());
+            std::vector<std::uint64_t> counts(r.count(8));
             for (std::uint64_t &c : counts)
                 c = r.u64();
             ps.counts_.emplace(label, std::move(counts));
         }
-    }
-
-    // ---- StatRegistry --------------------------------------------------
-    /**
-     * Serialize every registered stat's dynamic state, in name order.
-     * Formulas are pure functions of other stats and carry none.
-     * Registration (the name set) is structural: it happens during
-     * system construction and is covered by the config fingerprint.
-     */
-    static void
-    save(Writer &w, const StatRegistry &reg)
-    {
-        w.u64(reg.size());
-        reg.forEach([&w](const Stat &s) {
-            if (const auto *c = dynamic_cast<const Counter *>(&s)) {
-                w.u8(1);
-                w.u64(c->count_);
-            } else if (const auto *sc =
-                           dynamic_cast<const Scalar *>(&s)) {
-                w.u8(2);
-                w.f64(sc->value_);
-            } else if (const auto *d =
-                           dynamic_cast<const Distribution *>(&s)) {
-                w.u8(3);
-                w.u64(d->n_);
-                w.f64(d->mean_);
-                w.f64(d->m2_);
-                w.f64(d->min_);
-                w.f64(d->max_);
-                w.f64(d->sum_);
-            } else {
-                w.u8(4); // Formula: no state.
-            }
-        });
-    }
-
-    static void
-    restore(Reader &r, StatRegistry &reg)
-    {
-        if (r.u64() != reg.size())
-            throw SnapshotError("stat registry size mismatch (system "
-                                "built from a different config?)");
-        reg.forEach([&r](const Stat &s) {
-            const std::uint8_t kind = r.u8();
-            // forEach is const-visitation; state restore is the one
-            // place that mutates through it.
-            auto &stat = const_cast<Stat &>(s);
-            if (kind == 1) {
-                auto *c = dynamic_cast<Counter *>(&stat);
-                if (c == nullptr)
-                    throw SnapshotError("stat kind mismatch at '" +
-                                        s.name() + "'");
-                c->count_ = r.u64();
-            } else if (kind == 2) {
-                auto *sc = dynamic_cast<Scalar *>(&stat);
-                if (sc == nullptr)
-                    throw SnapshotError("stat kind mismatch at '" +
-                                        s.name() + "'");
-                sc->value_ = r.f64();
-            } else if (kind == 3) {
-                auto *d = dynamic_cast<Distribution *>(&stat);
-                if (d == nullptr)
-                    throw SnapshotError("stat kind mismatch at '" +
-                                        s.name() + "'");
-                d->n_ = r.u64();
-                d->mean_ = r.f64();
-                d->m2_ = r.f64();
-                d->min_ = r.f64();
-                d->max_ = r.f64();
-                d->sum_ = r.f64();
-            } else if (kind == 4) {
-                if (dynamic_cast<Formula *>(&stat) == nullptr)
-                    throw SnapshotError("stat kind mismatch at '" +
-                                        s.name() + "'");
-            } else {
-                throw SnapshotError("snapshot corrupt: bad stat kind");
-            }
-        });
     }
 };
 

@@ -133,9 +133,7 @@ Reader::token()
         t.kind = kinds_.back();
     } else if (code == kTokenKnownKind) {
         const std::uint32_t id = u32();
-        if (id >= kinds_.size())
-            throw SnapshotError("snapshot corrupt: token kind id " +
-                                std::to_string(id) + " out of range");
+        checkIndex(id, kinds_.size(), "token kind id");
         t.kind = kinds_[id];
     } else {
         throw SnapshotError("snapshot corrupt: bad token code " +
@@ -158,6 +156,37 @@ Reader::section(const char *name)
     if (got != name)
         throw SnapshotError("snapshot corrupt: expected section '" +
                             std::string(name) + "', found '" + got + "'");
+}
+
+std::uint64_t
+Reader::count(std::size_t min_bytes)
+{
+    const std::uint64_t n = u64();
+    if (n > (buf_.size() - pos_) / min_bytes)
+        throw SnapshotError("snapshot corrupt: count " + std::to_string(n)
+                            + " at offset " + std::to_string(pos_ - 8)
+                            + " exceeds the bytes left");
+    return n;
+}
+
+void
+checkIndex(std::uint64_t index, std::uint64_t size, std::string_view what)
+{
+    if (index >= size)
+        throw SnapshotError("snapshot corrupt: " + std::string(what) + " "
+                            + std::to_string(index) + " out of range (size "
+                            + std::to_string(size) + ")");
+}
+
+void
+Io::expect(std::uint64_t n, std::string_view what)
+{
+    std::uint64_t got = n;
+    u64(got);
+    if (got != n)
+        throw SnapshotError(std::string(what) + ": snapshot has "
+                            + std::to_string(got) + ", system "
+                            + std::to_string(n));
 }
 
 std::uint64_t

@@ -18,19 +18,26 @@
  * carries the token of a wrapped inner callback (e.g. an IOMMU walk
  * event wrapping a GPU translate-completion callback).
  *
+ * Each component walks its state once through Io (snapIo): the same
+ * code writes the fields on save and reads them back on restore.
+ *
  * Failure model: any structural problem — bad magic, version or
- * fingerprint mismatch, truncation, checksum failure, or a live
- * event without a tag — throws SnapshotError; restore never
- * silently produces a diverging simulation.
+ * fingerprint mismatch, truncation, checksum failure, a count or
+ * index out of range, or a live event without a tag — throws
+ * SnapshotError; restore never silently produces a diverging
+ * simulation.
  */
 
 #ifndef HISS_SNAP_SNAP_H_
 #define HISS_SNAP_SNAP_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -225,6 +232,10 @@ class Reader
     /** Consume a section marker; throws if the name differs. */
     void section(const char *name);
 
+    /** Read a container length, checked against the bytes left at
+     *  @p min_bytes per element before anything is sized from it. */
+    std::uint64_t count(std::size_t min_bytes = 1);
+
     /** True when the whole payload has been consumed. */
     bool atEnd() const { return pos_ == buf_.size(); }
 
@@ -235,6 +246,132 @@ class Reader
     std::size_t pos_ = 0;
     /** Kind id -> pooled string (see internKind). */
     std::vector<const char *> kinds_;
+};
+
+/** Check an @p index read from a snapshot against the @p size of
+ *  what it indexes; frame() re-checksums any payload, so restore
+ *  trusts no index. @throws SnapshotError naming @p what. */
+void checkIndex(std::uint64_t index, std::uint64_t size,
+                std::string_view what);
+
+/**
+ * One snapshot walk: wraps a Writer (save) or a Reader (restore).
+ * A component's snapIo() names each field once; on save each call
+ * writes the field (and only reads it), on restore it reads it back
+ * in the same order. Restore-only context is a walk parameter. A
+ * part whose two directions are different algorithms stays a
+ * snapSave* / snapRestore* pair reached through writer() / reader().
+ */
+class Io
+{
+  public:
+    explicit Io(Writer &w) : w_(&w) {}
+    explicit Io(Reader &r) : r_(&r) {}
+
+    bool saving() const { return w_ != nullptr; }
+    Writer &writer() { return *w_; }
+    Reader &reader() { return *r_; }
+
+    void u8(std::uint8_t &v) { if (w_) w_->u8(v); else v = r_->u8(); }
+    void u32(std::uint32_t &v) { if (w_) w_->u32(v); else v = r_->u32(); }
+    void u64(std::uint64_t &v) { if (w_) w_->u64(v); else v = r_->u64(); }
+    void i64(std::int64_t &v) { if (w_) w_->i64(v); else v = r_->i64(); }
+    void b(bool &v) { if (w_) w_->b(v); else v = r_->b(); }
+    void f64(double &v) { if (w_) w_->f64(v); else v = r_->f64(); }
+    void str(std::string &s) { if (w_) w_->str(s); else s = r_->str(); }
+    void token(Token &t) { if (w_) w_->token(t); else t = r_->token(); }
+    void tag(Tag &t) { if (w_) w_->tag(t); else t = r_->tag(); }
+    void section(const char *n) { if (w_) w_->section(n); else r_->section(n); }
+
+    /** An int or enum field carried as a u32 (as32) or i64 (asI64). */
+    template <typename T>
+    void
+    as32(T &v)
+    {
+        if (w_)
+            w_->u32(static_cast<std::uint32_t>(v));
+        else
+            v = static_cast<T>(r_->u32());
+    }
+
+    template <typename T>
+    void
+    asI64(T &v)
+    {
+        if (w_)
+            w_->i64(static_cast<std::int64_t>(v));
+        else
+            v = static_cast<T>(r_->i64());
+    }
+
+    /** A structural number the system already has (a geometry, a
+     *  count): written on save, compared on restore. @throws
+     *  SnapshotError "<what>: snapshot has N, system M". */
+    void expect(std::uint64_t n, std::string_view what);
+
+    /** A container: its count, then each element through @p elem.
+     *  Restore checks the count (Reader::count), clears the
+     *  container and grows it one element at a time. */
+    template <typename C, typename F>
+    void
+    seq(C &c, F &&elem)
+    {
+        if (w_) {
+            w_->u64(c.size());
+            for (auto &e : c)
+                elem(e);
+            return;
+        }
+        const std::uint64_t n = r_->count();
+        c.clear();
+        for (std::uint64_t i = 0; i < n; ++i)
+            elem(c.emplace_back());
+    }
+
+    /** An optional field: a presence flag, then the value through
+     *  @p elem. */
+    template <typename T, typename F>
+    void
+    optional(std::optional<T> &o, F &&elem)
+    {
+        bool present = o.has_value();
+        b(present);
+        if (r_)
+            o = present ? std::optional<T>(std::in_place) : std::nullopt;
+        if (present)
+            elem(*o);
+    }
+
+    /** A map in key order (sorted on save, so a hash map writes
+     *  canonical bytes): its count, then each elem(key, value). */
+    template <typename M, typename F>
+    void
+    keyed(M &m, F &&elem)
+    {
+        using Key = typename M::key_type;
+        if (w_) {
+            std::vector<Key> keys;
+            for (const auto &entry : m)
+                keys.push_back(entry.first);
+            std::sort(keys.begin(), keys.end());
+            w_->u64(keys.size());
+            for (Key key : keys)
+                elem(key, m.at(key));
+            return;
+        }
+        const std::uint64_t n = r_->count();
+        m.clear();
+        for (std::uint64_t i = 0; i < n; ++i) {
+            Key key{};
+            typename M::mapped_type value{};
+            elem(key, value);
+            m.insert_or_assign(key, std::move(value));
+        }
+    }
+
+  private:
+    Writer *w_ = nullptr;
+    Reader *r_ = nullptr;
 };
 
 /** Checksum used by the integrity header (FNV-1a over the payload). */

@@ -169,54 +169,29 @@ CpuApp::finishApp()
 }
 
 void
-CpuApp::ThreadModel::snapSave(snap::Writer &w) const
+CpuApp::ThreadModel::snapIo(snap::Io &io)
 {
-    w.u32(static_cast<std::uint32_t>(segment));
-    w.u64(remaining);
-    snap::Access::save(w, astream_);
-    snap::Access::save(w, bstream_);
+    io.as32(segment);
+    io.u64(remaining);
+    snap::Access::io(io, astream_);
+    snap::Access::io(io, bstream_);
 }
 
 void
-CpuApp::ThreadModel::snapRestore(snap::Reader &r)
+CpuApp::snapIo(snap::Io &io)
 {
-    segment = static_cast<Segment>(r.u32());
-    remaining = r.u64();
-    snap::Access::restore(r, astream_);
-    snap::Access::restore(r, bstream_);
-}
-
-void
-CpuApp::snapSave(snap::Writer &w) const
-{
-    w.section(name().c_str());
-    snap::Access::save(w, rng());
-    w.u64(models_.size());
+    io.section(name().c_str());
+    snap::Access::io(io, rng());
+    io.expect(models_.size(),
+              name() + ": thread count mismatch (start() not replayed "
+                       "with the snapshot's params?)");
     for (const auto &model : models_)
-        model->snapSave(w);
-    w.u32(static_cast<std::uint32_t>(arrived_));
-    w.u64(iterations_done_);
-    w.b(done_);
-    w.u64(start_time_);
-    w.u64(completion_time_);
-}
-
-void
-CpuApp::snapRestore(snap::Reader &r)
-{
-    r.section(name().c_str());
-    snap::Access::restore(r, rng());
-    if (r.u64() != models_.size())
-        throw snap::SnapshotError(
-            name() + ": thread count mismatch (start() not replayed "
-                     "with the snapshot's params?)");
-    for (const auto &model : models_)
-        model->snapRestore(r);
-    arrived_ = static_cast<int>(r.u32());
-    iterations_done_ = r.u64();
-    done_ = r.b();
-    start_time_ = r.u64();
-    completion_time_ = r.u64();
+        model->snapIo(io);
+    io.as32(arrived_);
+    io.u64(iterations_done_);
+    io.b(done_);
+    io.u64(start_time_);
+    io.u64(completion_time_);
 }
 
 void

@@ -76,12 +76,11 @@ class CpuApp : public SimObject
 
     /// @name Snapshot support.
     /// @{
-    /** Serialize fork-join progress and per-thread stream cursors.
+    /** Walk fork-join progress and per-thread stream cursors.
      *  The app schedules no events of its own, so there are no tags
      *  to rebuild; start() must have been replayed on the restore
      *  target (structure, covered by the config fingerprint). */
-    void snapSave(snap::Writer &w) const;
-    void snapRestore(snap::Reader &r);
+    void snapIo(snap::Io &io);
     /// @}
 
   private:
@@ -99,8 +98,7 @@ class CpuApp : public SimObject
                          std::uint64_t instructions_done,
                          bool completed) override;
 
-        void snapSave(snap::Writer &w) const;
-        void snapRestore(snap::Reader &r);
+        void snapIo(snap::Io &io);
 
         Segment segment = Segment::Parallel;
         std::uint64_t remaining = 0;

@@ -3,17 +3,10 @@
 namespace fix {
 
 void
-Widget::snapSave(snap::Writer &out) const
+Widget::snapIo(snap::Io &io)
 {
-    write(out, count_);
-    write(out, credit_);
-}
-
-void
-Widget::snapRestore(snap::Reader &in)
-{
-    read(in, count_);
-    read(in, credit_);
+    walk(io, count_);
+    walk(io, credit_);
 }
 
 } // namespace fix

@@ -22,4 +22,18 @@ Gauge::snapSave(snap::Writer &out) const
     write(out, level_);
 }
 
+void
+Dial::snapIo(snap::Io &io)
+{
+    walk(io, turns_);
+    if (io.saving())
+        snapSaveDetents(io.writer());
+}
+
+void
+Dial::snapSaveDetents(snap::Writer &out) const
+{
+    write(out, detents_);
+}
+
 } // namespace fix

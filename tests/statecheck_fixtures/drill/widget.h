@@ -1,8 +1,9 @@
 // Drill fixture: a field (epoch_) was added to a snapshot-capable
 // class after its serializers were written — the exact regression
 // hiss_statecheck exists to catch. Also seeds every exempt-marker
-// failure mode (unknown target, stale, unjustified) and a class with
-// a missing restore implementation.
+// failure mode (unknown target, stale, unjustified), a class with
+// a missing restore implementation, and a walked class whose walk
+// omits one field and reaches another only through a save helper.
 #ifndef FIX_DRILL_WIDGET_H_
 #define FIX_DRILL_WIDGET_H_
 
@@ -11,6 +12,7 @@
 namespace snap {
 class Writer;
 class Reader;
+class Io;
 } // namespace snap
 
 namespace fix {
@@ -42,6 +44,19 @@ class Gauge
 
   private:
     std::uint64_t level_ = 0;
+};
+
+class Dial
+{
+  public:
+    void snapIo(snap::Io &io);
+
+  private:
+    void snapSaveDetents(snap::Writer &out) const;
+
+    std::uint64_t turns_ = 0;
+    std::uint32_t detents_ = 0; // saved by the helper, never restored
+    std::uint32_t notch_ = 0;   // the walk drill: never walked
 };
 
 } // namespace fix

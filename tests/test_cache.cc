@@ -14,12 +14,14 @@
 namespace hiss {
 namespace {
 
-/** The cache's full serialized state (tags, stamps, counters). */
+/** The cache's full serialized state (tags, stamps, counters). The
+ *  walk takes its object by reference, so it saves a copy. */
 std::string
-savedState(const Cache &cache)
+savedState(Cache cache)
 {
     snap::Writer w;
-    snap::Access::save(w, cache);
+    snap::Io io(w);
+    snap::Access::io(io, cache);
     return w.buffer();
 }
 

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "sim/event_queue.h"
+#include "snap/snap.h"
 
 namespace hiss {
 namespace {
@@ -190,6 +193,55 @@ TEST(EventQueue, BookkeepingBoundedUnderChurn)
     EXPECT_EQ(q.numPending(), 0u);
     EXPECT_LE(q.heapSize(), 256u);
     EXPECT_LE(q.slotTableSize(), 256u);
+}
+
+/** Overwrite the little-endian word at @p at of @p bytes. */
+template <typename T>
+void
+patchWord(std::string &bytes, std::size_t at, T value)
+{
+    for (std::size_t i = 0; i < sizeof(T); ++i)
+        bytes[at + i] = static_cast<char>((value >> (i * 8)) & 0xffU);
+}
+
+/** Restore @p payload into a fresh queue (no live events to resolve). */
+void
+restoreQueue(const std::string &payload)
+{
+    EventQueue q;
+    snap::Reader r(payload);
+    q.restoreState(r, [](const snap::Tag &) -> EventQueue::Callback {
+        return [] {};
+    });
+}
+
+TEST(EventQueue, RestoreRejectsFreeSlotOutsideTable)
+{
+    // One executed event leaves a one-slot table whose slot is free.
+    EventQueue q;
+    q.schedule(10, [] {});
+    q.run();
+    snap::Writer w;
+    q.saveState(w);
+    std::string payload = w.buffer();
+    restoreQueue(payload);
+    // The free list ends just before the u64 live-event count (0).
+    patchWord<std::uint32_t>(payload, payload.size() - 12, 1000000);
+    EXPECT_THROW(restoreQueue(payload), snap::SnapshotError);
+}
+
+TEST(EventQueue, RestoreRejectsSlotCountBeyondPayload)
+{
+    EventQueue q;
+    snap::Writer w;
+    q.saveState(w);
+    std::string payload = w.buffer();
+    restoreQueue(payload);
+    // The slot count follows the section marker ("events") and the
+    // clock, sequence and executed-event words.
+    const std::size_t slot_count_at = 4 + 8 + 6 + 3 * 8;
+    patchWord<std::uint64_t>(payload, slot_count_at, std::uint64_t{1} << 62);
+    EXPECT_THROW(restoreQueue(payload), snap::SnapshotError);
 }
 
 TEST(EventQueueDeath, SchedulingInPastPanics)

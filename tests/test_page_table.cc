@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "mem/frame_allocator.h"
 #include "mem/page_table.h"
 #include "sim/logging.h"
+#include "snap/access.h"
 
 namespace hiss {
 namespace {
@@ -86,6 +90,26 @@ TEST(FrameAllocator, FreeEnablesReuse)
 TEST(FrameAllocator, ZeroFramesRejected)
 {
     EXPECT_THROW(FrameAllocator(0), FatalError);
+}
+
+TEST(FrameAllocator, RestoreRejectsFrameOutsidePool)
+{
+    FrameAllocator fa(16);
+    fa.allocate();
+    snap::Writer w;
+    snap::Io save(w);
+    snap::Access::io(save, fa);
+    std::string payload = w.buffer();
+    // The payload ends with the one in-use frame number; point it far
+    // past the 16-frame pool (a re-framed file passes the checksum).
+    const std::uint64_t pfn = std::uint64_t{1} << 30;
+    for (std::size_t i = 0; i < 8; ++i)
+        payload[payload.size() - 8 + i] =
+            static_cast<char>((pfn >> (i * 8)) & 0xffU);
+    FrameAllocator target(16);
+    snap::Reader r(payload);
+    snap::Io restore(r);
+    EXPECT_THROW(snap::Access::io(restore, target), snap::SnapshotError);
 }
 
 TEST(FrameAllocatorDeath, DoubleFreePanics)

@@ -194,10 +194,37 @@ TEST(Snapshot, RoundTripIsExactAcrossSeeds)
         expectRoundTrip(seed, false, msToTicks(5), msToTicks(12));
 }
 
+/** Wavefronts the fault watchdog gave up on, across every GPU. */
+std::uint64_t
+abortedWavefronts(HeteroSystem &sys)
+{
+    std::uint64_t aborted = sys.gpu().abortedWavefronts();
+    for (std::size_t i = 0; i < sys.numExtraAccelerators(); ++i)
+        aborted += sys.extraAccelerator(i).abortedWavefronts();
+    return aborted;
+}
+
 TEST(Snapshot, RoundTripIsExactWithFaultsArmed)
 {
-    for (const std::uint64_t seed : {1ULL, 7ULL, 23ULL})
+    for (const std::uint64_t seed : {1ULL, 7ULL, 23ULL}) {
         expectRoundTrip(seed, true, msToTicks(5), msToTicks(12));
+
+        // The 150 us request watchdog has aborted every wavefront of
+        // some seeds by 2 ms, so the 5 ms cut may see no SSR traffic.
+        // At 0.1 ms the primary GPU's first translates are still
+        // unresolved and nothing has aborted: every abort crosses
+        // this cut.
+        Rig original = buildRig(seed, true);
+        original.sys->runUntil(usToTicks(100));
+        const Gpu &gpu = original.sys->gpu();
+        ASSERT_GT(gpu.faultsIssued(), gpu.faultsResolved())
+            << "seed " << seed << ": no translate unresolved at the cut";
+        ASSERT_EQ(abortedWavefronts(*original.sys), 0u) << "seed " << seed;
+        expectTwinShadows(
+            *original.sys, [&] { return buildRig(seed, true).sys; },
+            msToTicks(12), "seed " + std::to_string(seed) + " at 0.1 ms");
+        EXPECT_GT(abortedWavefronts(*original.sys), 0u) << "seed " << seed;
+    }
 }
 
 TEST(Snapshot, RoundTripCarriesSignalsWithFaultsArmed)
@@ -306,6 +333,58 @@ TEST(Snapshot, CorruptionIsLoud)
                   std::string::npos)
             << e.what();
     }
+}
+
+/** The little-endian u64 at @p at of @p bytes. */
+std::uint64_t
+wordAt(const std::string &bytes, std::size_t at)
+{
+    std::uint64_t v = 0;
+    for (std::size_t i = 0; i < 8; ++i)
+        v |= static_cast<std::uint64_t>(
+                 static_cast<unsigned char>(bytes[at + i]))
+             << (i * 8);
+    return v;
+}
+
+/** Overwrite the little-endian word of @p width bytes at @p at. */
+void
+patchWord(std::string &bytes, std::size_t at, std::uint64_t value,
+          std::size_t width)
+{
+    for (std::size_t i = 0; i < width; ++i)
+        bytes[at + i] = static_cast<char>((value >> (i * 8)) & 0xffU);
+}
+
+TEST(Snapshot, ReframedDamageIsLoud)
+{
+    // The checksum only catches accidental damage: frame() recomputes
+    // it for any payload. A patched, re-framed payload must still fail
+    // with a SnapshotError, never a crash or a std::length_error.
+    Rig rig = buildRig(1, false);
+    rig.sys->runUntil(msToTicks(2));
+    const std::string payload = snap::unframe(rig.sys->snapshotBytes());
+    // The event queue's section is the last one; its slot count
+    // follows the section name and the clock, sequence and executed
+    // words, and the free-slot list follows the slot generations.
+    const std::string name("\x06\0\0\0\0\0\0\0events", 14);
+    const std::size_t events = payload.rfind(name);
+    ASSERT_NE(events, std::string::npos);
+    const std::size_t slots_at = events + name.size() + 3 * 8;
+    const std::size_t free_at = slots_at + 8 + 4 * wordAt(payload, slots_at);
+    ASSERT_GT(wordAt(payload, free_at), 0u) << "no free slot to damage";
+
+    std::string huge_table = payload;
+    patchWord(huge_table, slots_at, std::uint64_t{1} << 62, 8);
+    std::string bad_free_slot = payload;
+    patchWord(bad_free_slot, free_at + 8, 1000000, 4);
+    for (const std::string *damaged : {&huge_table, &bad_free_slot}) {
+        Rig twin = buildRig(1, false);
+        EXPECT_THROW(twin.sys->restoreSnapshotBytes(snap::frame(*damaged)),
+                     snap::SnapshotError);
+    }
+    Rig twin = buildRig(1, false);
+    twin.sys->restoreSnapshotBytes(snap::frame(payload));
 }
 
 TEST(Snapshot, ConfigMismatchIsLoud)

@@ -70,13 +70,15 @@ refWithProbability(Rng &rng, double p)
     return refUniformReal(rng) < p;
 }
 
-/** The serialized form of a snapshot-capable object's state. */
+/** The serialized form of a snapshot-capable object's state. The
+ *  walk takes its object by reference, so it saves a copy. */
 template <class T>
 std::string
-savedState(const T &object)
+savedState(T object)
 {
     snap::Writer w;
-    snap::Access::save(w, object);
+    snap::Io io(w);
+    snap::Access::io(io, object);
     return w.buffer();
 }
 
@@ -117,9 +119,8 @@ struct RefAddressStream
     state() const
     {
         snap::Writer w;
-        snap::Access::save(w, rng);
         w.u64(cursor);
-        return w.buffer();
+        return savedState(rng) + w.buffer();
     }
 
     MemoryProfile profile;
@@ -665,7 +666,8 @@ TEST(SubstrateBatch, VictimMatchesReferenceScanForEveryStampPattern)
             ref.clock = alphabet;
             Cache cache(geom);
             snap::Reader r(ref.state());
-            snap::Access::restore(r, cache);
+            snap::Io io(r);
+            snap::Access::io(io, cache);
             ASSERT_EQ(savedState(cache), ref.state());
 
             const Addr missing = Addr{1000} * 64;
@@ -754,7 +756,8 @@ restoreState(T &object, const std::vector<std::uint64_t> &words)
     for (const std::uint64_t word : words)
         w.u64(word);
     snap::Reader r(w.buffer());
-    snap::Access::restore(r, object);
+    snap::Io io(r);
+    snap::Access::io(io, object);
 }
 
 /**

@@ -272,16 +272,21 @@ run_snapshot() {
     local faulty="$base --fault-drop-irq 0.2 --fault-dup-irq 0.15 \
 --fault-delay-irq 0.2 --fault-delay-ipi 0.1 --fault-stall-kworker 0.1 \
 --fault-lose-signal 0.1 --fault-timeout 150 --fault-retries 4"
-    local leg flags
+    # The fault leg cuts at 0.1 ms: its 150 us request watchdog has
+    # aborted every sssp wavefront by 1 ms, so a later cut would carry
+    # no SSR traffic. At 0.1 ms 4 faults are issued, 2 resolved and
+    # none aborted, so all 4 aborts happen after the cut.
+    local leg flags cut
     for leg in clean fault; do
         flags="$base"
-        [ "$leg" = fault ] && flags="$faulty"
+        cut=13
+        [ "$leg" = fault ] && flags="$faulty" && cut=0.1
         # shellcheck disable=SC2086
         $sim $flags --stats "$tmpdir/$leg.cold.stats" \
             --csv "$tmpdir/$leg.cold.csv" > "$tmpdir/$leg.cold.out"
         # shellcheck disable=SC2086
         $sim $flags --snapshot-save "$tmpdir/$leg.hsnap" \
-            --snapshot-at 13 --stats "$tmpdir/$leg.save.stats" \
+            --snapshot-at "$cut" --stats "$tmpdir/$leg.save.stats" \
             --csv "$tmpdir/$leg.save.csv" > "$tmpdir/$leg.save.out"
         # shellcheck disable=SC2086
         $sim $flags --snapshot-load "$tmpdir/$leg.hsnap" \

@@ -25,13 +25,15 @@
 namespace hiss {
 namespace {
 
-/** The serialized form of a substrate structure's state. */
+/** The serialized form of a substrate structure's state. The walk
+ *  takes its object by reference, so it saves a copy. */
 template <class T>
 std::string
-savedState(const T &object)
+savedState(T object)
 {
     snap::Writer w;
-    snap::Access::save(w, object);
+    snap::Io io(w);
+    snap::Access::io(io, object);
     return w.buffer();
 }
 

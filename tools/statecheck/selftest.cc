@@ -5,6 +5,8 @@
  * The clean fixture corpus must produce zero findings; the drill
  * corpus seeds one example of every defect class — a field added
  * after the serializers were written (flagged in save AND restore),
+ * a field a walk never names (flagged in both, since a walk is the
+ * save and the restore), a field only a save helper reaches,
  * cell-key-reachable fields missing from canonicalCellText (one by
  * value, one through a pointer), a class without a restore
  * implementation, and every exempt-marker failure (unknown target,
@@ -338,6 +340,32 @@ TEST(Statecheck, DrillFlagsUnserializedFieldInEveryMode)
     EXPECT_EQ(count(findings, "state-restore", "credit_"), 0u);
 }
 
+TEST(Statecheck, DrillFlagsFieldMissingFromWalkInBothModes)
+{
+    const std::vector<Finding> findings =
+        buildIndex("drill").analyze();
+    // A snapIo walk is both the save and the restore, so the field it
+    // never names is caught in both dimensions...
+    EXPECT_EQ(count(findings, "state-save", "notch_"), 1u)
+        << render(findings);
+    EXPECT_EQ(count(findings, "state-restore", "notch_"), 1u);
+    // ...and the field it names is covered in both.
+    EXPECT_EQ(count(findings, "state-save", "turns_"), 0u);
+    EXPECT_EQ(count(findings, "state-restore", "turns_"), 0u);
+    EXPECT_EQ(count(findings, "state-structure", "Dial"), 0u);
+}
+
+TEST(Statecheck, SaveHelperCalledFromWalkCountsForSaveOnly)
+{
+    const std::vector<Finding> findings =
+        buildIndex("drill").analyze();
+    // detents_ is written by snapSaveDetents, which the walk calls on
+    // save; nothing reads it back.
+    EXPECT_EQ(count(findings, "state-save", "detents_"), 0u)
+        << render(findings);
+    EXPECT_EQ(count(findings, "state-restore", "detents_"), 1u);
+}
+
 TEST(Statecheck, DrillFlagsCellKeyGap)
 {
     const std::vector<Finding> findings =
@@ -457,6 +485,47 @@ TEST(Statecheck, AccessOverloadsTargetTheSerializedClass)
     EXPECT_EQ(count(findings, "state-save", "seq_"), 1u)
         << render(findings);
     EXPECT_EQ(count(findings, "state-restore", "seq_"), 1u);
+}
+
+TEST(Statecheck, IoOverloadsTargetTheWalkedClass)
+{
+    // The snap::Access walk pattern: a static io(Io &, T &) overload
+    // is a save and a restore of T. Io itself is infrastructure, so
+    // it is never the target even when the index knows the class.
+    Index index;
+    index.addFile(parseFile("snap.h", R"(
+        class Io {
+            Writer *w_ = nullptr;
+            Reader *r_ = nullptr;
+        };
+    )"));
+    index.addFile(parseFile("rng.h", R"(
+        class Rng {
+            std::uint64_t state_ = 1;
+            std::uint64_t seq_ = 0;
+        };
+    )"));
+    index.addFile(parseFile("access.h", R"(
+        struct Access {
+            static void io(Io &io, Rng &rng)
+            {
+                io.u64(rng.state_);
+            }
+        };
+    )"));
+    index.build();
+    ASSERT_EQ(index.subjects().size(), 1u);
+    EXPECT_EQ(index.subjects()[0].name, "Rng");
+    EXPECT_EQ(index.subjects()[0].impls[0].size(), 1u);
+    EXPECT_EQ(index.subjects()[0].impls[1].size(), 1u);
+
+    const std::vector<Finding> findings = index.analyze();
+    EXPECT_EQ(count(findings, "state-save", "seq_"), 1u)
+        << render(findings);
+    EXPECT_EQ(count(findings, "state-restore", "seq_"), 1u);
+    EXPECT_EQ(count(findings, "state-save", "state_"), 0u);
+    EXPECT_EQ(count(findings, "state-restore", "state_"), 0u);
+    EXPECT_EQ(count(findings, "state-structure", ""), 0u);
 }
 
 TEST(Statecheck, GenericNamesRequireSnapshotSignature)

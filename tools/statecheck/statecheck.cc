@@ -17,8 +17,8 @@ bool
 isInfraClass(const std::string &short_name)
 {
     return short_name == "Writer" || short_name == "Reader"
-        || short_name == "Access" || short_name == "Token"
-        || short_name == "Tag";
+        || short_name == "Io" || short_name == "Access"
+        || short_name == "Token" || short_name == "Tag";
 }
 
 std::string
@@ -35,42 +35,44 @@ startsWith(const std::string &s, const char *prefix)
     return s.rfind(prefix, 0) == 0;
 }
 
-/**
- * Classify a definition as a save/restore implementation.
- * Specific family names match by prefix (so the SsrRequest-style free
- * functions snapSaveRequest/snapRestoreRequest count); the bare
- * generic names only count when the signature carries the matching
- * snapshot-infrastructure type, so an unrelated save() is not
- * mistaken for a serializer.
- */
-bool
-classifyImpl(const FunctionDef &fn, Mode &mode)
+/** The modes a definition implements (none, one, or both). */
+struct ImplModes
 {
-    if (startsWith(fn.name, "snapSave") || startsWith(fn.name, "saveState")
-        || startsWith(fn.name, "saveSnapshot")) {
-        mode = Mode::Save;
-        return true;
-    }
-    if (startsWith(fn.name, "snapRestore")
-        || startsWith(fn.name, "restoreState")
-        || startsWith(fn.name, "restoreSnapshot")) {
-        mode = Mode::Restore;
-        return true;
-    }
+    bool save = false;
+    bool restore = false;
+};
+
+/**
+ * Classify a definition as a save, restore or walk implementation.
+ * Specific family names match by prefix (so helpers such as
+ * snapSaveLedger and free walks such as snapIoRequest count); the
+ * bare generic names only count when the signature carries the
+ * matching snapshot-infrastructure type, so an unrelated save() or
+ * io() is not mistaken for a serializer. A walk
+ * (snapIo*, or io() taking a snap::Io) names each field once for
+ * both directions, so it counts as a save and as a restore.
+ */
+ImplModes
+classifyImpl(const FunctionDef &fn)
+{
     auto hasParam = [&fn](const char *type) {
         return std::find(fn.param_idents.begin(), fn.param_idents.end(),
                          type)
             != fn.param_idents.end();
     };
-    if (fn.name == "save" && hasParam("Writer")) {
-        mode = Mode::Save;
-        return true;
-    }
-    if (fn.name == "restore" && hasParam("Reader")) {
-        mode = Mode::Restore;
-        return true;
-    }
-    return false;
+    if (startsWith(fn.name, "snapIo")
+        || (fn.name == "io" && hasParam("Io")))
+        return {true, true};
+    if (startsWith(fn.name, "snapSave") || startsWith(fn.name, "saveState")
+        || startsWith(fn.name, "saveSnapshot")
+        || (fn.name == "save" && hasParam("Writer")))
+        return {true, false};
+    if (startsWith(fn.name, "snapRestore")
+        || startsWith(fn.name, "restoreState")
+        || startsWith(fn.name, "restoreSnapshot")
+        || (fn.name == "restore" && hasParam("Reader")))
+        return {false, true};
+    return {};
 }
 
 bool
@@ -171,15 +173,15 @@ Index::build()
     // Resolve every implementation to the class whose state it
     // serializes: the member qualifier / enclosing class when that is
     // a real (non-infrastructure) class, else the first known class
-    // in the parameter list, else the return type (the by-value
-    // snapRestoreRequest pattern).
+    // in the parameter list, else the return type (a by-value
+    // snapRestore* helper returning the restored object).
     std::map<int, Subject> by_class;
     for (const ParsedFile &file : files_) {
         for (const FunctionDef &fn : file.functions) {
             if (!fn.has_body)
                 continue;
-            Mode mode;
-            if (!classifyImpl(fn, mode))
+            const ImplModes modes = classifyImpl(fn);
+            if (!modes.save && !modes.restore)
                 continue;
             auto lookup = [this](const std::string &name) {
                 if (isInfraClass(shortNameOf(name)))
@@ -209,7 +211,11 @@ Index::build()
                 subject.line = ref.decl->line;
                 subject.decl = ref.decl;
             }
-            subject.impls[static_cast<int>(mode)].push_back(&fn);
+            if (modes.save)
+                subject.impls[static_cast<int>(Mode::Save)].push_back(&fn);
+            if (modes.restore)
+                subject.impls[static_cast<int>(Mode::Restore)].push_back(
+                    &fn);
         }
     }
     for (auto &[idx, subject] : by_class)

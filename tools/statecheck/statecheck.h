@@ -12,11 +12,13 @@
  * HISS_STATE_EXEMPT marker is well-formed, justified, and still
  * load-bearing.
  *
- * Implementations are recognized across this tree's three naming
- * families (snapSave/snapRestore members, the
+ * Implementations are recognized across this tree's naming
+ * families: snapIo walks and snap::Access-style io() overloads taking
+ * a snap::Io, which count as both a save and a restore; and the
+ * save/restore pairs (snapSave/snapRestore members and helpers, the
  * saveState/restoreState and saveSnapshot/restoreSnapshot variants,
- * and snap::Access-style static save/restore overloads, which must
- * take a snap::Writer / snap::Reader to count).
+ * and static save/restore overloads, which must take a snap::Writer
+ * / snap::Reader to count).
  * Findings reuse the hiss_lint Finding type and formats.
  */
 
