@@ -8,7 +8,7 @@
  * at a higher rate." This harness adds 1-4 concurrent accelerators,
  * each demand-paging an sssp-like workload through the shared IOMMU
  * and host SSR path, and measures CPU application slowdown, sleep
- * residency, and per-accelerator throughput — with and without the
+ * residency, and aggregate SSR throughput — with and without the
  * QoS governor containing the aggregate load.
  */
 
@@ -20,63 +20,35 @@
 namespace hiss::bench {
 namespace {
 
-struct Outcome
+/** Each accelerator count's two rows: QoS off, and th_5. */
+const struct
 {
-    double cpu_runtime_ms = 0.0;
-    double cc6 = 0.0;
-    double faults_per_sec = 0.0;
-    double ssr_fraction = 0.0;
-};
+    const char *label;
+    double threshold;
+} kQos[] = {{"off", 0.0}, {"th_5", 0.05}};
 
-Outcome
-run(int accelerators, double qos_threshold, std::uint64_t seed)
+/** facesim to completion beside @p accelerators looping sssp GPUs. */
+ExperimentCell
+row(const FigureArgs &args, int accelerators, double qos_threshold)
 {
-    SystemConfig config;
-    config.seed = seed;
-    if (qos_threshold > 0.0)
-        config.enableQos(qos_threshold);
-    HeteroSystem sys(config);
+    ExperimentConfig config;
+    config.extra_accelerators = accelerators - 1;
+    config.qos_threshold = qos_threshold;
+    return args.cell("facesim", "sssp", MeasureMode::CpuPrimary, config);
+}
 
-    CpuAppParams app_params = parsec::params("facesim");
-    CpuApp &app = sys.addCpuApp(app_params);
-    app.start();
-
-    const GpuWorkloadParams workload = gpu_suite::params("sssp");
-    sys.launchGpu(workload, true, true);
-    std::vector<Gpu *> gpus = {&sys.gpu()};
-    for (int a = 1; a < accelerators; ++a) {
-        Gpu &extra = sys.addAccelerator();
-        extra.launch(workload, true, true);
-        gpus.push_back(&extra);
-    }
-
-    sys.runUntilCondition([&app] { return app.done(); },
-                          msToTicks(600));
-    sys.finalizeStats();
-
-    Outcome out;
-    out.cpu_runtime_ms = ticksToMs(
-        app.done() ? app.completionTime() : sys.now());
-    double cc6 = 0.0;
-    Tick ssr = 0;
-    for (int c = 0; c < sys.kernel().numCores(); ++c) {
-        cc6 += static_cast<double>(sys.kernel().core(c).cc6Ticks());
-        ssr += sys.kernel().core(c).ssrTicks();
-    }
-    out.cc6 = cc6 / (4.0 * static_cast<double>(sys.now()));
-    out.ssr_fraction = static_cast<double>(ssr)
-        / (4.0 * static_cast<double>(sys.now()));
-    std::uint64_t faults = 0;
-    for (Gpu *gpu : gpus)
-        faults += gpu->faultsResolved();
-    out.faults_per_sec =
-        static_cast<double>(faults) / ticksToSec(sys.now());
+std::vector<ExperimentCell>
+cells(const FigureArgs &args)
+{
+    std::vector<ExperimentCell> out = {args.cpuBaseline("facesim")};
+    for (int n = 1; n <= 4; ++n)
+        for (const auto &qos : kQos)
+            out.push_back(row(args, n, qos.threshold));
     return out;
 }
 
-/** Measures HeteroSystem runs directly; declares no cells. */
 void
-print(const FigureArgs &, const Results &)
+print(const FigureArgs &args, const Results &results)
 {
     banner(
         "Extension: accelerator-rich SoC projection (1-4 GPUs)",
@@ -84,35 +56,18 @@ print(const FigureArgs &, const Results &)
         "future systems with more accelerators'; Section VI: QoS "
         "bounds it");
 
-    const Outcome baseline = [] {
-        SystemConfig config;
-        config.seed = 1;
-        HeteroSystem sys(config);
-        CpuApp &app = sys.addCpuApp(parsec::params("facesim"));
-        app.start();
-        sys.runUntilCondition([&app] { return app.done(); },
-                              msToTicks(600));
-        Outcome out;
-        out.cpu_runtime_ms = ticksToMs(app.completionTime());
-        return out;
-    }();
-
+    const double baseline_ms =
+        results[args.cpuBaseline("facesim")].cpu_runtime_ms;
     std::printf("%-8s %-8s %10s %10s %12s %12s\n", "accels", "qos",
                 "cpu_perf", "CC6(%)", "ssr_cpu(%)", "faults/s");
     for (int n = 1; n <= 4; ++n) {
-        progress(std::to_string(n) + " accelerator(s)");
-        const Outcome plain = run(n, 0.0, 1);
-        std::printf("%-8d %-8s %10.3f %10.1f %12.1f %12.0f\n", n,
-                    "off",
-                    baseline.cpu_runtime_ms / plain.cpu_runtime_ms,
-                    plain.cc6 * 100.0, plain.ssr_fraction * 100.0,
-                    plain.faults_per_sec);
-        const Outcome qos = run(n, 0.05, 1);
-        std::printf("%-8d %-8s %10.3f %10.1f %12.1f %12.0f\n", n,
-                    "th_5",
-                    baseline.cpu_runtime_ms / qos.cpu_runtime_ms,
-                    qos.cc6 * 100.0, qos.ssr_fraction * 100.0,
-                    qos.faults_per_sec);
+        for (const auto &qos : kQos) {
+            const RunResult &r = results[row(args, n, qos.threshold)];
+            std::printf("%-8d %-8s %10.3f %10.1f %12.1f %12.0f\n", n,
+                        qos.label, baseline_ms / r.cpu_runtime_ms,
+                        r.cc6_fraction * 100.0,
+                        r.ssr_cpu_fraction * 100.0, r.accel_ssr_rate);
+        }
     }
     std::printf("\nCPU slowdown and SSR CPU share grow with every "
                 "added accelerator; the QoS governor caps the "
@@ -124,6 +79,6 @@ print(const FigureArgs &, const Results &)
 
 const Figure kExtMultiAccel = {
     "ext_multi_accel", "accelerator-rich SoC projection (1-4 GPUs)", 1,
-    nullptr, print};
+    cells, print};
 
 } // namespace hiss::bench

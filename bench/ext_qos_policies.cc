@@ -12,58 +12,48 @@
  */
 
 #include <cstdio>
+#include <vector>
 
 #include "bench/harness.h"
 
 namespace hiss::bench {
 namespace {
 
-struct Outcome
+constexpr double kThresholds[] = {0.25, 0.05, 0.01};
+
+/**
+ * facesim beside looping ubench over a 30 ms window, the governor at
+ * @p threshold under exponential backoff or a token bucket.
+ */
+ExperimentCell
+row(const FigureArgs &args, bool bucket, double threshold)
 {
-    double ssr_fraction = 0.0;
-    double faults_per_sec = 0.0;
-    double latency_mean_us = 0.0;
-    double latency_sd_us = 0.0;
-};
+    // Static storage: cells hold base_system by pointer.
+    static const SystemConfig kTokenBucket = [] {
+        SystemConfig base;
+        base.kernel.qos.policy = ThrottlePolicy::TokenBucket;
+        return base;
+    }();
+    ExperimentConfig config;
+    config.qos_threshold = threshold;
+    config.rate_window = msToTicks(30);
+    if (bucket)
+        config.base_system = &kTokenBucket;
+    return args.cell("facesim", "ubench", MeasureMode::GpuPrimary, config);
+}
 
-Outcome
-run(ThrottlePolicy policy, double threshold, std::uint64_t seed)
+std::vector<ExperimentCell>
+cells(const FigureArgs &args)
 {
-    SystemConfig config;
-    config.seed = seed;
-    config.enableQos(threshold);
-    config.kernel.qos.policy = policy;
-    HeteroSystem sys(config);
-
-    CpuAppParams app_params = parsec::params("facesim");
-    app_params.iterations = 1'000'000'000ULL;
-    CpuApp &app = sys.addCpuApp(app_params);
-    app.start();
-    sys.launchGpu(gpu_suite::params("ubench"), true, true);
-    sys.runUntil(msToTicks(30));
-    sys.finalizeStats();
-
-    Outcome out;
-    Tick ssr = 0;
-    for (int c = 0; c < sys.kernel().numCores(); ++c)
-        ssr += sys.kernel().core(c).ssrTicks();
-    out.ssr_fraction = static_cast<double>(ssr)
-        / (4.0 * static_cast<double>(sys.now()));
-    out.faults_per_sec =
-        static_cast<double>(sys.gpu().faultsResolved())
-        / ticksToSec(sys.now());
-    const auto *latency = dynamic_cast<const Distribution *>(
-        sys.stats().find("iommu.fault_latency"));
-    if (latency != nullptr && latency->count() > 0) {
-        out.latency_mean_us = latency->mean() / 1000.0;
-        out.latency_sd_us = latency->stddev() / 1000.0;
-    }
+    std::vector<ExperimentCell> out;
+    for (const double threshold : kThresholds)
+        for (const bool bucket : {false, true})
+            out.push_back(row(args, bucket, threshold));
     return out;
 }
 
-/** Measures HeteroSystem runs directly; declares no cells. */
 void
-print(const FigureArgs &, const Results &)
+print(const FigureArgs &args, const Results &results)
 {
     banner(
         "Extension: exponential backoff vs token-bucket throttling",
@@ -73,19 +63,13 @@ print(const FigureArgs &, const Results &)
     std::printf("%-12s %-10s %12s %12s %14s %14s\n", "policy",
                 "budget", "ssr_cpu(%)", "faults/s", "latency_us",
                 "latency_sd");
-    for (const double threshold : {0.25, 0.05, 0.01}) {
-        for (const auto &[name, policy] :
-             {std::pair<const char *, ThrottlePolicy>{
-                  "backoff", ThrottlePolicy::ExponentialBackoff},
-              std::pair<const char *, ThrottlePolicy>{
-                  "bucket", ThrottlePolicy::TokenBucket}}) {
-            progress(std::string(name) + " @ "
-                     + std::to_string(threshold));
-            const Outcome out = run(policy, threshold, 1);
+    for (const double threshold : kThresholds) {
+        for (const bool bucket : {false, true}) {
+            const RunResult &r = results[row(args, bucket, threshold)];
             std::printf("%-12s %-10.2f %12.1f %12.0f %14.1f %14.1f\n",
-                        name, threshold, out.ssr_fraction * 100.0,
-                        out.faults_per_sec, out.latency_mean_us,
-                        out.latency_sd_us);
+                        bucket ? "bucket" : "backoff", threshold,
+                        r.ssr_cpu_fraction * 100.0, r.gpu_ssr_rate,
+                        r.fault_latency_mean_us, r.fault_latency_sd_us);
         }
     }
     std::printf("\nBoth policies respect the budget; the token "
@@ -98,6 +82,6 @@ print(const FigureArgs &, const Results &)
 
 const Figure kExtQosPolicies = {
     "ext_qos_policies", "exponential backoff vs token-bucket throttling", 1,
-    nullptr, print};
+    cells, print};
 
 } // namespace hiss::bench

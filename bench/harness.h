@@ -109,7 +109,8 @@ struct Figure
     const char *title;
     /** Repetitions per cell when --reps is not given. */
     int default_reps;
-    /** The cells to simulate; nullptr if print() measures directly. */
+    /** The cells to simulate; nullptr if print() measures directly,
+     *  as table1, table2 and fig2 do. */
     std::vector<ExperimentCell> (*cells)(const FigureArgs &args);
     /** Print the figure to stdout from its cells' results. */
     void (*print)(const FigureArgs &args, const Results &results);

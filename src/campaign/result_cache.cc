@@ -15,7 +15,7 @@ namespace {
 constexpr const char *kSection = "campaign.record";
 
 /** Bump on any record-payload layout change. */
-constexpr std::uint32_t kRecordVersion = 1;
+constexpr std::uint32_t kRecordVersion = 2;
 
 /** Walk a cached result's fields: written on store, read on lookup. */
 void
@@ -26,6 +26,9 @@ snapIoResult(snap::Io &io, RunResult &result)
     io.f64(result.cpu_runtime_ms);
     io.f64(result.gpu_runtime_ms);
     io.f64(result.gpu_ssr_rate);
+    io.f64(result.accel_ssr_rate);
+    io.f64(result.fault_latency_mean_us);
+    io.f64(result.fault_latency_sd_us);
     io.f64(result.cc6_fraction);
     io.f64(result.user_l1d_miss_rate);
     io.f64(result.user_branch_miss_rate);

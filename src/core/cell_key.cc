@@ -248,17 +248,27 @@ std::string
 cellRepro(const ExperimentCell &cell)
 {
     const ExperimentConfig &c = cell.config;
-    char buf[512];
+    std::string base = "table2-default";
+    if (c.base_system != nullptr) {
+        snap::Hash64 h;
+        h.mixString(canonicalSystemText(*c.base_system));
+        base = keyToHex(h.value());
+    }
+    char buf[1024];
     std::snprintf(
         buf, sizeof buf,
-        "seed=%llu cpu='%s' gpu='%s' mitigation=%s qos=%g "
-        "demand_paging=%d accels=%d%s faults=%s reps=%d",
+        "seed=%llu cpu='%s' gpu='%s' mode=%s mitigation=%s "
+        "coalesce_window=%gus qos=%g demand_paging=%d accels=%d "
+        "rate_window=%gms max_sim_time=%gms base=%s%s faults=%s "
+        "reps=%d key=%s",
         static_cast<unsigned long long>(c.seed), cell.cpu_app.c_str(),
-        cell.gpu_app.c_str(), c.mitigation.label().c_str(),
-        c.qos_threshold, c.gpu_demand_paging ? 1 : 0,
-        1 + c.extra_accelerators,
-        c.check_invariants ? " check=on" : "", c.fault.label().c_str(),
-        cell.reps);
+        cell.gpu_app.c_str(), modeName(cell.mode),
+        c.mitigation.label().c_str(),
+        ticksToUs(c.mitigation.coalesce_window), c.qos_threshold,
+        c.gpu_demand_paging ? 1 : 0, 1 + c.extra_accelerators,
+        ticksToMs(c.rate_window), ticksToMs(c.max_sim_time),
+        base.c_str(), c.check_invariants ? " check=on" : "",
+        c.fault.label().c_str(), cell.reps, cellKeyHex(cell).c_str());
     return buf;
 }
 

@@ -57,10 +57,13 @@ std::string keyToHex(std::uint64_t key);
 
 /**
  * One-line seed + config repro summary for failure reports, e.g.
- * "seed=81 cpu='x264' gpu='ubench' mitigation=default qos=0 ...".
- * Matches the stderr line ExperimentRunner prints on a throwing
- * cell, so every CellOutcome and cached campaign failure names
- * enough to reproduce the failure verbatim.
+ * "seed=81 cpu='x264' gpu='ubench' mode=cpu_primary
+ * mitigation=default ... key=<cellKeyHex>". It names the mode, the
+ * coalescing window, the run window and cap, and the base system
+ * (its canonicalSystemText digest), so distinct cells print distinct
+ * lines. Matches the stderr line ExperimentRunner prints on a
+ * throwing cell, so every CellOutcome and cached campaign failure
+ * names enough to reproduce the failure verbatim.
  */
 std::string cellRepro(const ExperimentCell &cell);
 

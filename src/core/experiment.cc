@@ -14,6 +14,19 @@ namespace {
 /** Iteration count that effectively never completes within a run. */
 constexpr std::uint64_t kEndlessIterations = 1'000'000'000ULL;
 
+/** The fields average() takes the mean of; counts divide as integers. */
+constexpr double RunResult::*kMeanFields[] = {
+    &RunResult::elapsed_ms, &RunResult::cpu_runtime_ms,
+    &RunResult::gpu_runtime_ms, &RunResult::gpu_ssr_rate,
+    &RunResult::accel_ssr_rate, &RunResult::fault_latency_mean_us,
+    &RunResult::fault_latency_sd_us, &RunResult::cc6_fraction,
+    &RunResult::user_l1d_miss_rate, &RunResult::user_branch_miss_rate,
+    &RunResult::ssr_cpu_fraction};
+constexpr std::uint64_t RunResult::*kCountFields[] = {
+    &RunResult::total_irqs, &RunResult::total_ipis,
+    &RunResult::ssr_interrupts, &RunResult::faults_resolved,
+    &RunResult::msis_raised, &RunResult::aborted_wavefronts};
+
 RunResult
 extractResult(HeteroSystem &sys, Tick elapsed)
 {
@@ -59,11 +72,23 @@ extractResult(HeteroSystem &sys, Tick elapsed)
     r.faults_resolved = sys.gpu().faultsResolved();
     r.msis_raised = sys.iommu().msisRaised();
     r.aborted_wavefronts = sys.gpu().abortedWavefronts();
-    for (std::size_t i = 0; i < sys.numExtraAccelerators(); ++i)
-        r.aborted_wavefronts += sys.extraAccelerator(i).abortedWavefronts();
-    if (elapsed > 0)
+    std::uint64_t accel_faults = r.faults_resolved;
+    for (std::size_t i = 0; i < sys.numExtraAccelerators(); ++i) {
+        const Gpu &extra = sys.extraAccelerator(i);
+        r.aborted_wavefronts += extra.abortedWavefronts();
+        accel_faults += extra.faultsResolved();
+    }
+    if (elapsed > 0) {
         r.gpu_ssr_rate = static_cast<double>(r.faults_resolved)
             / ticksToSec(elapsed);
+        r.accel_ssr_rate = static_cast<double>(accel_faults)
+            / ticksToSec(elapsed);
+    }
+    const Distribution &latency = sys.iommu().faultLatency();
+    r.fault_latency_mean_us =
+        latency.mean() / static_cast<double>(kTicksPerUs);
+    r.fault_latency_sd_us =
+        latency.stddev() / static_cast<double>(kTicksPerUs);
     return r;
 }
 
@@ -178,47 +203,26 @@ ExperimentRunner::average(const std::vector<RunResult> &runs)
 {
     if (runs.empty())
         fatal("ExperimentRunner: nothing to average");
-    const int reps = static_cast<int>(runs.size());
+    const auto reps = static_cast<std::uint64_t>(runs.size());
     RunResult avg;
     std::vector<std::uint64_t> per_core;
     for (const RunResult &r : runs) {
         avg.hit_time_cap = avg.hit_time_cap || r.hit_time_cap;
-        avg.elapsed_ms += r.elapsed_ms;
-        avg.cpu_runtime_ms += r.cpu_runtime_ms;
-        avg.gpu_runtime_ms += r.gpu_runtime_ms;
-        avg.gpu_ssr_rate += r.gpu_ssr_rate;
-        avg.cc6_fraction += r.cc6_fraction;
-        avg.user_l1d_miss_rate += r.user_l1d_miss_rate;
-        avg.user_branch_miss_rate += r.user_branch_miss_rate;
-        avg.ssr_cpu_fraction += r.ssr_cpu_fraction;
-        avg.total_irqs += r.total_irqs;
-        avg.total_ipis += r.total_ipis;
-        avg.ssr_interrupts += r.ssr_interrupts;
-        avg.faults_resolved += r.faults_resolved;
-        avg.msis_raised += r.msis_raised;
-        avg.aborted_wavefronts += r.aborted_wavefronts;
+        for (const auto field : kMeanFields)
+            avg.*field += r.*field;
+        for (const auto field : kCountFields)
+            avg.*field += r.*field;
         if (per_core.size() < r.ssr_irqs_per_core.size())
             per_core.resize(r.ssr_irqs_per_core.size(), 0);
         for (std::size_t c2 = 0; c2 < r.ssr_irqs_per_core.size(); ++c2)
             per_core[c2] += r.ssr_irqs_per_core[c2];
     }
-    const auto n = static_cast<double>(reps);
-    avg.elapsed_ms /= n;
-    avg.cpu_runtime_ms /= n;
-    avg.gpu_runtime_ms /= n;
-    avg.gpu_ssr_rate /= n;
-    avg.cc6_fraction /= n;
-    avg.user_l1d_miss_rate /= n;
-    avg.user_branch_miss_rate /= n;
-    avg.ssr_cpu_fraction /= n;
-    avg.total_irqs /= static_cast<std::uint64_t>(reps);
-    avg.total_ipis /= static_cast<std::uint64_t>(reps);
-    avg.ssr_interrupts /= static_cast<std::uint64_t>(reps);
-    avg.faults_resolved /= static_cast<std::uint64_t>(reps);
-    avg.msis_raised /= static_cast<std::uint64_t>(reps);
-    avg.aborted_wavefronts /= static_cast<std::uint64_t>(reps);
+    for (const auto field : kMeanFields)
+        avg.*field /= static_cast<double>(reps);
+    for (const auto field : kCountFields)
+        avg.*field /= reps;
     for (std::uint64_t &c : per_core)
-        c /= static_cast<std::uint64_t>(reps);
+        c /= reps;
     avg.ssr_irqs_per_core = std::move(per_core);
     return avg;
 }

@@ -83,6 +83,13 @@ struct RunResult
     /** Resolved SSRs per second (ubench's performance metric). */
     double gpu_ssr_rate = 0.0;
 
+    /** gpu_ssr_rate over the primary GPU and every extra accelerator. */
+    double accel_ssr_rate = 0.0;
+
+    /** IOMMU PPR issue-to-resolution latency, mean and sd, us. */
+    double fault_latency_mean_us = 0.0;
+    double fault_latency_sd_us = 0.0;
+
     /** Mean CC6 residency fraction across cores. */
     double cc6_fraction = 0.0;
 

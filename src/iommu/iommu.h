@@ -160,6 +160,8 @@ class Iommu : public SimObject, public RequestSource
     std::uint64_t iotlbHits() const { return iotlb_hits_; }
     std::uint64_t iotlbMisses() const { return iotlb_misses_; }
     std::uint64_t faultsResolved() const { return faults_resolved_; }
+    /** PPR issue-to-resolution latency, ticks (iommu.fault_latency). */
+    const Distribution &faultLatency() const { return fault_latency_; }
 
     /** PPRs rejected by injected queue overflow (INVALID response). */
     std::uint64_t pprsRejected() const { return pprs_rejected_; }

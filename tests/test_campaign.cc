@@ -18,6 +18,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -170,6 +171,44 @@ TEST(CellKey, SensitiveToEveryResultDeterminingField)
     }
 }
 
+/**
+ * Cells that differ from a reference in one field a figure varies
+ * (mode, coalescing window, run window, cap, base system) print
+ * distinct repro lines, even with the trailing key cut off.
+ */
+TEST(CellKey, ReproLinesTellCellsApart)
+{
+    SystemConfig bucket;
+    bucket.kernel.qos.policy = ThrottlePolicy::TokenBucket;
+    SystemConfig adaptive;
+    adaptive.iommu.adaptive_coalescing = true;
+    ExperimentCell ref;
+    ref.cpu_app = "facesim";
+    ref.gpu_app = "sssp";
+    ref.mode = MeasureMode::CpuPrimary;
+    ref.config.mitigation.interrupt_coalescing = true;
+    std::vector<ExperimentCell> cells(7, ref);
+    cells[1].mode = MeasureMode::GpuPrimary;
+    cells[2].config.mitigation.coalesce_window = usToTicks(25);
+    cells[3].config.rate_window = msToTicks(30);
+    cells[4].config.max_sim_time = msToTicks(300);
+    cells[5].config.base_system = &bucket;
+    cells[6].config.base_system = &adaptive;
+
+    std::set<std::string> lines;
+    std::set<std::string> without_key;
+    for (const ExperimentCell &cell : cells) {
+        const std::string line = cellRepro(cell);
+        lines.insert(line);
+        const std::size_t at = line.rfind(" key=");
+        ASSERT_NE(at, std::string::npos) << line;
+        EXPECT_EQ(line.substr(at + 5), cellKeyHex(cell)) << line;
+        without_key.insert(line.substr(0, at));
+    }
+    EXPECT_EQ(lines.size(), cells.size());
+    EXPECT_EQ(without_key.size(), cells.size());
+}
+
 TEST(ResultCacheTest, RoundTripsSuccessAndFailure)
 {
     ResultCache cache(freshDir("campaign_rt") + "/cache");
@@ -177,6 +216,9 @@ TEST(ResultCacheTest, RoundTripsSuccessAndFailure)
     CellOutcome ok;
     ok.ok = true;
     ok.result.elapsed_ms = 2.5;
+    ok.result.accel_ssr_rate = 125000.5;
+    ok.result.fault_latency_mean_us = 69.25;
+    ok.result.fault_latency_sd_us = 88.125;
     ok.result.total_irqs = 1234;
     ok.result.ssr_irqs_per_core = {3, 1, 4, 1};
     cache.store("00000000000000aa", "canon-a", ok);
@@ -191,6 +233,9 @@ TEST(ResultCacheTest, RoundTripsSuccessAndFailure)
     ASSERT_EQ(got_ok.status, LookupStatus::Hit);
     EXPECT_TRUE(got_ok.outcome.ok);
     EXPECT_EQ(got_ok.outcome.result.elapsed_ms, 2.5);
+    EXPECT_EQ(got_ok.outcome.result.accel_ssr_rate, 125000.5);
+    EXPECT_EQ(got_ok.outcome.result.fault_latency_mean_us, 69.25);
+    EXPECT_EQ(got_ok.outcome.result.fault_latency_sd_us, 88.125);
     EXPECT_EQ(got_ok.outcome.result.total_irqs, 1234u);
     EXPECT_EQ(got_ok.outcome.result.ssr_irqs_per_core,
               (std::vector<std::uint64_t>{3, 1, 4, 1}));
@@ -244,6 +289,25 @@ TEST(ResultCacheTest, DetectsTruncationBitFlipAndAliasing)
     damaged = cache.lookup("00000000000000aa", "other-canonical");
     EXPECT_EQ(damaged.status, LookupStatus::Corrupt);
     EXPECT_NE(damaged.detail.find("mismatch"), std::string::npos);
+
+    // An older record version: the version-1 layout, before
+    // accel_ssr_rate and the fault-latency fields, is not misread.
+    snap::Writer v1;
+    v1.section("campaign.record");
+    v1.u32(1);
+    v1.str("canon-a");
+    v1.b(true);
+    v1.b(false); // hit_time_cap
+    for (int i = 0; i < 8; ++i) // elapsed_ms ... ssr_cpu_fraction
+        v1.f64(1.0);
+    for (int i = 0; i < 6; ++i) // total_irqs ... aborted_wavefronts
+        v1.u64(1);
+    v1.u64(0); // ssr_irqs_per_core: empty
+    snap::writeFile(path, snap::frame(v1.buffer()));
+    damaged = cache.lookup("00000000000000aa", "canon-a");
+    EXPECT_EQ(damaged.status, LookupStatus::Corrupt);
+    EXPECT_NE(damaged.detail.find("version 1"), std::string::npos)
+        << damaged.detail;
 }
 
 TEST(ManifestTest, RoundTripsAndRebuildsIdenticalCells)

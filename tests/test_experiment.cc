@@ -5,7 +5,9 @@
 #include <string>
 
 #include "core/experiment.h"
+#include "core/system.h"
 #include "sim/logging.h"
+#include "workloads/gpu_suite.h"
 
 namespace hiss {
 namespace {
@@ -75,6 +77,12 @@ TEST(ExperimentRunner, PinnedGpuBaselineEqualsCpuOnly)
         EXPECT_EQ(with_gpu.cpu_runtime_ms, alone.cpu_runtime_ms) << why;
         EXPECT_EQ(with_gpu.gpu_runtime_ms, alone.gpu_runtime_ms) << why;
         EXPECT_EQ(with_gpu.gpu_ssr_rate, alone.gpu_ssr_rate) << why;
+        EXPECT_EQ(with_gpu.accel_ssr_rate, alone.accel_ssr_rate) << why;
+        EXPECT_EQ(with_gpu.fault_latency_mean_us,
+                  alone.fault_latency_mean_us)
+            << why;
+        EXPECT_EQ(with_gpu.fault_latency_sd_us, alone.fault_latency_sd_us)
+            << why;
         EXPECT_EQ(with_gpu.cc6_fraction, alone.cc6_fraction) << why;
         EXPECT_EQ(with_gpu.user_l1d_miss_rate, alone.user_l1d_miss_rate)
             << why;
@@ -118,6 +126,52 @@ TEST(ExperimentRunner, RateWindowControlsUbenchMeasurement)
     EXPECT_GT(r.gpu_ssr_rate, 0.0);
 }
 
+/**
+ * accel_ssr_rate is every accelerator's resolved faults over the
+ * window, and the latency fields are the IOMMU's fault-latency
+ * distribution: both read from a HeteroSystem built the way the
+ * runner builds a GpuOnly ubench cell with one extra accelerator.
+ */
+TEST(ExperimentRunner, AcceleratorRateAndFaultLatencyMatchTheSystem)
+{
+    ExperimentConfig config = fastConfig();
+    config.rate_window = msToTicks(2);
+    config.extra_accelerators = 1;
+    const RunResult r = ExperimentRunner::run(
+        "", "ubench", config, MeasureMode::GpuOnly);
+
+    SystemConfig sys_config;
+    sys_config.seed = config.seed;
+    sys_config.check_invariants = false;
+    HeteroSystem sys(sys_config);
+    const GpuWorkloadParams ubench = gpu_suite::params("ubench");
+    sys.launchGpu(ubench, true, true);
+    Gpu &extra = sys.addAccelerator();
+    extra.launch(ubench, true, true);
+    sys.runUntil(config.rate_window);
+    sys.finalizeStats();
+
+    ASSERT_GT(extra.faultsResolved(), 0u);
+    const double seconds = ticksToSec(sys.now());
+    EXPECT_EQ(r.gpu_ssr_rate,
+              static_cast<double>(sys.gpu().faultsResolved()) / seconds);
+    EXPECT_EQ(r.accel_ssr_rate,
+              static_cast<double>(sys.gpu().faultsResolved()
+                                  + extra.faultsResolved())
+                  / seconds);
+    const Distribution &latency = sys.iommu().faultLatency();
+    ASSERT_GT(latency.count(), 1u);
+    EXPECT_EQ(r.fault_latency_mean_us, latency.mean() / 1000.0);
+    EXPECT_EQ(r.fault_latency_sd_us, latency.stddev() / 1000.0);
+    EXPECT_GT(r.fault_latency_sd_us, 0.0);
+
+    config.extra_accelerators = 0;
+    const RunResult one = ExperimentRunner::run(
+        "", "ubench", config, MeasureMode::GpuOnly);
+    EXPECT_GT(one.gpu_ssr_rate, 0.0);
+    EXPECT_EQ(one.accel_ssr_rate, one.gpu_ssr_rate);
+}
+
 TEST(ExperimentRunner, PerCoreIrqVectorPopulated)
 {
     const RunResult r = ExperimentRunner::run(
@@ -141,6 +195,13 @@ TEST(ExperimentRunner, RunAveragedAveragesAcrossSeeds)
     const RunResult avg = ExperimentRunner::average({s0, s1});
     EXPECT_NEAR(avg.gpu_runtime_ms,
                 (s0.gpu_runtime_ms + s1.gpu_runtime_ms) / 2.0, 1e-9);
+    for (const auto field :
+         {&RunResult::accel_ssr_rate, &RunResult::fault_latency_mean_us,
+          &RunResult::fault_latency_sd_us}) {
+        EXPECT_GT(s0.*field, 0.0);
+        EXPECT_NE(s0.*field, s1.*field);
+        EXPECT_EQ(avg.*field, (s0.*field + s1.*field) / 2.0);
+    }
 }
 
 TEST(ExperimentRunner, ModeValidation)

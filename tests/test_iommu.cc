@@ -188,6 +188,7 @@ TEST_F(IommuTest, FaultLatencyDistributionSampled)
     const auto *latency = dynamic_cast<const Distribution *>(
         stats.find("iommu.fault_latency"));
     ASSERT_NE(latency, nullptr);
+    EXPECT_EQ(latency, &iommu->faultLatency());
     EXPECT_EQ(latency->count(), 1u);
     EXPECT_GT(latency->mean(), 0.0);
 }

@@ -319,9 +319,10 @@ TEST_F(SchedulerTest, QueueDepthReflectsBacklog)
     std::vector<std::unique_ptr<Thread>> threads;
     for (int i = 0; i < 5; ++i) {
         models.push_back(std::make_unique<SpinModel>(msToTicks(10)));
+        std::string name = "s";
+        name += std::to_string(i);
         threads.push_back(std::make_unique<Thread>(
-            i + 1, "s" + std::to_string(i), kPrioUser,
-            models.back().get()));
+            i + 1, name, kPrioUser, models.back().get()));
         kernel.scheduler().start(threads.back().get());
     }
     std::size_t queued = 0;

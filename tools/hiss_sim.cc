@@ -395,10 +395,12 @@ run(const Options &opt)
     }
     if (!opt.gpu_app.empty()) {
         const Gpu &gpu = sys.gpu();
-        std::printf("  %-16s kernels=%llu faults=%llu rate=%.0f/s",
+        std::printf("  %-16s kernels=%llu faults_issued=%llu "
+                    "faults_resolved=%llu rate=%.0f/s",
                     opt.gpu_app.c_str(),
                     static_cast<unsigned long long>(
                         gpu.kernelsCompleted()),
+                    static_cast<unsigned long long>(gpu.faultsIssued()),
                     static_cast<unsigned long long>(
                         gpu.faultsResolved()),
                     gpu.ssrRate());

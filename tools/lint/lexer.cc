@@ -140,8 +140,9 @@ lex(const std::string &source)
             while (d < n && source[d] != '(' && source[d] != '\n')
                 ++d;
             if (d < n && source[d] == '(') {
-                const std::string delim =
-                    ")" + source.substr(i + 2, d - (i + 2)) + "\"";
+                std::string delim = ")";
+                delim.append(source, i + 2, d - (i + 2));
+                delim += '"';
                 const int tok_line = line;
                 const int tok_col = col(i);
                 std::size_t end = source.find(delim, d + 1);

@@ -2,8 +2,10 @@
 # Cross-figure sharing never changes output: fig4 and fig9 share their
 # ubench GpuOnly cells, so one batch simulates those once. Their joint
 # stdout must be byte-identical at --jobs 1 and --jobs 4, and equal to
-# each figure run on its own. Registered in ctest as
-# hiss_repro_sharing (label repro).
+# each figure run on its own. ext_multi_accel and ext_qos_policies,
+# whose cells run extra accelerators and a token-bucket base system,
+# must print the same at --jobs 1 and --jobs 4 too. Registered in
+# ctest as hiss_repro_sharing (label repro).
 set -euo pipefail
 
 repro="$1"
@@ -15,6 +17,11 @@ trap 'rm -rf "$out"' EXIT
 "$repro" fig4 --reps 1 > "$out/apart.txt"
 "$repro" fig9 --reps 1 >> "$out/apart.txt"
 
+"$repro" ext_multi_accel ext_qos_policies --jobs 1 > "$out/ext1.txt"
+"$repro" ext_multi_accel ext_qos_policies --jobs 4 > "$out/ext4.txt"
+
 cmp "$out/joint1.txt" "$out/joint4.txt"
 cmp "$out/joint1.txt" "$out/apart.txt"
-echo "hiss_repro: fig4+fig9 identical across --jobs and apart"
+cmp "$out/ext1.txt" "$out/ext4.txt"
+echo "hiss_repro: fig4+fig9 identical across --jobs and apart;" \
+    "ext_multi_accel+ext_qos_policies identical across --jobs"

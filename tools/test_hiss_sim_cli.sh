@@ -4,8 +4,9 @@
 # must exit 0, the removed --reps/--jobs averaged mode must be refused,
 # a --snapshot-at past the end of the run must be refused rather than
 # stretch it, a snapshot that cannot be read, matched or written must
-# exit 1 naming the seed, and a tiny checked run and a snapshot round
-# trip must succeed. Registered in ctest as hiss_sim_cli.
+# exit 1 naming the seed, a tiny checked run and a snapshot round
+# trip must succeed, and the GPU summary must label its fault counts.
+# Registered in ctest as hiss_sim_cli.
 set -u
 
 sim="$1"
@@ -86,6 +87,24 @@ expect_clean_error "negative --fault-timeout" \
     "$sim" --gpu ubench --fault-timeout -5
 expect_clean_error "missing --fault-retries value" \
     "$sim" --gpu ubench --fault-retries
+
+# The GPU summary names what it counts: faults issued and resolved,
+# each equal to its gpu.* stat (a run cut mid-fault has issued more).
+out=$("$sim" --gpu ubench --duration 0.5 --stats - 2>&1)
+summary=$(printf '%s\n' "$out" | grep '^  ubench ')
+for what in issued resolved; do
+    shown=$(printf '%s' "$summary" \
+        | sed -n "s/.* faults_$what=\([0-9]*\) .*/\1/p")
+    stat=$(printf '%s\n' "$out" \
+        | awk -v n="gpu.faults_$what" '$1 == n { printf "%d", $2 }')
+    if [ -n "$shown" ] && [ "$shown" = "$stat" ]; then
+        note "ok: GPU summary faults_$what=$shown matches its stat"
+    else
+        note "FAIL: GPU summary faults_$what='$shown'," \
+            "gpu.faults_$what='$stat': $summary"
+        failures=$((failures + 1))
+    fi
+done
 
 # Exit 1 with a "hiss_sim:" diagnostic that names seed $1.
 expect_seeded_error() {
