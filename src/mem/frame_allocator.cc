@@ -5,7 +5,7 @@
 namespace hiss {
 
 FrameAllocator::FrameAllocator(std::uint64_t total_frames)
-    : total_(total_frames), in_use_(total_frames, false)
+    : total_(total_frames)
 {
     if (total_frames == 0)
         fatal("FrameAllocator: zero frames");
@@ -18,13 +18,14 @@ FrameAllocator::allocate()
     if (!freelist_.empty()) {
         pfn = freelist_.back();
         freelist_.pop_back();
+        in_use_[pfn] = true;
     } else if (next_ < total_) {
         pfn = next_++;
+        in_use_.push_back(true);
     } else {
         fatal("FrameAllocator: out of simulated physical memory "
               "(%llu frames)", static_cast<unsigned long long>(total_));
     }
-    in_use_[pfn] = true;
     ++allocated_;
     return pfn;
 }
@@ -32,7 +33,7 @@ FrameAllocator::allocate()
 void
 FrameAllocator::free(Pfn pfn)
 {
-    if (pfn >= total_ || !in_use_[pfn])
+    if (!isAllocated(pfn))
         panic("FrameAllocator: bad free of frame %llu",
               static_cast<unsigned long long>(pfn));
     in_use_[pfn] = false;

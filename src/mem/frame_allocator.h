@@ -44,7 +44,7 @@ class FrameAllocator
     /** @return true if @p pfn is currently allocated. */
     bool isAllocated(Pfn pfn) const
     {
-        return pfn < total_ && in_use_[pfn];
+        return pfn < in_use_.size() && in_use_[pfn];
     }
 
   private:
@@ -54,6 +54,8 @@ class FrameAllocator
     std::uint64_t next_ = 0;       // Bump pointer.
     std::uint64_t allocated_ = 0;
     std::vector<Pfn> freelist_;
+    /** One bit per frame below the bump pointer (size() == next_):
+     *  frames never handed out take no memory. */
     std::vector<bool> in_use_;
 };
 

@@ -1,5 +1,7 @@
 #include "os/kernel.h"
 
+#include <string>
+
 #include "sim/logging.h"
 #include "snap/access.h"
 
@@ -275,6 +277,27 @@ Kernel::snapIo(snap::Io &io, const RequestRebuild &rebuild)
     snap::Access::io(io, proc_stats_);
     snap::Access::io(io, frames_);
     snap::Access::io(io, spaces_);
+    if (!io.saving()) {
+        // The identity InvariantMonitor::checkMemory audits: every
+        // mapped frame allocated, every allocated frame mapped.
+        std::uint64_t mapped = 0;
+        spaces_.forEach([&](Pasid, const PageTable &table) {
+            table.forEach([&](Vpn vpn, Pfn pfn) {
+                if (!frames_.isAllocated(pfn))
+                    throw snap::SnapshotError(
+                        "snapshot corrupt: vpn " + std::to_string(vpn)
+                        + " maps unallocated frame "
+                        + std::to_string(pfn));
+                ++mapped;
+            });
+        });
+        if (mapped != frames_.allocatedFrames())
+            throw snap::SnapshotError(
+                "snapshot corrupt: " + std::to_string(mapped)
+                + " pages mapped but "
+                + std::to_string(frames_.allocatedFrames())
+                + " frames allocated");
+    }
     const std::function<Thread *(int)> lookup = [this](int id) {
         return threadById(id);
     };

@@ -17,7 +17,8 @@
 #ifndef HISS_SNAP_ACCESS_H_
 #define HISS_SNAP_ACCESS_H_
 
-#include <algorithm>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "mem/address_space_dir.h"
@@ -150,10 +151,10 @@ struct Access
     }
 
     // ---- Two-algorithm parts ------------------------------------------
-    // The structures below write a canonical form (sorted entries, a
-    // sparse in-use set, a labelled map) that their restore rebuilds
-    // differently, so each keeps a save/restore pair and walks reach
-    // it through this one dispatch.
+    // The structures below write a canonical form (VPN-ordered
+    // entries, a sparse in-use set, a labelled map) that their
+    // restore rebuilds differently, so each keeps a save/restore pair
+    // and walks reach it through this one dispatch.
     template <typename T>
     static void
     io(Io &io, T &object)
@@ -165,20 +166,16 @@ struct Access
     }
 
     // ---- PageTable / FrameAllocator / AddressSpaceDirectory ----------
+    // A page table is written as its mappings in VPN order, straight
+    // from its walk; restore requires that order back.
     static void
     save(Writer &w, const PageTable &pt)
     {
-        std::vector<std::pair<Vpn, Pfn>> entries;
-        entries.reserve(pt.numMapped());
-        pt.forEach([&entries](Vpn vpn, Pfn pfn) {
-            entries.emplace_back(vpn, pfn);
-        });
-        std::sort(entries.begin(), entries.end());
-        w.u64(entries.size());
-        for (const auto &[vpn, pfn] : entries) {
+        w.u64(pt.numMapped());
+        pt.forEach([&w](Vpn vpn, Pfn pfn) {
             w.u64(vpn);
             w.u64(pfn);
-        }
+        });
     }
 
     static void
@@ -186,10 +183,18 @@ struct Access
     {
         pt.clear();
         const std::uint64_t n = r.count(16);
+        Vpn last = 0;
         for (std::uint64_t i = 0; i < n; ++i) {
             const Vpn vpn = r.u64();
             const Pfn pfn = r.u64();
+            if (i > 0 && vpn <= last)
+                throw SnapshotError("snapshot corrupt: page-table vpn "
+                                    + std::to_string(vpn)
+                                    + " not above its predecessor "
+                                    + std::to_string(last));
+            checkIndex(pfn, ~Pfn{0}, "mapped frame");
             pt.map(vpn, pfn);
+            last = vpn;
         }
     }
 
@@ -202,8 +207,7 @@ struct Access
         w.u64(fa.freelist_.size());
         for (const Pfn pfn : fa.freelist_)
             w.u64(pfn);
-        // The in-use bitmap is written as its set bits below the bump
-        // pointer (sparse relative to 8M-frame DRAM).
+        // The in-use bitmap is written as its set bits, ascending.
         std::uint64_t set = 0;
         for (std::uint64_t pfn = 0; pfn < fa.next_; ++pfn)
             set += fa.in_use_[pfn] ? 1 : 0;
@@ -214,6 +218,9 @@ struct Access
         }
     }
 
+    /** Every frame named must lie below the bump pointer and be
+     *  named once, in use or free-listed, and the in-use set must
+     *  hold exactly the allocated count. */
     static void
     restore(Reader &r, FrameAllocator &fa)
     {
@@ -227,16 +234,36 @@ struct Access
         const std::uint64_t free = r.count(8);
         for (std::uint64_t i = 0; i < free; ++i) {
             const Pfn pfn = r.u64();
-            checkIndex(pfn, fa.total_, "free frame");
+            checkIndex(pfn, fa.next_, "free frame");
             fa.freelist_.push_back(pfn);
         }
-        std::fill(fa.in_use_.begin(), fa.in_use_.end(), false);
+        fa.in_use_.assign(fa.next_, false);
         const std::uint64_t set = r.count(8);
         for (std::uint64_t i = 0; i < set; ++i) {
             const Pfn pfn = r.u64();
-            checkIndex(pfn, fa.total_, "in-use frame");
+            checkIndex(pfn, fa.next_, "in-use frame");
+            if (fa.in_use_[pfn])
+                throw SnapshotError("snapshot corrupt: in-use frame "
+                                    + std::to_string(pfn)
+                                    + " listed twice");
             fa.in_use_[pfn] = true;
         }
+        if (set != fa.allocated_)
+            throw SnapshotError("snapshot corrupt: "
+                                + std::to_string(fa.allocated_)
+                                + " frames allocated but "
+                                + std::to_string(set) + " in use");
+        // Mark the free list into the bitmap to find a frame that is
+        // also in use or free-listed twice, then clear the marks.
+        for (const Pfn pfn : fa.freelist_) {
+            if (fa.in_use_[pfn])
+                throw SnapshotError("snapshot corrupt: free frame "
+                                    + std::to_string(pfn)
+                                    + " is in use or listed twice");
+            fa.in_use_[pfn] = true;
+        }
+        for (const Pfn pfn : fa.freelist_)
+            fa.in_use_[pfn] = false;
     }
 
     static void

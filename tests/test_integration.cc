@@ -63,6 +63,29 @@ TEST(IntegrationPipeline, PageTableMatchesFaultedPages)
               static_cast<std::size_t>(workload.pages));
 }
 
+TEST(IntegrationPipeline, PinnedPagingFillsPageTableLeaves)
+{
+    // A pinned no-SSR baseline maps a fresh page per ubench visit
+    // (about a million over a paper run). VPNs come in order within a
+    // launch, so the table holds them in full 512-entry leaves; a
+    // per-page layout would fail this bound.
+    SystemConfig config;
+    config.seed = 94;
+    config.check_invariants = false;
+    HeteroSystem sys(config);
+    sys.addCpuApp(parsec::params("blackscholes")).start();
+    sys.launchGpu(gpu_suite::params("ubench"), false, true);
+    sys.runUntil(msToTicks(2));
+    const PageTable &table = sys.kernel().gpuPageTable();
+    const std::size_t mapped = table.numMapped();
+    ASSERT_GT(mapped, 10000u);
+    EXPECT_EQ(mapped, sys.kernel().frames().allocatedFrames());
+    EXPECT_LE(table.numLeaves(),
+              (mapped + PageTable::kLeafEntries - 1)
+                      / PageTable::kLeafEntries
+                  + 1);
+}
+
 TEST(IntegrationInterference, SleepResidencyDropsWithSsrs)
 {
     for (const std::string gpu : {"bfs", "sssp"}) {

@@ -387,6 +387,37 @@ TEST(Snapshot, ReframedDamageIsLoud)
     twin.sys->restoreSnapshotBytes(snap::frame(payload));
 }
 
+TEST(Snapshot, RestoreRejectsPagesOutOfStepWithFrames)
+{
+    // Save checks nothing, so a page mapped to an unallocated frame,
+    // or a frame allocated but never mapped, reaches the payload the
+    // way a re-framed file would. Restore must refuse both: every
+    // mapped frame allocated, every allocated frame mapped.
+    for (const bool stray_page : {true, false}) {
+        Rig rig = buildRig(1, false);
+        rig.sys->runUntil(msToTicks(1));
+        Kernel &kernel = rig.sys->kernel();
+        ASSERT_GT(kernel.gpuPageTable().numMapped(), 0u);
+        if (stray_page)
+            kernel.gpuPageTable().map(Vpn{1} << 50,
+                                      kernel.frames().totalFrames() - 1);
+        else
+            kernel.frames().allocate();
+        const std::string blob = rig.sys->snapshotBytes();
+        Rig twin = buildRig(1, false);
+        try {
+            twin.sys->restoreSnapshotBytes(blob);
+            FAIL() << "pages and frames out of step not detected";
+        } catch (const snap::SnapshotError &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          stray_page ? "unallocated frame"
+                                     : "frames allocated"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
 TEST(Snapshot, ConfigMismatchIsLoud)
 {
     Rig rig = buildRig(1, false);

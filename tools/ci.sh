@@ -39,7 +39,8 @@
 #                                      snapshot must produce byte-
 #                                      identical stats to the cold
 #                                      run, with and without fault
-#                                      injection; first divergence
+#                                      injection and on pinned GPU
+#                                      memory; first divergence
 #                                      reported by tools/trace_diff)
 #        tools/ci.sh campaign [preset...]
 #                                     (crash-drill leg, default presets
@@ -254,9 +255,11 @@ fi
 # `snapshot` mode: end-to-end restore fidelity through the CLI. A
 # run restored from a mid-warmup snapshot must produce byte-identical
 # stats/CSV dumps and stdout (modulo wall-clock and snapshot progress
-# lines) to the cold run that never stopped. Exercised twice: clean,
-# and with the full fault-injection schedule armed (watchdogs and
-# RNG-driven IRQ fates cross the snapshot boundary). hiss_sim sends
+# lines) to the cold run that never stopped. Exercised three times:
+# clean; with the full fault-injection schedule armed (watchdogs and
+# RNG-driven IRQ fates cross the snapshot boundary); and on pinned
+# GPU memory, where ubench maps a fresh page per visit, so the 5 ms
+# snapshot (5.3 MB) is mostly page-table entries. hiss_sim sends
 # no GPU signal, so the signal queue and the injector's loss ledger
 # stay empty here; tests/test_snapshot.cc carries them across a cut.
 run_snapshot() {
@@ -272,15 +275,19 @@ run_snapshot() {
     local faulty="$base --fault-drop-irq 0.2 --fault-dup-irq 0.15 \
 --fault-delay-irq 0.2 --fault-delay-ipi 0.1 --fault-stall-kworker 0.1 \
 --fault-lose-signal 0.1 --fault-timeout 150 --fault-retries 4"
+    local pinned="--cpu swaptions --gpu ubench --no-demand-paging \
+--loop-gpu --seed 9"
     # The fault leg cuts at 0.1 ms: its 150 us request watchdog has
     # aborted every sssp wavefront by 1 ms, so a later cut would carry
     # no SSR traffic. At 0.1 ms 4 faults are issued, 2 resolved and
     # none aborted, so all 4 aborts happen after the cut.
     local leg flags cut
-    for leg in clean fault; do
-        flags="$base"
-        cut=13
-        [ "$leg" = fault ] && flags="$faulty" && cut=0.1
+    for leg in clean fault pinned; do
+        case "$leg" in
+            clean) flags="$base" cut=13 ;;
+            fault) flags="$faulty" cut=0.1 ;;
+            pinned) flags="$pinned" cut=5 ;;
+        esac
         # shellcheck disable=SC2086
         $sim $flags --stats "$tmpdir/$leg.cold.stats" \
             --csv "$tmpdir/$leg.cold.csv" > "$tmpdir/$leg.cold.out"

@@ -29,6 +29,8 @@
 #include <string>
 #include <vector>
 
+#include <sys/resource.h>
+
 #include "core/hiss.h"
 #include "sim/cli_args.h"
 #include "sim/logging.h"
@@ -248,8 +250,9 @@ parseArgs(int argc, char **argv, Options &opt)
 }
 
 /**
- * Host-performance footer: wall-clock, simulated-ticks/sec, and
- * events/sec, so BENCH_*.json runs can track simulator throughput.
+ * Host-performance footer: wall-clock, simulated-ticks/sec,
+ * events/sec and the process's peak resident set, so BENCH_*.json
+ * runs can track simulator throughput and memory.
  */
 void
 printHostThroughput(std::chrono::steady_clock::time_point wall_start,
@@ -260,11 +263,14 @@ printHostThroughput(std::chrono::steady_clock::time_point wall_start,
                                       - wall_start)
             .count();
     const double safe_s = wall_s > 0.0 ? wall_s : 1e-9;
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
     std::printf("host: wall=%.3f s  %.1f Mticks/s  %.2f Mevents/s "
-                "(%llu events)\n",
+                "(%llu events)  peak_rss=%.1f MB\n",
                 wall_s, static_cast<double>(simulated) / safe_s / 1e6,
                 static_cast<double>(events) / safe_s / 1e6,
-                static_cast<unsigned long long>(events));
+                static_cast<unsigned long long>(events),
+                static_cast<double>(usage.ru_maxrss) / 1024.0); // KiB
 }
 
 int

@@ -5,7 +5,8 @@
 # a --snapshot-at past the end of the run must be refused rather than
 # stretch it, a snapshot that cannot be read, matched or written must
 # exit 1 naming the seed, a tiny checked run and a snapshot round
-# trip must succeed, and the GPU summary must label its fault counts.
+# trip must succeed, the GPU summary must label its fault counts, and
+# the host footer must report the peak resident set.
 # Registered in ctest as hiss_sim_cli.
 set -u
 
@@ -105,6 +106,17 @@ for what in issued resolved; do
         failures=$((failures + 1))
     fi
 done
+
+# The host footer reports peak memory, so no profiler is needed to
+# see it.
+if printf '%s\n' "$out" \
+    | grep -Eq '^host: wall=.* peak_rss=[0-9]+\.[0-9] MB$'; then
+    note "ok: host line reports peak_rss"
+else
+    note "FAIL: host line lacks peak_rss=<MB>:" \
+        "$(printf '%s\n' "$out" | grep '^host:')"
+    failures=$((failures + 1))
+fi
 
 # Exit 1 with a "hiss_sim:" diagnostic that names seed $1.
 expect_seeded_error() {
