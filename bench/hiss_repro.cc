@@ -6,14 +6,24 @@
  * ExperimentBatch (so a run that several figures share is simulated
  * once), then prints each figure's stdout in the order named. Output
  * is bit-identical at any --jobs and whichever figures share a run.
+ *
+ * With --cache DIR the batch serves each per-seed run that DIR holds
+ * and stores each new one as it finishes, so a killed command resumes
+ * where it stopped. --shard k/K runs only the cells whose cell key is
+ * k modulo K, to fill the cache from K processes, and prints nothing;
+ * an unsharded --cache run then executes what is missing and prints.
  */
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "bench/harness.h"
 #include "sim/cli_args.h"
+#include "snap/snap.h"
 
 namespace {
 
@@ -34,15 +44,46 @@ struct Options
     int reps = 0; ///< 0 = each figure's default.
     int jobs = 0; ///< 0 = all hardware threads.
     bool full = false;
+    std::string cache_dir; ///< Empty = no result cache.
+    std::uint64_t shard = 0;
+    std::uint64_t shard_count = 0; ///< 0 = not sharded.
 };
 
 const char kUsage[] =
-    "usage: hiss_repro [--reps N] [--jobs N] [--full] FIGURE...|all\n"
-    "  --reps N   repetitions per cell (default: each figure's own);\n"
-    "             table1 reads it as requests per kind (default 40)\n"
-    "  --jobs N   parallel workers (default: all hardware threads)\n"
-    "  --full     complete CPU-app sweeps for fig6/fig7/fig8\n"
-    "  --list     list the figures\n";
+    "usage: hiss_repro [--reps N] [--jobs N] [--full] [--cache DIR\n"
+    "                  [--shard k/K]] FIGURE...|all\n"
+    "  --reps N     repetitions per cell (default: each figure's own);\n"
+    "               table1 reads it as requests per kind (default 40)\n"
+    "  --jobs N     parallel workers (default: all hardware threads)\n"
+    "  --full       complete CPU-app sweeps for fig6/fig7/fig8\n"
+    "  --cache DIR  serve runs from, and store them in, a result cache\n"
+    "  --shard k/K  only fill the cache with the cells whose key is k\n"
+    "               modulo K; print nothing\n"
+    "  --list       list the figures\n";
+
+/** --shard's k/K, with 0 <= k < K. */
+void
+parseShard(const char *text, Options &opt)
+{
+    const std::string value = text;
+    const std::size_t slash = value.find('/');
+    if (slash == std::string::npos)
+        fatal("--shard: '%s' is not k/K", text);
+    opt.shard_count = static_cast<std::uint64_t>(cli::parseInt(
+        "--shard", value.substr(slash + 1).c_str(), 1, 1 << 20));
+    opt.shard = static_cast<std::uint64_t>(
+        cli::parseInt("--shard", value.substr(0, slash).c_str(), 0,
+                      static_cast<long long>(opt.shard_count) - 1));
+}
+
+/** FNV-1a of this executable: another build's records are stale. */
+std::string
+buildFingerprint()
+{
+    snap::Hash64 h;
+    h.mixString(snap::readFile("/proc/self/exe"));
+    return keyToHex(h.value());
+}
 
 /** False when the command was --help/--list (already answered). */
 bool
@@ -66,6 +107,12 @@ parseArgs(int argc, char **argv, Options &opt)
                 parseInt("--jobs", needValue(argc, argv, i), 0, 4096));
         } else if (arg == "--full") {
             opt.full = true;
+        } else if (arg == "--cache") {
+            opt.cache_dir = needValue(argc, argv, i);
+            if (opt.cache_dir.empty())
+                fatal("--cache needs a directory");
+        } else if (arg == "--shard") {
+            parseShard(needValue(argc, argv, i), opt);
         } else if (arg[0] == '-') {
             fatal("unknown argument: %s (try --help)", arg.c_str());
         } else {
@@ -79,6 +126,8 @@ parseArgs(int argc, char **argv, Options &opt)
     }
     if (opt.figures.empty())
         fatal("no figure given (try --list)");
+    if (opt.shard_count > 0 && opt.cache_dir.empty())
+        fatal("--shard needs --cache: a shard only fills the cache");
     return true;
 }
 
@@ -103,12 +152,27 @@ try {
                 cells.push_back(std::move(cell));
     }
     first.push_back(cells.size());
+    if (opt.shard_count > 0)
+        std::erase_if(cells, [&opt](const ExperimentCell &cell) {
+            return !inShard(cell, opt.shard, opt.shard_count);
+        });
 
-    const ExperimentBatch batch(opt.jobs);
+    std::optional<campaign::ResultCache> cache;
+    if (!opt.cache_dir.empty())
+        cache.emplace(opt.cache_dir, buildFingerprint());
+    const ExperimentBatch batch(opt.jobs, cache ? &*cache : nullptr);
     progress("running " + std::to_string(cells.size())
              + " experiment cells on " + std::to_string(batch.jobs())
              + " jobs");
-    const std::vector<RunResult> results = batch.run(cells);
+    BatchTally tally;
+    const std::vector<RunResult> results = batch.run(cells, &tally);
+    if (cache)
+        progress("result cache: " + std::to_string(tally.cached)
+                 + " served, " + std::to_string(tally.executed)
+                 + " executed, " + std::to_string(tally.replaced)
+                 + " replaced (stale or damaged)");
+    if (opt.shard_count > 0)
+        return 0;
 
     for (std::size_t f = 0; f < opt.figures.size(); ++f)
         opt.figures[f]->print(args[f],
@@ -118,5 +182,8 @@ try {
     return 0;
 } catch (const FatalError &e) {
     std::fprintf(stderr, "hiss_repro: %s\n", e.what());
+    return 1;
+} catch (const snap::SnapshotError &e) {
+    std::fprintf(stderr, "hiss_repro: result cache: %s\n", e.what());
     return 1;
 }

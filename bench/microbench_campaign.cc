@@ -1,20 +1,21 @@
 /**
  * @file
- * Campaign-engine microbenchmarks.
+ * Result-cache microbenchmarks.
  *
- * Three questions: what does the per-cell bookkeeping (key + framed
- * record encode/decode) cost, what does a cold grid cost end to end,
- * and what does a cache-hit resume buy? The last is the headline —
- * CampaignResumeSpeedup runs the same grid cold (empty cache) and
- * resumed (warm cache) and records the wall-clock ratio as a
- * counter, which tools/ci.sh bench gates at >= 5x: a resume that
- * re-simulates anything it already has defeats the engine's point.
+ * Three questions: what does the per-run bookkeeping (key + framed
+ * record encode/decode) cost, what does a cold grid cost end to end
+ * through a cached ExperimentBatch, and what does a warm cache buy?
+ * The last is the headline — CampaignResumeSpeedup runs the same grid
+ * cold (empty cache) and resumed (warm cache) and records the
+ * wall-clock ratio as a counter, which tools/ci.sh bench gates at
+ * >= 5x: a resume that re-simulates anything it already has defeats
+ * the cache's point.
  */
 
 #include <benchmark/benchmark.h>
 
 #include <chrono>
-#include <cstdio>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -23,33 +24,39 @@
 namespace {
 
 using namespace hiss;
-using namespace hiss::campaign;
+using campaign::ResultCache;
 
-/** The benchmark grid: 8 GPU-only ubench cells, 4 ms windows. */
-GridSpec
-benchGrid()
+std::string
+cacheDir()
 {
-    GridSpec spec;
-    spec.name = "bench";
-    spec.gpu_apps = {"ubench"};
-    spec.seeds = {11, 12, 13, 14};
-    spec.qos_thresholds = {0.0, 0.05};
-    spec.duration_ms = 4.0;
-    return spec;
+    return (std::filesystem::temp_directory_path() / "hiss_bench_campaign")
+        .string();
 }
 
-void
-resetDir(const CampaignEngine &engine)
+/** The benchmark grid: 8 GPU-only ubench cells (seeds 11-14 x QoS 0
+ *  and 0.05), 4 ms windows. */
+std::vector<ExperimentCell>
+benchGrid()
 {
-    const ResultCache cache(engine.cacheDir());
-    for (const std::string &key : cache.listKeys())
-        std::remove(cache.recordPath(key).c_str());
+    std::vector<ExperimentCell> cells;
+    for (const double qos : {0.0, 0.05}) {
+        for (const std::uint64_t seed : {11u, 12u, 13u, 14u}) {
+            ExperimentCell cell;
+            cell.gpu_app = "ubench";
+            cell.mode = MeasureMode::GpuOnly;
+            cell.config.qos_threshold = qos;
+            cell.config.seed = seed;
+            cell.config.rate_window = msToTicks(4.0);
+            cells.push_back(cell);
+        }
+    }
+    return cells;
 }
 
 void
 CampaignCellKey(benchmark::State &state)
 {
-    const std::vector<ExperimentCell> cells = benchGrid().buildCells();
+    const std::vector<ExperimentCell> cells = benchGrid();
     std::uint64_t digest = 0;
     for (auto _ : state) {
         for (const ExperimentCell &cell : cells)
@@ -68,8 +75,7 @@ CampaignRecordRoundTrip(benchmark::State &state)
     outcome.ok = true;
     outcome.result.elapsed_ms = 4.0;
     outcome.result.ssr_irqs_per_core = {1, 2, 3, 4};
-    const std::string canonical =
-        canonicalCellText(benchGrid().buildCells()[0]);
+    const std::string canonical = canonicalCellText(benchGrid()[0]);
     for (auto _ : state) {
         const std::string blob =
             ResultCache::encode(canonical, outcome);
@@ -81,16 +87,18 @@ CampaignRecordRoundTrip(benchmark::State &state)
 }
 BENCHMARK(CampaignRecordRoundTrip)->Unit(benchmark::kMicrosecond);
 
+/** Seconds to run the grid on one worker through the cache, emptied
+ *  first when @p cold. */
 double
-runCampaign(const CampaignEngine &engine, bool cold)
+runGrid(bool cold)
 {
     if (cold)
-        resetDir(engine);
-    CampaignOptions options;
-    options.jobs = 1;
+        std::filesystem::remove_all(cacheDir());
+    const ResultCache cache(cacheDir());
     const auto start = std::chrono::steady_clock::now();
-    const CampaignReport report = engine.run(options);
-    benchmark::DoNotOptimize(report.executed);
+    const std::vector<RunResult> results =
+        ExperimentBatch(1, &cache).run(benchGrid());
+    benchmark::DoNotOptimize(results.data());
     return std::chrono::duration<double>(
                std::chrono::steady_clock::now() - start)
         .count();
@@ -99,10 +107,8 @@ runCampaign(const CampaignEngine &engine, bool cold)
 void
 CampaignColdGrid(benchmark::State &state)
 {
-    const CampaignEngine engine("/tmp/hiss_bench_campaign");
-    engine.build(benchGrid());
     for (auto _ : state)
-        runCampaign(engine, true);
+        runGrid(true);
     state.SetItemsProcessed(state.iterations() * 8);
 }
 BENCHMARK(CampaignColdGrid)->Unit(benchmark::kMillisecond);
@@ -110,11 +116,9 @@ BENCHMARK(CampaignColdGrid)->Unit(benchmark::kMillisecond);
 void
 CampaignWarmResume(benchmark::State &state)
 {
-    const CampaignEngine engine("/tmp/hiss_bench_campaign");
-    engine.build(benchGrid());
-    runCampaign(engine, true); // populate the cache once
+    runGrid(true); // populate the cache once
     for (auto _ : state)
-        runCampaign(engine, false);
+        runGrid(false);
     state.SetItemsProcessed(state.iterations() * 8);
 }
 BENCHMARK(CampaignWarmResume)->Unit(benchmark::kMillisecond);
@@ -125,13 +129,11 @@ BENCHMARK(CampaignWarmResume)->Unit(benchmark::kMillisecond);
 void
 CampaignResumeSpeedup(benchmark::State &state)
 {
-    const CampaignEngine engine("/tmp/hiss_bench_campaign");
-    engine.build(benchGrid());
     double cold = 0.0;
     double resumed = 0.0;
     for (auto _ : state) {
-        cold += runCampaign(engine, true);
-        resumed += runCampaign(engine, false);
+        cold += runGrid(true);
+        resumed += runGrid(false);
     }
     state.counters["speedup"] =
         benchmark::Counter(resumed > 0.0 ? cold / resumed : 0.0);

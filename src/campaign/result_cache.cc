@@ -1,7 +1,5 @@
 #include "campaign/result_cache.h"
 
-#include <algorithm>
-#include <cstdio>
 #include <filesystem>
 
 #include "sim/logging.h"
@@ -42,9 +40,24 @@ snapIoResult(snap::Io &io, RunResult &result)
     io.seq(result.ssr_irqs_per_core, [&io](std::uint64_t &v) { io.u64(v); });
 }
 
+/** The text a record of @p canonical carries: the line
+ *  "build=<fingerprint>" first, when there is a fingerprint. */
+std::string
+stamped(const std::string &fingerprint, const std::string &canonical)
+{
+    if (fingerprint.empty())
+        return canonical;
+    std::string text = "build=";
+    text += fingerprint;
+    text += '\n';
+    text += canonical;
+    return text;
+}
+
 } // namespace
 
-ResultCache::ResultCache(std::string dir) : dir_(std::move(dir))
+ResultCache::ResultCache(std::string dir, std::string fingerprint)
+    : dir_(std::move(dir)), fingerprint_(std::move(fingerprint))
 {
     std::error_code ec;
     std::filesystem::create_directories(dir_, ec);
@@ -115,15 +128,13 @@ ResultCache::lookup(const std::string &key_hex,
     if (!std::filesystem::exists(path, ec) || ec)
         return {};
     Lookup out;
-    std::string blob;
     try {
-        blob = snap::readFile(path);
-        std::string stored_canonical;
-        out.outcome = decode(blob, stored_canonical);
-        if (stored_canonical != canonical) {
+        std::string stored;
+        out.outcome = decode(snap::readFile(path), stored);
+        if (stored != stamped(fingerprint_, canonical)) {
             out.status = LookupStatus::Corrupt;
-            out.detail = "canonical config text mismatch (key "
-                         "collision or stale key format)";
+            out.detail = "canonical config text mismatch (another "
+                         "build, key collision or stale key format)";
             out.outcome = CellOutcome{};
             return out;
         }
@@ -143,30 +154,8 @@ ResultCache::store(const std::string &key_hex,
                    const CellOutcome &outcome) const
 {
     snap::writeFileAtomic(recordPath(key_hex),
-                          encode(canonical, outcome));
-}
-
-void
-ResultCache::remove(const std::string &key_hex) const
-{
-    std::remove(recordPath(key_hex).c_str());
-}
-
-std::vector<std::string>
-ResultCache::listKeys() const
-{
-    std::vector<std::string> keys;
-    std::error_code ec;
-    std::filesystem::directory_iterator it(dir_, ec);
-    if (ec)
-        return keys;
-    for (const auto &entry : it) {
-        const std::filesystem::path &p = entry.path();
-        if (p.extension() == ".rec")
-            keys.push_back(p.stem().string());
-    }
-    std::sort(keys.begin(), keys.end());
-    return keys;
+                          encode(stamped(fingerprint_, canonical),
+                                 outcome));
 }
 
 } // namespace campaign

@@ -1,23 +1,26 @@
 /**
  * @file
- * Content-addressed on-disk result cache for campaign cells.
+ * Content-addressed on-disk result cache for per-seed runs.
  *
  * One record per cell key (core/cell_key.h): `<dir>/<hex16>.rec`,
  * framed with the snapshot integrity header (magic, version, payload
  * length, FNV-1a checksum — snap::frame/unframe), so truncation and
  * bit damage are detected exactly like a corrupt snapshot would be.
  * A damaged record is never trusted: lookup reports Corrupt with the
- * reason and the campaign re-runs the cell, overwriting the record.
+ * reason, and ExperimentBatch re-runs the run and overwrites it.
  *
  * Records are written with write-then-rename (snap::writeFileAtomic),
- * so a shard killed mid-store leaves either no record or a complete
+ * so a process killed mid-store leaves either no record or a complete
  * one — the crash-resume invariant rests on this.
  *
- * The payload carries the cell's canonical config text alongside the
+ * The payload carries the run's canonical config text alongside the
  * outcome; lookup cross-checks it so a key collision (or a record
  * from an older key format) surfaces as Corrupt instead of serving a
- * wrong result. The determinism contract makes a Hit byte-equivalent
- * to re-running the cell.
+ * wrong result. A key names the config, not the code that ran it, so
+ * a cache opened with a build fingerprint stamps it on every record's
+ * text, and a record of another build fails that cross-check too.
+ * The determinism contract makes a Hit byte-equivalent to re-running
+ * the cell.
  */
 
 #ifndef HISS_CAMPAIGN_RESULT_CACHE_H_
@@ -25,7 +28,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "core/experiment_batch.h"
 
@@ -36,7 +38,7 @@ namespace campaign {
 enum class LookupStatus {
     Hit,     ///< Valid record; outcome is filled in.
     Miss,    ///< No record on disk.
-    Corrupt, ///< Record exists but is damaged; detail names why.
+    Corrupt, ///< Record exists but cannot be served; detail names why.
 };
 
 /** Result of ResultCache::lookup. */
@@ -45,7 +47,7 @@ struct Lookup
     LookupStatus status = LookupStatus::Miss;
     /** Valid when status == Hit. */
     CellOutcome outcome;
-    /** Human-readable damage description when status == Corrupt. */
+    /** Why the record is not served, when status == Corrupt. */
     std::string detail;
 };
 
@@ -53,8 +55,14 @@ struct Lookup
 class ResultCache
 {
   public:
-    /** Opens (creating if needed) the cache directory @p dir. */
-    explicit ResultCache(std::string dir);
+    /**
+     * Opens (creating if needed) the cache directory @p dir. A
+     * non-empty @p fingerprint names the build: store() stamps it on
+     * each record, and lookup() serves only records stamped with it.
+     * With an empty one the record bytes carry no stamp.
+     * @throws FatalError if @p dir cannot be created.
+     */
+    explicit ResultCache(std::string dir, std::string fingerprint = {});
 
     const std::string &dir() const { return dir_; }
 
@@ -62,8 +70,9 @@ class ResultCache
     std::string recordPath(const std::string &key_hex) const;
 
     /**
-     * Look up @p key_hex, validating the integrity frame and that the
-     * stored canonical text equals @p canonical.
+     * Look up @p key_hex, validating the integrity frame, that the
+     * stored canonical text equals @p canonical, and that the record
+     * carries this cache's fingerprint.
      */
     Lookup lookup(const std::string &key_hex,
                   const std::string &canonical) const;
@@ -75,12 +84,6 @@ class ResultCache
      */
     void store(const std::string &key_hex, const std::string &canonical,
                const CellOutcome &outcome) const;
-
-    /** Remove the record for @p key_hex if present. */
-    void remove(const std::string &key_hex) const;
-
-    /** Keys (hex stems) of every record currently on disk, sorted. */
-    std::vector<std::string> listKeys() const;
 
     /** Serialize an outcome to the framed record representation. */
     static std::string encode(const std::string &canonical,
@@ -95,6 +98,7 @@ class ResultCache
 
   private:
     std::string dir_;
+    std::string fingerprint_;
 };
 
 } // namespace campaign

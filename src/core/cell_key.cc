@@ -222,11 +222,24 @@ canonicalSystemText(const SystemConfig &s)
 }
 
 std::uint64_t
-cellKey(const ExperimentCell &cell)
+textKey(const std::string &canonical)
 {
     snap::Hash64 h;
-    h.mixString(canonicalCellText(cell));
+    h.mixString(canonical);
     return h.value();
+}
+
+std::uint64_t
+cellKey(const ExperimentCell &cell)
+{
+    return textKey(canonicalCellText(cell));
+}
+
+bool
+inShard(const ExperimentCell &cell, std::uint64_t shard,
+        std::uint64_t shard_count)
+{
+    return cellKey(cell) % shard_count == shard;
 }
 
 std::string

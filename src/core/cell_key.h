@@ -46,8 +46,20 @@ std::string canonicalCellText(const ExperimentCell &cell);
  */
 std::string canonicalSystemText(const SystemConfig &system);
 
-/** FNV-1a 64-bit digest of canonicalCellText (snap::Hash64). */
+/** FNV-1a 64-bit digest of a canonical text (snap::Hash64). */
+std::uint64_t textKey(const std::string &canonical);
+
+/** textKey of canonicalCellText: the cell's key. */
 std::uint64_t cellKey(const ExperimentCell &cell);
+
+/**
+ * True when @p cell is in shard @p shard of @p shard_count
+ * (cellKey % shard_count == shard; 0 <= shard < shard_count). Each
+ * cell is in exactly one shard, fixed by its key alone, so the shards
+ * of a cell list partition it whatever order the cells come in.
+ */
+bool inShard(const ExperimentCell &cell, std::uint64_t shard,
+             std::uint64_t shard_count);
 
 /** cellKey rendered as 16 lowercase hex digits (cache file stem). */
 std::string cellKeyHex(const ExperimentCell &cell);
@@ -62,8 +74,8 @@ std::string keyToHex(std::uint64_t key);
  * coalescing window, the run window and cap, and the base system
  * (its canonicalSystemText digest), so distinct cells print distinct
  * lines. Matches the stderr line ExperimentRunner prints on a
- * throwing cell, so every CellOutcome and cached campaign failure
- * names enough to reproduce the failure verbatim.
+ * throwing cell, so every failing CellOutcome names enough to
+ * reproduce the failure verbatim.
  */
 std::string cellRepro(const ExperimentCell &cell);
 

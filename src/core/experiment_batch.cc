@@ -8,6 +8,7 @@
 #include <thread>
 #include <utility>
 
+#include "campaign/result_cache.h"
 #include "core/cell_key.h"
 #include "sim/logging.h"
 
@@ -17,22 +18,45 @@ namespace {
 /** One distinct simulation of a batch: a cell at a single seed. */
 struct Run
 {
-    ExperimentCell cell; ///< reps = 1; config.seed is this run's seed.
-    std::size_t owner;   ///< The first submitted cell that needs it.
-    RunResult result;
-    std::exception_ptr error;
+    ExperimentCell cell;     ///< reps = 1; config.seed is this run's seed.
+    const std::string *text; ///< canonicalCellText(cell).
+    std::size_t owner;       ///< The first submitted cell that needs it.
+    RunResult result{};
+    std::exception_ptr error{};
     double wall_ms = 0.0;
+    bool cached = false;   ///< Served from the result cache.
+    bool replaced = false; ///< Its record was stale or damaged.
+    std::exception_ptr cache_error{}; ///< The cache could not store it.
 };
 
 /**
  * Execute one run, recording its result or failure. Every failure is
  * captured as the live exception_ptr (runCatching later converts it
  * to a typed reason + repro line; run() rethrows it), and every
- * attempt — failed or not — records its host wall-clock cost.
+ * attempt — failed or not — records its host wall-clock cost. With a
+ * cache, a run it holds is served instead, and a successful run is
+ * stored before the worker takes the next one.
  */
 void
-runOne(Run &run)
+runOne(Run &run, const campaign::ResultCache *cache)
 {
+    std::string key_hex;
+    if (cache != nullptr) {
+        try {
+            key_hex = keyToHex(textKey(*run.text));
+            campaign::Lookup found = cache->lookup(key_hex, *run.text);
+            if (found.status == campaign::LookupStatus::Hit
+                && found.outcome.ok) {
+                run.result = std::move(found.outcome.result);
+                run.cached = true;
+                return;
+            }
+            run.replaced = found.status != campaign::LookupStatus::Miss;
+        } catch (...) {
+            run.cache_error = std::current_exception();
+            return;
+        }
+    }
     const auto start = std::chrono::steady_clock::now();
     try {
         run.result = ExperimentRunner::run(run.cell.cpu_app,
@@ -46,16 +70,27 @@ runOne(Run &run)
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - start)
             .count();
+    if (cache == nullptr || run.error)
+        return;
+    CellOutcome outcome;
+    outcome.ok = true;
+    outcome.result = run.result;
+    try {
+        cache->store(key_hex, *run.text, outcome);
+    } catch (...) {
+        run.cache_error = std::current_exception();
+    }
 }
 
 /**
  * Execute every run on up to @p jobs workers, each taking the next
  * unstarted run in submission order. Runs are whole simulations, so
  * one shared counter balances the load; a straggler delays only its
- * own worker.
+ * own worker. A failed store stops the pool from starting more.
  */
 void
-execute(std::vector<Run> &runs, int jobs)
+execute(std::vector<Run> &runs, int jobs,
+        const campaign::ResultCache *cache)
 {
     const int workers = static_cast<int>(std::min<std::size_t>(
         runs.size(), static_cast<std::size_t>(jobs)));
@@ -70,7 +105,11 @@ execute(std::vector<Run> &runs, int jobs)
                     return;
                 i = next++;
             }
-            runOne(runs[i]);
+            runOne(runs[i], cache);
+            if (runs[i].cache_error) {
+                const std::lock_guard<std::mutex> lock(mutex);
+                next = runs.size();
+            }
         }
     };
     // jthread joins on destruction, so every worker has finished
@@ -83,14 +122,16 @@ execute(std::vector<Run> &runs, int jobs)
 
 /**
  * The shared engine behind run() and runCatching(): expand every
- * cell into its per-seed runs, execute each distinct run once, then
- * fold each cell's runs in seed order. Returns every cell's outcome
- * except the error text; @p errors receives each failing cell's
- * exception (its first failing run's, in seed order).
+ * cell into its per-seed runs, execute (or serve from @p cache) each
+ * distinct run once, then fold each cell's runs in seed order.
+ * Returns every cell's outcome except the error text; @p errors
+ * receives each failing cell's exception (its first failing run's,
+ * in seed order). A failed store is rethrown instead.
  */
 std::vector<CellOutcome>
 settle(const std::vector<ExperimentCell> &cells, int jobs,
-       std::vector<std::exception_ptr> &errors)
+       const campaign::ResultCache *cache,
+       std::vector<std::exception_ptr> &errors, BatchTally *tally)
 {
     std::vector<Run> runs;
     std::vector<std::vector<std::size_t>> uses(cells.size());
@@ -103,11 +144,22 @@ settle(const std::vector<ExperimentCell> &cells, int jobs,
             const auto [at, fresh] =
                 by_text.emplace(canonicalCellText(one), runs.size());
             if (fresh)
-                runs.push_back({std::move(one), i, {}, nullptr, 0.0});
+                runs.push_back({std::move(one), &at->first, i});
             uses[i].push_back(at->second);
         }
     }
-    execute(runs, jobs);
+    execute(runs, jobs, cache);
+
+    BatchTally counted;
+    for (const Run &run : runs) {
+        if (run.cache_error)
+            std::rethrow_exception(run.cache_error);
+        counted.cached += run.cached;
+        counted.executed += !run.cached;
+        counted.replaced += run.replaced;
+    }
+    if (tally != nullptr)
+        *tally = counted;
 
     std::vector<CellOutcome> outcomes(cells.size());
     errors.assign(cells.size(), nullptr);
@@ -141,7 +193,9 @@ settle(const std::vector<ExperimentCell> &cells, int jobs,
 
 } // namespace
 
-ExperimentBatch::ExperimentBatch(int jobs) : jobs_(jobs)
+ExperimentBatch::ExperimentBatch(int jobs,
+                                 const campaign::ResultCache *cache)
+    : jobs_(jobs), cache_(cache)
 {
     if (jobs_ <= 0) {
         const unsigned hw = std::thread::hardware_concurrency();
@@ -150,10 +204,12 @@ ExperimentBatch::ExperimentBatch(int jobs) : jobs_(jobs)
 }
 
 std::vector<RunResult>
-ExperimentBatch::run(const std::vector<ExperimentCell> &cells) const
+ExperimentBatch::run(const std::vector<ExperimentCell> &cells,
+                     BatchTally *tally) const
 {
     std::vector<std::exception_ptr> errors;
-    std::vector<CellOutcome> outcomes = settle(cells, jobs_, errors);
+    std::vector<CellOutcome> outcomes =
+        settle(cells, jobs_, cache_, errors, tally);
     std::vector<RunResult> results;
     results.reserve(outcomes.size());
     for (std::size_t i = 0; i < outcomes.size(); ++i) {
@@ -165,10 +221,12 @@ ExperimentBatch::run(const std::vector<ExperimentCell> &cells) const
 }
 
 std::vector<CellOutcome>
-ExperimentBatch::runCatching(const std::vector<ExperimentCell> &cells) const
+ExperimentBatch::runCatching(const std::vector<ExperimentCell> &cells,
+                             BatchTally *tally) const
 {
     std::vector<std::exception_ptr> errors;
-    std::vector<CellOutcome> outcomes = settle(cells, jobs_, errors);
+    std::vector<CellOutcome> outcomes =
+        settle(cells, jobs_, cache_, errors, tally);
     for (std::size_t i = 0; i < outcomes.size(); ++i) {
         if (!errors[i])
             continue;

@@ -21,7 +21,7 @@
 #ifndef HISS_CORE_HISS_H_
 #define HISS_CORE_HISS_H_
 
-#include "campaign/campaign.h"
+#include "campaign/result_cache.h"
 #include "core/cell_key.h"
 #include "core/config.h"
 #include "core/experiment.h"

@@ -1,5 +1,8 @@
 #include "snap/snap.h"
 
+#include <unistd.h>
+
+#include <atomic>
 #include <cstdio>
 #include <mutex>
 #include <unordered_set>
@@ -257,8 +260,12 @@ void
 writeFileAtomic(const std::string &path, const std::string &blob)
 {
     // The temporary lives in the target's directory so the rename
-    // cannot cross a filesystem boundary (rename(2) atomicity).
-    const std::string tmp = path + ".tmp";
+    // cannot cross a filesystem boundary (rename(2) atomicity). Each
+    // writer names its own (pid plus a process-wide count), so two
+    // writers of one path never truncate or rename each other's.
+    static std::atomic<std::uint64_t> writes{0};
+    const std::string tmp = path + ".tmp." + std::to_string(getpid())
+        + "." + std::to_string(writes.fetch_add(1));
     writeFile(tmp, blob);
     if (std::rename(tmp.c_str(), path.c_str()) != 0) {
         std::remove(tmp.c_str());

@@ -397,8 +397,10 @@ void writeFile(const std::string &path, const std::string &blob);
  * Write @p blob to @p path atomically: the bytes land in a
  * same-directory temporary first and are renamed into place, so a
  * reader (or a process killed mid-write) sees either the complete
- * old file or the complete new file, never a torn prefix. The
- * campaign result cache and snapshot saves both depend on this.
+ * old file or the complete new file, never a torn prefix. Writers
+ * of one path, in one process or several, do not race: each writes
+ * through its own temporary and the last rename wins. The result
+ * cache and snapshot saves both depend on this.
  * @throws SnapshotError on I/O failure.
  */
 void writeFileAtomic(const std::string &path, const std::string &blob);

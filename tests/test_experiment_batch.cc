@@ -4,18 +4,24 @@
  *
  * The load-bearing property is the determinism contract: a parallel
  * batch must be bit-identical to running the same cells serially
- * through ExperimentRunner, at any job count, and however many of
- * its per-seed runs the batch shares between cells.
+ * through ExperimentRunner, at any job count, however many of its
+ * per-seed runs the batch shares between cells, and whether a result
+ * cache served them.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
+#include "campaign/result_cache.h"
 #include "core/cell_key.h"
 #include "core/experiment_batch.h"
 #include "sim/logging.h"
+#include "snap/snap.h"
 
 namespace hiss {
 namespace {
@@ -318,7 +324,7 @@ TEST(ExperimentBatch, RunCatchingCapturesPerCellOutcomes)
               std::string::npos)
         << outcomes[1].error;
     // Every failure carries a seed + config repro line, and every
-    // outcome a host wall-clock duration (campaign containment).
+    // outcome a host wall-clock duration.
     EXPECT_NE(outcomes[1].repro.find("seed=82"), std::string::npos)
         << outcomes[1].repro;
     EXPECT_NE(outcomes[1].repro.find("not-a-benchmark"),
@@ -364,6 +370,214 @@ TEST(ExperimentBatch, CancelHeavyQosGridIsBitIdenticalAcrossJobs)
         expectIdentical(one[i], four[i]);
         expectIdentical(one[i], sixteen[i]);
     }
+}
+
+/** An empty directory under the test temp dir. */
+std::string
+freshDir(const std::string &name)
+{
+    const std::string dir = ::testing::TempDir() + "/" + name;
+    std::filesystem::remove_all(dir);
+    return dir;
+}
+
+/**
+ * Cheap ubench GpuOnly cells for the cache: a reps = 2 cell (seeds
+ * 81, 82), a reps = 1 cell sharing its second seed, and a QoS cell.
+ * Four distinct runs.
+ */
+std::vector<ExperimentCell>
+cacheCells()
+{
+    ExperimentConfig config;
+    config.seed = 81;
+    config.rate_window = msToTicks(2);
+    const ExperimentCell pair{"", "ubench", config, MeasureMode::GpuOnly,
+                              2};
+    ExperimentCell second = pair;
+    second.reps = 1;
+    second.config.seed = 82;
+    ExperimentCell qos = pair;
+    qos.config.qos_threshold = 0.05;
+    return {pair, second, qos};
+}
+
+/** Each cell's outcome as record bytes: equal bytes, equal results. */
+std::vector<std::string>
+recordBytes(const std::vector<ExperimentCell> &cells,
+            const std::vector<CellOutcome> &outcomes)
+{
+    std::vector<std::string> out;
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        EXPECT_TRUE(outcomes[i].ok) << outcomes[i].error;
+        out.push_back(campaign::ResultCache::encode(
+            canonicalCellText(cells[i]), outcomes[i]));
+    }
+    return out;
+}
+
+TEST(ExperimentBatch, WarmCacheServesByteEqualResults)
+{
+    const std::vector<ExperimentCell> cells = cacheCells();
+    const campaign::ResultCache cache(freshDir("batch_warm"));
+    const ExperimentBatch batch(2, &cache);
+    BatchTally cold_tally;
+    const std::vector<CellOutcome> cold =
+        batch.runCatching(cells, &cold_tally);
+    EXPECT_EQ(cold_tally.executed, 4u);
+    EXPECT_EQ(cold_tally.cached, 0u);
+
+    BatchTally warm_tally;
+    const std::vector<CellOutcome> warm =
+        batch.runCatching(cells, &warm_tally);
+    EXPECT_EQ(warm_tally.executed, 0u);
+    EXPECT_EQ(warm_tally.cached, 4u);
+    EXPECT_EQ(warm_tally.replaced, 0u);
+    for (const CellOutcome &outcome : warm)
+        EXPECT_EQ(outcome.wall_ms, 0.0);
+
+    const std::vector<std::string> uncached =
+        recordBytes(cells, ExperimentBatch(2).runCatching(cells));
+    EXPECT_EQ(recordBytes(cells, cold), uncached);
+    EXPECT_EQ(recordBytes(cells, warm), uncached);
+}
+
+TEST(ExperimentBatch, CacheReRunsDamagedRecords)
+{
+    const std::vector<ExperimentCell> cells = cacheCells();
+    const std::string dir = freshDir("batch_damage");
+    const campaign::ResultCache cache(dir);
+    const ExperimentBatch batch(2, &cache);
+    const std::vector<std::string> reference =
+        recordBytes(cells, batch.runCatching(cells));
+
+    std::vector<std::string> records;
+    for (const auto &entry : std::filesystem::directory_iterator(dir))
+        records.push_back(entry.path().string());
+    std::sort(records.begin(), records.end());
+    ASSERT_EQ(records.size(), 4u);
+    // One record truncated, one with a bit flipped.
+    {
+        const std::string blob = snap::readFile(records[0]);
+        std::ofstream out(records[0], std::ios::binary | std::ios::trunc);
+        out << blob.substr(0, 10);
+    }
+    {
+        std::string blob = snap::readFile(records[2]);
+        blob[blob.size() / 2] ^= 0x01;
+        std::ofstream out(records[2], std::ios::binary | std::ios::trunc);
+        out << blob;
+    }
+
+    BatchTally tally;
+    EXPECT_EQ(recordBytes(cells, batch.runCatching(cells, &tally)),
+              reference);
+    EXPECT_EQ(tally.executed, 2u);
+    EXPECT_EQ(tally.replaced, 2u);
+    EXPECT_EQ(tally.cached, 2u);
+
+    // The re-runs overwrote the damaged records.
+    EXPECT_EQ(recordBytes(cells, batch.runCatching(cells, &tally)),
+              reference);
+    EXPECT_EQ(tally.executed, 0u);
+    EXPECT_EQ(tally.cached, 4u);
+}
+
+TEST(ExperimentBatch, ShardsPartitionAndResumeExecutesOnlyMissing)
+{
+    // Six single-run cells, sharded two ways as hiss_repro --shard
+    // does: shard 0 fills the cache, then an unsharded run executes
+    // exactly shard 1's cells and serves the rest.
+    std::vector<ExperimentCell> cells;
+    for (std::uint64_t seed = 81; seed < 87; ++seed) {
+        ExperimentCell cell = cacheCells()[1];
+        cell.config.seed = seed;
+        cells.push_back(cell);
+    }
+    std::vector<ExperimentCell> shards[2];
+    for (const ExperimentCell &cell : cells) {
+        const int in0 = inShard(cell, 0, 2) ? 1 : 0;
+        const int in1 = inShard(cell, 1, 2) ? 1 : 0;
+        ASSERT_EQ(in0 + in1, 1) << cellRepro(cell);
+        shards[in1].push_back(cell);
+    }
+    ASSERT_FALSE(shards[0].empty());
+    ASSERT_FALSE(shards[1].empty());
+
+    const campaign::ResultCache cache(freshDir("batch_shard"));
+    const ExperimentBatch batch(2, &cache);
+    BatchTally tally;
+    batch.run(shards[0], &tally);
+    EXPECT_EQ(tally.executed, shards[0].size());
+    EXPECT_EQ(tally.cached, 0u);
+
+    const std::vector<RunResult> resumed = batch.run(cells, &tally);
+    EXPECT_EQ(tally.executed, shards[1].size());
+    EXPECT_EQ(tally.cached, shards[0].size());
+    EXPECT_EQ(tally.replaced, 0u);
+
+    const std::vector<RunResult> again = batch.run(cells, &tally);
+    EXPECT_EQ(tally.executed, 0u);
+    EXPECT_EQ(tally.cached, cells.size());
+    const std::vector<RunResult> uncached = ExperimentBatch(2).run(cells);
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        expectIdentical(resumed[i], uncached[i]);
+        expectIdentical(again[i], uncached[i]);
+    }
+}
+
+TEST(ExperimentBatch, MoreRepsExecuteOnlyTheNewSeeds)
+{
+    ExperimentCell cell = cacheCells().front();
+    const campaign::ResultCache cache(freshDir("batch_reps"));
+    const ExperimentBatch batch(2, &cache);
+    BatchTally tally;
+    batch.run({cell}, &tally);
+    EXPECT_EQ(tally.executed, 2u);
+
+    cell.reps = 3;
+    const RunResult three = batch.run({cell}, &tally).front();
+    EXPECT_EQ(tally.executed, 1u);
+    EXPECT_EQ(tally.cached, 2u);
+    expectIdentical(three, serialReference(cell));
+}
+
+TEST(ExperimentBatch, FailedRunsAreNotCached)
+{
+    // A failing run names itself on stderr each time it runs: it is
+    // not stored, so every call runs it again and fails again.
+    const ExperimentCell bad{"not-a-benchmark", "ubench", fastConfig(81),
+                             MeasureMode::CpuPrimary, 1};
+    const campaign::ResultCache cache(freshDir("batch_fail"));
+    const ExperimentBatch batch(1, &cache);
+    for (int call = 0; call < 2; ++call) {
+        BatchTally tally;
+        testing::internal::CaptureStderr();
+        const CellOutcome outcome =
+            batch.runCatching({bad}, &tally).front();
+        const std::string err = testing::internal::GetCapturedStderr();
+        EXPECT_FALSE(outcome.ok);
+        EXPECT_NE(err.find("run failed"), std::string::npos) << err;
+        EXPECT_EQ(tally.executed, 1u);
+        EXPECT_EQ(tally.cached, 0u);
+    }
+    EXPECT_EQ(cache.lookup(cellKeyHex(bad), canonicalCellText(bad)).status,
+              campaign::LookupStatus::Miss);
+    EXPECT_THROW(batch.run({bad}), FatalError);
+}
+
+TEST(ExperimentBatch, StoreFailureIsACacheErrorNotARunFailure)
+{
+    // A directory where the record goes: the run succeeds, its store
+    // cannot rename over the directory, and the call throws that.
+    const ExperimentCell cell = cacheCells()[1];
+    const campaign::ResultCache cache(freshDir("batch_store"));
+    std::filesystem::create_directory(cache.recordPath(cellKeyHex(cell)));
+    testing::internal::CaptureStderr();
+    EXPECT_THROW(ExperimentBatch(1, &cache).runCatching({cell}),
+                 snap::SnapshotError);
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(err.find("run failed"), std::string::npos) << err;
 }
 
 } // namespace

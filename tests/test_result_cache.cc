@@ -1,28 +1,30 @@
 /**
  * @file
- * Tests for the crash-resumable campaign engine.
+ * Tests for cell keys and the on-disk result cache.
  *
  * The load-bearing properties:
  *  - the cell key is stable for equal cells and sensitive to every
  *    result-determining field;
- *  - the result cache detects truncation and bit damage (checksum)
- *    and the engine re-runs exactly the damaged cells;
- *  - a resumed campaign's merged CSV is byte-identical to an
- *    uninterrupted one (the crash-drill invariant, with the crash
- *    itself exercised by tools/ci.sh campaign);
- *  - failures settle as typed, reproducible records instead of
- *    vanishing.
+ *  - the result cache detects truncation and bit damage (checksum),
+ *    key aliasing and records of another build, and never serves
+ *    them;
+ *  - concurrent stores of one record, from threads or processes,
+ *    all succeed and leave a whole record.
+ * ExperimentBatch's use of the cache is tested in
+ * test_experiment_batch.cc.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <atomic>
+#include <filesystem>
 #include <fstream>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
-#include "campaign/campaign.h"
+#include "campaign/result_cache.h"
 #include "core/cell_key.h"
 #include "sim/logging.h"
 #include "snap/snap.h"
@@ -30,14 +32,8 @@
 namespace hiss {
 namespace {
 
-using campaign::CampaignEngine;
-using campaign::CampaignOptions;
-using campaign::CampaignReport;
-using campaign::CampaignStatus;
-using campaign::GridSpec;
 using campaign::Lookup;
 using campaign::LookupStatus;
-using campaign::Manifest;
 using campaign::ResultCache;
 
 ExperimentCell
@@ -52,19 +48,6 @@ fastCell(std::uint64_t seed)
     return cell;
 }
 
-/** A 4-cell grid cheap enough to run many times per test. */
-GridSpec
-fastGrid()
-{
-    GridSpec spec;
-    spec.name = "unit";
-    spec.gpu_apps = {"ubench"};
-    spec.seeds = {81, 82};
-    spec.qos_thresholds = {0.0, 0.05};
-    spec.duration_ms = 2.0;
-    return spec;
-}
-
 std::string
 readAll(const std::string &path)
 {
@@ -74,13 +57,12 @@ readAll(const std::string &path)
             std::istreambuf_iterator<char>()};
 }
 
+/** An empty directory under the test temp dir. */
 std::string
 freshDir(const std::string &name)
 {
     const std::string dir = ::testing::TempDir() + "/" + name;
-    std::remove((dir + "/manifest.jsonl").c_str());
-    for (const std::string &key : ResultCache(dir + "/cache").listKeys())
-        std::remove((dir + "/cache/" + key + ".rec").c_str());
+    std::filesystem::remove_all(dir);
     return dir;
 }
 
@@ -211,7 +193,7 @@ TEST(CellKey, ReproLinesTellCellsApart)
 
 TEST(ResultCacheTest, RoundTripsSuccessAndFailure)
 {
-    ResultCache cache(freshDir("campaign_rt") + "/cache");
+    ResultCache cache(freshDir("cache_rt"));
 
     CellOutcome ok;
     ok.ok = true;
@@ -253,7 +235,7 @@ TEST(ResultCacheTest, RoundTripsSuccessAndFailure)
 
 TEST(ResultCacheTest, DetectsTruncationBitFlipAndAliasing)
 {
-    ResultCache cache(freshDir("campaign_dmg") + "/cache");
+    ResultCache cache(freshDir("cache_dmg"));
     CellOutcome ok;
     ok.ok = true;
     ok.result.elapsed_ms = 1.0;
@@ -310,231 +292,73 @@ TEST(ResultCacheTest, DetectsTruncationBitFlipAndAliasing)
         << damaged.detail;
 }
 
-TEST(ManifestTest, RoundTripsAndRebuildsIdenticalCells)
+TEST(ResultCacheTest, RecordsOfAnotherBuildAreReRunAndReplaced)
 {
-    const std::string dir = freshDir("campaign_manifest");
-    const GridSpec spec = fastGrid();
-    CampaignEngine(dir).build(spec);
+    const std::string dir = freshDir("cache_build");
+    const ExperimentCell cell = fastCell(81);
+    const std::string key = cellKeyHex(cell);
+    const std::string canonical = canonicalCellText(cell);
 
-    const Manifest manifest = campaign::readManifest(dir);
-    EXPECT_EQ(manifest.name, "unit");
-    ASSERT_EQ(manifest.cells.size(), spec.buildCells().size());
-    const std::vector<ExperimentCell> cells =
-        campaign::rebuildCells(manifest);
-    for (std::size_t i = 0; i < cells.size(); ++i)
-        EXPECT_EQ(cellKeyHex(cells[i]), manifest.cells[i].key_hex);
+    // With no fingerprint the record is exactly encode()'s bytes.
+    const ResultCache plain(dir);
+    const std::vector<CellOutcome> first =
+        ExperimentBatch(1, &plain).runCatching({cell});
+    ASSERT_TRUE(first[0].ok) << first[0].error;
+    EXPECT_EQ(snap::readFile(plain.recordPath(key)),
+              ResultCache::encode(canonical, first[0]));
+
+    const ResultCache a(dir, "a");
+    const ResultCache b(dir, "b");
+    EXPECT_EQ(a.lookup(key, canonical).status, LookupStatus::Corrupt);
+    a.store(key, canonical, first[0]);
+    EXPECT_EQ(a.lookup(key, canonical).status, LookupStatus::Hit);
+    EXPECT_EQ(plain.lookup(key, canonical).status, LookupStatus::Corrupt);
+
+    const Lookup other = b.lookup(key, canonical);
+    EXPECT_EQ(other.status, LookupStatus::Corrupt);
+    EXPECT_NE(other.detail.find("another build"), std::string::npos)
+        << other.detail;
+
+    // A batch over b re-runs the cell and overwrites a's record.
+    BatchTally tally;
+    const std::vector<CellOutcome> again =
+        ExperimentBatch(1, &b).runCatching({cell}, &tally);
+    ASSERT_TRUE(again[0].ok) << again[0].error;
+    EXPECT_GT(again[0].wall_ms, 0.0);
+    EXPECT_EQ(tally.executed, 1u);
+    EXPECT_EQ(tally.replaced, 1u);
+    EXPECT_EQ(b.lookup(key, canonical).status, LookupStatus::Hit);
+    EXPECT_EQ(a.lookup(key, canonical).status, LookupStatus::Corrupt);
+    EXPECT_EQ(ResultCache::encode(canonical, again[0]),
+              ResultCache::encode(canonical, first[0]));
 }
 
-TEST(ManifestTest, RejectsUnknownFormatAndTruncation)
+TEST(ResultCacheTest, ConcurrentStoresOfOneKeyAllSucceed)
 {
-    const std::string dir = freshDir("campaign_badmanifest");
-    CampaignEngine(dir).build(fastGrid());
-    const std::string path = dir + "/manifest.jsonl";
-    const std::string text = readAll(path);
-
+    const ResultCache cache(freshDir("cache_race"));
+    CellOutcome ok;
+    ok.ok = true;
+    ok.result.elapsed_ms = 3.0;
+    ok.result.ssr_irqs_per_core.assign(512, 7); // A 4 KiB record.
+    std::atomic<int> failures{0};
     {
-        const std::string format =
-            "\"format\":" + std::to_string(campaign::kManifestFormat);
-        std::string bumped = text;
-        const std::size_t at = bumped.find(format);
-        ASSERT_NE(at, std::string::npos);
-        bumped.replace(at, format.size(),
-                       "\"format\":"
-                           + std::to_string(campaign::kManifestFormat + 1));
-        std::ofstream out(path, std::ios::binary | std::ios::trunc);
-        out << bumped;
+        std::vector<std::jthread> writers;
+        for (int t = 0; t < 4; ++t)
+            writers.emplace_back([&cache, &ok, &failures] {
+                for (int i = 0; i < 500; ++i) {
+                    try {
+                        cache.store("00000000000000aa", "canon-a", ok);
+                    } catch (const snap::SnapshotError &) {
+                        ++failures;
+                    }
+                }
+            });
     }
-    EXPECT_THROW(campaign::readManifest(dir), FatalError);
-
-    {
-        std::ofstream out(path, std::ios::binary | std::ios::trunc);
-        out << text.substr(0, text.size() - 20);
-    }
-    EXPECT_THROW(campaign::readManifest(dir), FatalError);
-}
-
-TEST(CampaignTest, ShardsPartitionAndResumeExecutesOnlyMissing)
-{
-    const std::string dir = freshDir("campaign_shard");
-    const CampaignEngine engine(dir);
-    engine.build(fastGrid());
-
-    CampaignOptions shard0;
-    shard0.jobs = 2;
-    shard0.shard_index = 0;
-    shard0.shard_count = 2;
-    const CampaignReport r0 = engine.run(shard0);
-    EXPECT_EQ(r0.total, 4u);
-    EXPECT_EQ(r0.owned, 2u);
-    EXPECT_EQ(r0.executed, 2u);
-    EXPECT_EQ(r0.failures, 0u);
-
-    CampaignStatus mid = engine.status();
-    EXPECT_EQ(mid.cached_ok, 2u);
-    EXPECT_EQ(mid.missing, 2u);
-    EXPECT_FALSE(mid.complete());
-
-    CampaignOptions shard1 = shard0;
-    shard1.shard_index = 1;
-    const CampaignReport r1 = engine.run(shard1);
-    EXPECT_EQ(r1.owned, 2u);
-    EXPECT_EQ(r1.executed, 2u);
-    EXPECT_TRUE(engine.status().complete());
-
-    // Resume: everything is cached, nothing executes.
-    const CampaignReport again = engine.run(shard0);
-    EXPECT_EQ(again.cached_hits, 2u);
-    EXPECT_EQ(again.executed, 0u);
-}
-
-TEST(CampaignTest, DamagedRecordsAreReRunAndMergeIsByteIdentical)
-{
-    const std::string dir = freshDir("campaign_damage");
-    const CampaignEngine engine(dir);
-    engine.build(fastGrid());
-
-    CampaignOptions all;
-    all.jobs = 2;
-    ASSERT_EQ(engine.run(all).failures, 0u);
-    const std::string csv_path = dir + "/merged.csv";
-    ASSERT_EQ(engine.merge(csv_path), 4u);
-    const std::string reference = readAll(csv_path);
-
-    // Damage two of the four records: one truncated, one bit-flipped.
-    const ResultCache cache(engine.cacheDir());
-    const std::vector<std::string> keys = cache.listKeys();
-    ASSERT_EQ(keys.size(), 4u);
-    {
-        const std::string path = cache.recordPath(keys[0]);
-        const std::string blob = readAll(path);
-        std::ofstream out(path, std::ios::binary | std::ios::trunc);
-        out << blob.substr(0, 10);
-    }
-    {
-        const std::string path = cache.recordPath(keys[2]);
-        std::string blob = readAll(path);
-        blob[blob.size() / 2] ^= 0x01;
-        std::ofstream out(path, std::ios::binary | std::ios::trunc);
-        out << blob;
-    }
-    const CampaignStatus damaged = engine.status();
-    EXPECT_EQ(damaged.corrupt, 2u);
-    EXPECT_EQ(damaged.cached_ok, 2u);
-
-    // Resume re-runs exactly the damaged cells...
-    const CampaignReport resume = engine.run(all);
-    EXPECT_EQ(resume.corrupt_rerun, 2u);
-    EXPECT_EQ(resume.executed, 2u);
-    EXPECT_EQ(resume.cached_hits, 2u);
-
-    // ...and the merged CSV is byte-identical to the undamaged run.
-    ASSERT_EQ(engine.merge(csv_path), 4u);
-    EXPECT_EQ(readAll(csv_path), reference);
-}
-
-TEST(CampaignTest, FailuresSettleAsTypedReproducibleRecords)
-{
-    const std::string dir = freshDir("campaign_fail");
-    GridSpec spec = fastGrid();
-    spec.seeds = {81};
-    // Out of (0, 1]: the QoS governor refuses it when the cell runs.
-    spec.qos_thresholds = {1.5};
-    const CampaignEngine engine(dir);
-    engine.build(spec);
-
-    CampaignOptions options;
-    options.jobs = 1;
-    const CampaignReport report = engine.run(options);
-    EXPECT_EQ(report.owned, 1u);
-    EXPECT_EQ(report.failures, 1u);
-
-    // The failure is cached with a reason and a repro line, so a
-    // resume does not loop on it and the merge stays complete.
-    const Manifest manifest = campaign::readManifest(dir);
-    const std::vector<ExperimentCell> cells =
-        campaign::rebuildCells(manifest);
-    const ResultCache cache(engine.cacheDir());
-    const Lookup found = cache.lookup(manifest.cells[0].key_hex,
-                                      canonicalCellText(cells[0]));
-    ASSERT_EQ(found.status, LookupStatus::Hit);
-    EXPECT_FALSE(found.outcome.ok);
-    EXPECT_NE(found.outcome.error.find("QosParams"), std::string::npos)
-        << found.outcome.error;
-    EXPECT_NE(found.outcome.repro.find("seed=81"), std::string::npos)
-        << found.outcome.repro;
-
-    const CampaignReport resume = engine.run(options);
-    EXPECT_EQ(resume.executed, 0u);
-    EXPECT_EQ(resume.failures, 1u);
-
-    // retry_failed re-runs it (and it fails again, deterministically).
-    CampaignOptions retry = options;
-    retry.retry_failed = true;
-    const CampaignReport retried = engine.run(retry);
-    EXPECT_EQ(retried.executed, 1u);
-    EXPECT_EQ(retried.failures, 1u);
-
-    // The merged CSV carries the failure row rather than omitting it.
-    const std::string csv_path = dir + "/merged.csv";
-    EXPECT_EQ(engine.merge(csv_path), 1u);
-    EXPECT_NE(readAll(csv_path).find("QosParams"), std::string::npos);
-}
-
-TEST(CampaignTest, FailingCellRunsOncePerRunCall)
-{
-    const std::string dir = freshDir("campaign_fail_once");
-    GridSpec spec = fastGrid();
-    spec.seeds = {81};
-    spec.qos_thresholds = {1.5};
-    const CampaignEngine engine(dir);
-    engine.build(spec);
-
-    // Every run of the failing cell prints one "hiss: run failed"
-    // report; a deterministic failure is never retried.
-    const auto reports = [&engine](const CampaignOptions &options) {
-        ::testing::internal::CaptureStderr();
-        engine.run(options);
-        const std::string err = ::testing::internal::GetCapturedStderr();
-        std::size_t n = 0;
-        for (std::size_t at = err.find("hiss: run failed");
-             at != std::string::npos;
-             at = err.find("hiss: run failed", at + 1))
-            ++n;
-        return n;
-    };
-    CampaignOptions options;
-    options.jobs = 1;
-    EXPECT_EQ(reports(options), 1u);
-    EXPECT_EQ(reports(options), 0u); // cached
-    options.retry_failed = true;
-    EXPECT_EQ(reports(options), 1u);
-}
-
-TEST(CampaignTest, BuildRejectsUnknownAppNames)
-{
-    GridSpec cpu = fastGrid();
-    cpu.cpu_apps = {"nosuchapp"};
-    EXPECT_THROW(cpu.buildCells(), FatalError);
-
-    // The build fails before it writes a manifest for run to fail on.
-    const std::string dir = freshDir("campaign_unknown_app");
-    GridSpec gpu = fastGrid();
-    gpu.gpu_apps = {"ubench", "nosuchgpu"};
-    EXPECT_THROW(CampaignEngine(dir).build(gpu), FatalError);
-    EXPECT_FALSE(std::ifstream(dir + "/manifest.jsonl").good());
-}
-
-TEST(CampaignTest, MergeRefusesIncompleteCampaigns)
-{
-    const std::string dir = freshDir("campaign_incomplete");
-    const CampaignEngine engine(dir);
-    engine.build(fastGrid());
-    CampaignOptions shard0;
-    shard0.jobs = 1;
-    shard0.shard_index = 0;
-    shard0.shard_count = 2;
-    engine.run(shard0);
-    EXPECT_THROW(engine.merge(dir + "/merged.csv"), FatalError);
+    EXPECT_EQ(failures.load(), 0);
+    const Lookup found = cache.lookup("00000000000000aa", "canon-a");
+    ASSERT_EQ(found.status, LookupStatus::Hit) << found.detail;
+    EXPECT_EQ(found.outcome.result.ssr_irqs_per_core,
+              ok.result.ssr_irqs_per_core);
 }
 
 } // namespace

@@ -42,15 +42,14 @@
 #                                      injection and on pinned GPU
 #                                      memory; first divergence
 #                                      reported by tools/trace_diff)
-#        tools/ci.sh campaign [preset...]
+#        tools/ci.sh resume [preset...]
 #                                     (crash-drill leg, default presets
-#                                      default check asan: shard a grid
-#                                      across two hiss_campaign
-#                                      processes, SIGKILL one mid-
-#                                      flight, resume it, and require
-#                                      the merged CSV byte-identical
-#                                      to an uninterrupted reference
-#                                      run)
+#                                      default check asan: fill a
+#                                      hiss_repro result cache from two
+#                                      shards, SIGKILL one mid-flight,
+#                                      resume it, and require the
+#                                      cached figures byte-identical
+#                                      to an uncached reference run)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -172,10 +171,9 @@ if [ "${1-}" = "bench" ]; then
     build-default/bench/microbench_campaign "${bench_flags[@]}" \
         > "$tmpdir/BENCH_campaign.json"
 
-    # The campaign result cache must keep paying for itself: the
+    # The result cache must keep paying for itself: the
     # cold-grid/cache-hit-resume ratio recorded by
-    # CampaignResumeSpeedup has to stay at 5x or better (ISSUE 9's
-    # acceptance floor).
+    # CampaignResumeSpeedup has to stay at 5x or better.
     if ! awk '
         /"name":/ { gsub(/[",]/, ""); name = $2 }
         /"speedup":/ {
@@ -329,43 +327,36 @@ if [ "${1-}" = "snapshot" ]; then
     exit 0
 fi
 
-# `campaign` mode: the crash-resume drill (docs/TESTING.md "Campaign
-# sweeps"). Two shards split an 8-cell grid; shard 0 is SIGKILLed the
-# moment its first result record lands, then resumed. The engine's
-# contract — write-then-rename records, content-addressed keys,
-# resume-by-cache-scan — makes the merged CSV byte-identical to an
-# uninterrupted reference run; tools/trace_diff reports the first
-# divergence if it is not.
-run_campaign() {
+# `resume` mode: the crash-resume drill (docs/TESTING.md "Result
+# cache"). hiss_repro stores each run in its result cache as soon as
+# it finishes (write-then-rename), so a SIGKILL loses only the runs
+# in flight. Shard 0 of fig4+fig9 is killed the moment its first
+# record lands and then resumed; shard 1 runs; an unsharded run must
+# then execute nothing and print what an uncached run prints.
+run_resume() {
     local preset="${1:-default}"
     cmake --preset "$preset"
-    cmake --build --preset "$preset" -j "$jobs" \
-        --target hiss_campaign trace_diff
-    local camp="build-$preset/tools/hiss_campaign"
-    local differ="build-$preset/tools/trace_diff"
+    cmake --build --preset "$preset" -j "$jobs" --target hiss_repro
+    local repro="build-$preset/bench/hiss_repro"
     local tmpdir
     tmpdir=$(mktemp -d)
-    # Cells long enough (~40 ms wall each) that the SIGKILL lands
-    # while the victim still has work in flight.
-    local grid="--gpu ubench --seeds 4 --qos 0,0.05 --duration 40"
+    local figs="fig4 fig9"
+    local cache="$tmpdir/cache"
 
-    # Reference: the same grid, never interrupted.
+    # Reference: the same figures, no cache.
     # shellcheck disable=SC2086
-    $camp build --dir "$tmpdir/ref" $grid
-    $camp run --dir "$tmpdir/ref" --jobs 2
-    $camp merge --dir "$tmpdir/ref" --out "$tmpdir/ref.csv"
+    $repro --jobs 2 $figs > "$tmpdir/ref.txt"
 
     # Crash drill: SIGKILL shard 0 once its first record is on disk.
     # shellcheck disable=SC2086
-    $camp build --dir "$tmpdir/drill" $grid
-    $camp run --dir "$tmpdir/drill" --shard 0/2 --jobs 1 \
-        > /dev/null &
+    $repro --cache "$cache" --shard 0/2 --jobs 1 $figs \
+        > /dev/null 2>&1 &
     local victim=$!
     local tries=0
-    until ls "$tmpdir/drill/cache/"*.rec > /dev/null 2>&1; do
+    until ls "$cache/"*.rec > /dev/null 2>&1; do
         tries=$((tries + 1))
         if [ "$tries" -gt 3000 ]; then
-            echo "ci: campaign leg FAILED: no record ever appeared"
+            echo "ci: resume leg FAILED: no record ever appeared"
             kill -9 "$victim" 2> /dev/null || true
             rm -rf "$tmpdir"
             exit 1
@@ -375,38 +366,48 @@ run_campaign() {
     kill -9 "$victim" 2> /dev/null || true
     wait "$victim" 2> /dev/null || true
 
-    # Resume the killed shard (it must serve at least one cell from
-    # the cache — the records the victim committed survive the kill),
-    # run the sibling shard, and merge.
-    $camp resume --dir "$tmpdir/drill" --shard 0/2 --jobs 1 \
-        | tee "$tmpdir/resume.out"
-    grep -q "cached=[1-9]" "$tmpdir/resume.out" || {
-        echo "ci: campaign leg FAILED: resume served nothing from" \
-             "the cache"
+    # Resume the killed shard: the records it stored survive the kill,
+    # so at least one run is served from the cache.
+    # shellcheck disable=SC2086
+    $repro --cache "$cache" --shard 0/2 --jobs 1 $figs \
+        2> "$tmpdir/resume.err"
+    grep "result cache:" "$tmpdir/resume.err"
+    grep -q "cache: [1-9][0-9]* served" "$tmpdir/resume.err" || {
+        echo "ci: resume leg FAILED: resume served nothing from the" \
+             "cache"
         rm -rf "$tmpdir"
         exit 1
     }
-    $camp run --dir "$tmpdir/drill" --shard 1/2 --jobs 2
-    $camp merge --dir "$tmpdir/drill" --out "$tmpdir/drill.csv"
-    $differ "$tmpdir/ref.csv" "$tmpdir/drill.csv" || {
-        echo "ci: campaign leg FAILED: resumed merge diverged from" \
-             "the uninterrupted reference"
+    # shellcheck disable=SC2086
+    $repro --cache "$cache" --shard 1/2 --jobs 2 $figs 2> /dev/null
+    # shellcheck disable=SC2086
+    $repro --cache "$cache" --jobs 2 $figs > "$tmpdir/drill.txt" \
+        2> "$tmpdir/final.err"
+    grep -q " 0 executed," "$tmpdir/final.err" || {
+        echo "ci: resume leg FAILED: the shards left runs to execute:"
+        cat "$tmpdir/final.err"
+        rm -rf "$tmpdir"
+        exit 1
+    }
+    cmp "$tmpdir/ref.txt" "$tmpdir/drill.txt" || {
+        echo "ci: resume leg FAILED: cached figures diverged from the" \
+             "uncached reference"
         rm -rf "$tmpdir"
         exit 1
     }
     rm -rf "$tmpdir"
-    echo "ci: campaign leg ($preset) crash-drill byte-identical"
+    echo "ci: resume leg ($preset) crash-drill byte-identical"
 }
-if [ "${1-}" = "campaign" ]; then
+if [ "${1-}" = "resume" ]; then
     shift
     legs=("$@")
     if [ "${#legs[@]}" -eq 0 ]; then
         legs=(default check asan)
     fi
     for p in "${legs[@]}"; do
-        run_campaign "$p"
+        run_resume "$p"
     done
-    echo "ci: campaign leg passed (${legs[*]})"
+    echo "ci: resume leg passed (${legs[*]})"
     exit 0
 fi
 
@@ -433,7 +434,7 @@ for p in "${presets[@]}"; do
     fi
     # The crash-resume drill rides the presets it is specified for.
     case "$p" in
-      default|check|asan) run_campaign "$p" ;;
+      default|check|asan) run_resume "$p" ;;
     esac
 done
 

@@ -14,7 +14,7 @@
  *   hiss_sim --cpu x264 --gpu sssp --trace timeline.json
  *
  * Each invocation simulates one seed; averaged, seed-swept cells are
- * hiss_repro --reps and hiss_campaign build --reps.
+ * hiss_repro --reps.
  */
 
 #include <algorithm>

@@ -545,7 +545,7 @@ checkStatName(const Rule &rule, const FileContext &file,
 //
 // catch (...) that neither rethrows nor records a reason erases the
 // failure: the run continues (or returns a default) with no trace of
-// what went wrong, which is how a campaign cell "succeeds" with junk
+// what went wrong, which is how a cell "succeeds" with junk
 // or a snapshot silently re-simulates cold. Applies to all of src/ —
 // the robustness contract, unlike the determinism rules, is not
 // limited to the simulation layers. A handler counts as compliant if

@@ -50,7 +50,7 @@ expect_exit0 "tiny checked run" \
 expect_clean_error "no workload" "$sim"
 expect_clean_error "unknown argument" "$sim" --frobnicate
 expect_clean_error "unknown CPU app" "$sim" --cpu nosuchapp
-# Averaged cells are hiss_repro --reps and hiss_campaign build --reps.
+# Averaged cells are hiss_repro --reps.
 expect_clean_error "tiny reps run" \
     "$sim" --gpu ubench --duration 0.2 --reps 2 --jobs 2 --check
 expect_clean_error "removed --reps" "$sim" --cpu x264 --reps 2
